@@ -77,11 +77,8 @@ def _cmd_verify(args) -> int:
         suites = SUITE_NAMES
     config = SuiteConfig(
         k=args.k,
-        b=args.b,
-        bprime=args.bprime,
         trials=args.trials,
         seed=args.seed,
-        tol_alg=args.tol_alg,
         tol_fd=args.tol_fd,
         fd_step=args.fd_step,
         suites=suites,
@@ -143,11 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized verification suites")
     p_verify.add_argument("--k", type=int, default=3)
-    p_verify.add_argument("--b", type=int, default=2)
-    p_verify.add_argument("--bprime", type=int, default=1)
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol-alg", type=float, default=1e-10, dest="tol_alg")
     p_verify.add_argument("--tol-fd", type=float, default=1e-4, dest="tol_fd")
     p_verify.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
     p_verify.add_argument(

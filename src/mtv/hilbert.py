@@ -173,25 +173,6 @@ def jordan_of(d: JetScheme) -> Matrix:
     return j
 
 
-def jordan_pattern(d: JetScheme, diag: np.ndarray | None = None) -> Matrix:
-    """The Jordan pattern with a prescribed diagonal (default: the piece base
-    points, repeated per block)."""
-    if diag is None:
-        diag = np.concatenate([[p.z] * p.length for p in d.pieces])
-    diag = np.asarray(diag, dtype=complex)
-    j = np.zeros((d.k, d.k), dtype=complex)
-    offset = 0
-    pos = 0
-    for p in d.pieces:
-        for a in range(p.length):
-            j[offset + a, offset + a] = diag[pos]
-            pos += 1
-            if a + 1 < p.length:
-                j[offset + a, offset + a + 1] = 1.0
-        offset += p.length
-    return j
-
-
 def block_reversal(d: JetScheme) -> Matrix:
     """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
     symmetric involution."""

@@ -82,12 +82,6 @@ def polarized_gradient(p: InvariantPolynomial, x: Matrix) -> Matrix:
     return p.coefficient * p.degree * np.linalg.matrix_power(x, p.degree - 1)
 
 
-def power_trace_gradients(x: Matrix, k: int | None = None) -> list[Matrix]:
-    """[C_{P_1}(X), ..., C_{P_k}(X)] for the generating power traces."""
-    n = x.shape[0] if k is None else k
-    return [polarized_gradient(InvariantPolynomial(m), x) for m in range(1, n + 1)]
-
-
 def power_traces(x: Matrix, k: int | None = None) -> np.ndarray:
     """(trace X, trace X^2, ..., trace X^k)."""
     n = x.shape[0] if k is None else k

@@ -101,18 +101,12 @@ def slice_embed(s: SlicePoint) -> Matrix:
     return x
 
 
-def slice_representative(x: Matrix, check_regular: bool = True) -> SlicePoint:
-    """The unique slice point whose embedded matrix has the characteristic
-    polynomial of X.
+def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
+    """The slice point whose power traces are `target` (length k).
 
-    Works through power traces: trace(S(c)^m) = beta_m * c_(m-1) + (terms in
-    c_0..c_(m-2)), a triangular system solved by forward substitution.
+    trace(S(c)^m) = beta_m * c_(m-1) + (terms in c_0..c_(m-2)), a triangular
+    system solved by forward substitution.
     """
-    x = as_matrix(x)
-    k = x.shape[0]
-    if check_regular and not is_regular(x):
-        raise RegularityError("slice representative requires a regular matrix")
-    target = power_traces(x)
     pivots = _trace_pivots(k)
     coeffs = np.zeros(k, dtype=complex)
     for m in range(1, k + 1):
@@ -120,25 +114,32 @@ def slice_representative(x: Matrix, check_regular: bool = True) -> SlicePoint:
         t_m = np.trace(np.linalg.matrix_power(partial, m))
         coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
     return SlicePoint(k=k, coeffs=coeffs)
+
+
+def slice_representative(x: Matrix, check_regular: bool = True) -> SlicePoint:
+    """The unique slice point whose embedded matrix has the characteristic
+    polynomial of X.
+
+    Works through power traces (see `_slice_from_power_sums`).
+    """
+    x = as_matrix(x)
+    if check_regular and not is_regular(x):
+        raise RegularityError("slice representative requires a regular matrix")
+    return _slice_from_power_sums(power_traces(x), x.shape[0])
 
 
 def slice_coefficients_from_roots(roots: np.ndarray, k: int) -> SlicePoint:
     """Slice point with characteristic polynomial prod (t - root_i).
 
-    `roots` lists eigenvalues with multiplicity, length k.  Uses the same
-    triangular solve as `slice_representative` but with exact power sums.
+    `roots` lists eigenvalues with multiplicity, length k; their exact power
+    sums go through the same solve as `slice_representative`.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (k,):
         raise ValidationError("need k roots with multiplicity")
-    target = np.array([np.sum(roots**m) for m in range(1, k + 1)])
-    pivots = _trace_pivots(k)
-    coeffs = np.zeros(k, dtype=complex)
-    for m in range(1, k + 1):
-        partial = slice_embed(SlicePoint(k, coeffs))
-        t_m = np.trace(np.linalg.matrix_power(partial, m))
-        coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
-    return SlicePoint(k=k, coeffs=coeffs)
+    return _slice_from_power_sums(
+        np.array([np.sum(roots**m) for m in range(1, k + 1)]), k
+    )
 
 
 def slice_project(x: Matrix) -> tuple[SlicePoint, float]:

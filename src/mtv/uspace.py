@@ -28,6 +28,7 @@ from .wspace import (
     OUTGOING,
     WPoint,
     WTangent,
+    _reverse,
     w_symplectic,
     slice_direction,
 )
@@ -425,15 +426,9 @@ def phi_e_class(m: UClass) -> UClass:
     becomes the last outgoing one via g -> p theta(g)^{-1} p^{-1}; the slice
     part is fixed.  Anti-equivariant with the conjugated involution on the
     moved factor and plainly equivariant on the untouched ones."""
-    from .wspace import opposite_slice_conjugator
-
     if m.b < 1:
         raise SignatureError("need an incoming factor to move")
-    k = m.X.k
-    conj = opposite_slice_conjugator(k)
-    conj_inv = np.linalg.inv(conj)
-    moved = conj @ m.gs[m.b - 1].T @ conj_inv
-    gs = list(m.gs[: m.b - 1]) + list(m.gs[m.b :]) + [moved]
+    gs = list(m.gs[: m.b - 1]) + list(m.gs[m.b :]) + [_reverse(m.gs[m.b - 1])]
     return UClass(b=m.b - 1, bprime=m.bprime + 1, gs=tuple(gs), X=m.X)
 
 

@@ -1,10 +1,15 @@
 """Randomized verification suites for every identity and axiom, plus the
 finite-difference operators and sample generators they run on.
 
-Every suite draws its trial data from an RNG stream derived from
+Each suite is declared as data (`_Suite`): a check that yields named
+residuals for one case, a negative control, a bound per residual and the
+threshold the negative control must exceed.  One runner owns the rest:
+timing, the RNG streams, the size draw, folding residuals over the cases
+and the pass rule.  A case draws from an RNG stream derived from
 (master seed, suite name, trial index), so identical configurations give
-identical residuals.  Each suite also evaluates one deliberately corrupted
-input whose residual must exceed the tolerance (negative control).
+identical residuals; the negative control evaluates one deliberately
+corrupted input from the stream "<suite>-neg", and its residual must
+exceed the threshold.
 
 The moment-map sign convention is calibrated once on the incoming
 group x slice space, where the left action has moment Ad(g) X; the sign that
@@ -13,9 +18,11 @@ validates there (+1) is frozen for every other suite.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import expm
@@ -63,6 +70,7 @@ from .uspace import (
     g_action,
     glue,
     glue_with_receiver,
+    phi_e_class,
     stabilizer_solve,
     u11_from_tstar,
     u11_to_tstar,
@@ -77,9 +85,9 @@ from .wspace import (
     OUTGOING,
     WPoint,
     WTangent,
+    _reverse,
     g_act_w,
     maurer_cartan_term,
-    opposite_slice_conjugator,
     phi_E,
     phi_E_inverse,
     theta,
@@ -110,11 +118,8 @@ SUITE_NAMES = (
 @dataclass(frozen=True)
 class SuiteConfig:
     k: int = 3
-    b: int = 2
-    bprime: int = 1
     trials: int = 50
     seed: int = 42
-    tol_alg: float = 1e-10
     tol_fd: float = 1e-4
     fd_step: float = 1e-4
     suites: tuple[str, ...] = SUITE_NAMES
@@ -122,7 +127,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1 or self.k < 1:
             raise ValidationError("trials and k must be positive")
-        if self.tol_alg <= 0 or self.tol_fd <= 0 or self.fd_step <= 0:
+        if self.tol_fd <= 0 or self.fd_step <= 0:
             raise ValidationError("tolerances must be positive")
         if self.fd_step**2 <= np.finfo(float).eps:
             raise ValidationError("fd_step^2 must exceed machine epsilon")
@@ -289,6 +294,11 @@ def sample_jetscheme(
 
 # ----------------------------------------------------------------------
 # flat charts and finite-difference operators
+#
+# A chart maps coordinates to points (`point_at`), carries chart-constant
+# tangents to the form's coordinates at a displaced point (`tangent_at`),
+# and turns a tangent into the coordinate displacement h * direction
+# (`displace`).
 
 
 def _dexp_transport(s: Matrix, a: Matrix, sign: int, terms: int = 10) -> Matrix:
@@ -321,6 +331,9 @@ class WChart:
     def tangent_at(self, vec: WTangent, s: Matrix) -> WTangent:
         return WTangent(a=_dexp_transport(s, vec.a, -1), dc=vec.dc)
 
+    def displace(self, direction: WTangent, h: float) -> tuple[Matrix, np.ndarray]:
+        return (h * direction.a, h * direction.dc)
+
 
 class UChart:
     """Product chart: one left-log coordinate per factor plus shared dc."""
@@ -346,6 +359,9 @@ class UChart:
             dc=vec.dc,
         )
 
+    def displace(self, direction: UTangent, h: float) -> tuple[list[Matrix], np.ndarray]:
+        return ([h * a for a in direction.a_list], h * direction.dc)
+
 
 class FChart:
     """Chart on the Fitting locus for (1,0): left group displacement acting
@@ -368,6 +384,9 @@ class FChart:
         # fundamental-field component transports with the opposite sign
         return FTangent(rho=_dexp_transport(s, vec.rho, +1), dz=vec.dz)
 
+    def displace(self, direction: FTangent, h: float) -> tuple[Matrix, np.ndarray]:
+        return (h * direction.rho, h * direction.dz)
+
 
 def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     """d omega(u, v, w) by the three-term alternating sum with central
@@ -381,19 +400,12 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
         t2m = chart.tangent_at(t2, coords[0])
         return form(point, t1m, t2m)
 
-    def displace(direction, h):
-        if isinstance(chart, UChart):
-            return ([h * a for a in direction.a_list], h * direction.dc)
-        if isinstance(chart, WChart):
-            return (h * direction.a, h * direction.dc)
-        return (h * direction.rho, h * direction.dz)
-
     total = 0.0 + 0.0j
     dirs = (u, v, w)
     for idx, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
         rest = [dirs[i] for i in range(3) if i != idx]
-        plus = omega_at(displace(dirs[idx], step), rest[0], rest[1])
-        minus = omega_at(displace(dirs[idx], -step), rest[0], rest[1])
+        plus = omega_at(chart.displace(dirs[idx], step), rest[0], rest[1])
+        minus = omega_at(chart.displace(dirs[idx], -step), rest[0], rest[1])
         total += sign * (plus - minus) / (2 * step)
     return total
 
@@ -411,8 +423,8 @@ def fd_moment_condition_w(
         a_fund = -xi
     fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
     lhs = w_symplectic(p, fund, v)
-    plus = w_moment(chart.point_at(step * v.a, step * v.dc))
-    minus = w_moment(chart.point_at(-step * v.a, -step * v.dc))
+    plus = w_moment(chart.point_at(*chart.displace(v, step)))
+    minus = w_moment(chart.point_at(*chart.displace(v, -step)))
     dmu = (plus - minus) / (2 * step)
     rhs = pairing(dmu, xi)
     if sign_flip:
@@ -436,8 +448,8 @@ def fd_moment_condition_a(
     fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
     lhs = w_symplectic(p, fund, v)
     pm = InvariantPolynomial(degree)
-    plus = inv_poly_eval(pm, slice_embed(chart.point_at(step * v.a, step * v.dc).X))
-    minus = inv_poly_eval(pm, slice_embed(chart.point_at(-step * v.a, -step * v.dc).X))
+    plus = inv_poly_eval(pm, slice_embed(chart.point_at(*chart.displace(v, step)).X))
+    minus = inv_poly_eval(pm, slice_embed(chart.point_at(*chart.displace(v, -step)).X))
     rhs = (plus - minus) / (2 * step)
     return abs(lhs - rhs)
 
@@ -465,176 +477,142 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex:
 
 # ----------------------------------------------------------------------
 # suites
+#
+# A check takes (cfg, rng, k, case) and yields (part, residual) pairs; the
+# part "" is the suite's unnamed residual, named parts are also reported in
+# `details`.  For suites that loop over trials, `case` is the trial index.
+
+_Residuals = Iterator[tuple[str, float]]
+
+# Every (b, b') with 1 <= b + b' <= 4.
+_SIGNATURES = tuple(
+    (b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1
+)
 
 
-def _suite_polarization(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    max_identity = 0.0
-    max_bracket = 0.0
-    k_max = min(cfg.k, 5)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "polarization", trial)
-        k = _draw_k(rng, cfg.k, k_max)
-        x = sample_disc(rng, k, k)
-        for m in range(1, k + 1):
-            p = InvariantPolynomial(m)
-            c = polarized_gradient(p, x)
-            for a in range(k):
-                for b in range(k):
-                    y = np.zeros((k, k), dtype=complex)
-                    y[a, b] = 1.0
-                    lhs = pairing(c, y)
-                    rhs = m * symmetrized_form_value(x, y, m)
-                    max_identity = max(max_identity, abs(lhs - rhs))
-            max_bracket = max(
-                max_bracket, float(np.max(np.abs(commutator(c, x))))
-            )
-    # negative control: a wrong gradient (coefficient off by 10%)
-    rng = trial_rng(cfg.seed, "polarization-neg", 0)
+@dataclass(frozen=True)
+class _Suite:
+    check: Callable[[SuiteConfig, np.random.Generator, int, object], _Residuals]
+    negative: Callable[[SuiteConfig, np.random.Generator], float]
+    tolerance: float | None  # reported bound of max_residual; None: cfg.tol_fd
+    neg_threshold: float
+    k_cap: int | None = 4  # None: the case is the matrix size, no draw
+    # (part, fold, bound): "max" and "sum" parts must stay below the bound,
+    # "min" parts above it; bound None means the tolerance
+    parts: tuple[tuple[str, str, float | None], ...] = (("", "max", None),)
+    # cfg -> [(stream, index, case)]; default one case per trial
+    cases: Callable[[SuiteConfig], list] | None = None
+    trials: int | None = None  # reported trial count; default len(cases)
+
+
+_FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
+
+
+def _matrix_units(k: int) -> Iterator[Matrix]:
+    for a in range(k):
+        for b in range(k):
+            y = np.zeros((k, k), dtype=complex)
+            y[a, b] = 1.0
+            yield y
+
+
+def _orientation(trial: int) -> str:
+    return INCOMING if trial % 2 == 0 else OUTGOING
+
+
+def _check_polarization(cfg, rng, k, trial) -> _Residuals:
+    x = sample_disc(rng, k, k)
+    for m in range(1, k + 1):
+        c = polarized_gradient(InvariantPolynomial(m), x)
+        for y in _matrix_units(k):
+            lhs = pairing(c, y)
+            rhs = m * symmetrized_form_value(x, y, m)
+            yield "identity_residual", abs(lhs - rhs)
+        yield "bracket_residual", float(np.max(np.abs(commutator(c, x))))
+
+
+def _negative_polarization(cfg, rng) -> float:
+    # a wrong gradient (coefficient off by 10%)
     x = sample_disc(rng, 3, 3)
     c_bad = 1.1 * polarized_gradient(InvariantPolynomial(2), x)
-    neg = 0.0
-    for a in range(3):
-        for b in range(3):
-            y = np.zeros((3, 3), dtype=complex)
-            y[a, b] = 1.0
-            neg = max(neg, abs(pairing(c_bad, y) - 2 * symmetrized_form_value(x, y, 2)))
-    passed = max_identity < 1e-9 and max_bracket < 1e-10 and neg > 1e-9
-    return SuiteResult(
-        name="polarization",
-        trials=cfg.trials,
-        max_residual=max(max_identity, max_bracket),
-        tolerance=1e-9,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-        details={"identity_residual": max_identity, "bracket_residual": max_bracket},
+    return max(
+        abs(pairing(c_bad, y) - 2 * symmetrized_form_value(x, y, 2))
+        for y in _matrix_units(3)
     )
 
 
-def _suite_hamiltonian_w(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-5
-    worst = 0.0
-    k_max = min(cfg.k, 4)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "hamiltonian_w", trial)
-        k = _draw_k(rng, cfg.k, k_max)
-        orientation = INCOMING if trial % 2 == 0 else OUTGOING
-        p = sample_wpoint(k, orientation, rng)
-        xi = sample_disc(rng, k, k)
-        v = sample_wtangent(k, rng)
-        worst = max(worst, fd_moment_condition_w(p, xi, v, cfg.fd_step))
-        degree = int(rng.integers(1, k + 1))
-        worst = max(worst, fd_moment_condition_a(p, degree, v, cfg.fd_step))
-    rng = trial_rng(cfg.seed, "hamiltonian_w-neg", 0)
+def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:
+    p = sample_wpoint(k, _orientation(trial), rng)
+    xi = sample_disc(rng, k, k)
+    v = sample_wtangent(k, rng)
+    yield "", fd_moment_condition_w(p, xi, v, cfg.fd_step)
+    degree = int(rng.integers(1, k + 1))
+    yield "", fd_moment_condition_a(p, degree, v, cfg.fd_step)
+
+
+def _negative_hamiltonian_w(cfg, rng) -> float:
     neg = 0.0
-    for t in range(4):
+    for _ in range(4):
         p = sample_wpoint(3, INCOMING, rng)
         xi = sample_disc(rng, 3, 3)
         v = sample_wtangent(3, rng)
         neg = max(neg, fd_moment_condition_w(p, xi, v, cfg.fd_step, sign_flip=True))
-    passed = worst < tol and neg > 1e-2
-    return SuiteResult(
-        name="hamiltonian_w",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-    )
+    return neg
 
 
-def _suite_closedness(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = cfg.tol_fd
-    worst_w = worst_u = worst_f = 0.0
-    k_max = min(cfg.k, 3)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "closedness", trial)
-        k = _draw_k(rng, cfg.k, k_max)
-        orientation = INCOMING if trial % 2 == 0 else OUTGOING
-        p = sample_wpoint(k, orientation, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(k, rng) for _ in range(3)]
-        val = fd_exterior_derivative(w_symplectic, chart, *tans, cfg.fd_step)
-        worst_w = max(worst_w, abs(val))
+def _check_closedness(cfg, rng, k, trial) -> _Residuals:
+    p = sample_wpoint(k, _orientation(trial), rng)
+    tans = [sample_wtangent(k, rng) for _ in range(3)]
+    yield "w", abs(fd_exterior_derivative(w_symplectic, WChart(p), *tans, cfg.fd_step))
 
-        b = int(rng.integers(1, 3))
-        bp = int(rng.integers(0, 2))
-        m = sample_uclass(k, b, bp, rng)
-        uchart = UChart(m)
-        utans = [sample_utangent(m, rng) for _ in range(3)]
-        val = fd_exterior_derivative(u_symplectic, uchart, *utans, cfg.fd_step)
-        worst_u = max(worst_u, abs(val))
+    b = int(rng.integers(1, 3))
+    bp = int(rng.integers(0, 2))
+    m = sample_uclass(k, b, bp, rng)
+    utans = [sample_utangent(m, rng) for _ in range(3)]
+    yield "u", abs(fd_exterior_derivative(u_symplectic, UChart(m), *utans, cfg.fd_step))
 
-        d = sample_jetscheme(k, 1, 0, rng)
-        fchart = FChart(d)
-        s = len(d.pieces)
-        ftans = [
-            FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, s))
-            for _ in range(3)
-        ]
-        val = fd_exterior_derivative(f_presymplectic, fchart, *ftans, cfg.fd_step)
-        worst_f = max(worst_f, abs(val))
-    # negative control: the literal moment-wedge form is not closed
-    rng = trial_rng(cfg.seed, "closedness-neg", 0)
+    d = sample_jetscheme(k, 1, 0, rng)
+    s = len(d.pieces)
+    ftans = [
+        FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, s))
+        for _ in range(3)
+    ]
+    yield "f", abs(fd_exterior_derivative(f_presymplectic, FChart(d), *ftans, cfg.fd_step))
+
+
+def _negative_closedness(cfg, rng) -> float:
+    # the literal moment-wedge form is not closed
     neg = 0.0
     for _ in range(4):
-        p = sample_wpoint(3, INCOMING, rng)
-        chart = WChart(p)
+        chart = WChart(sample_wpoint(3, INCOMING, rng))
         tans = [sample_wtangent(3, rng) for _ in range(3)]
-        neg = max(
-            neg,
-            abs(fd_exterior_derivative(w_symplectic_moment_wedge, chart, *tans, cfg.fd_step)),
-        )
-    worst = max(worst_w, worst_u, worst_f)
-    passed = worst < tol and neg > 1e-2
-    return SuiteResult(
-        name="closedness",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-        details={"w": worst_w, "u": worst_u, "f": worst_f},
-    )
+        val = fd_exterior_derivative(w_symplectic_moment_wedge, chart, *tans, cfg.fd_step)
+        neg = max(neg, abs(val))
+    return neg
 
 
-def _suite_form_identity(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-10
-    worst_u = 0.0
-    worst_w = 0.0
-    worst_record = 0.0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "form_identity", trial)
-        k = _draw_k(rng, cfg.k, 4)
-        b = int(rng.integers(1, 3))
-        bp = int(rng.integers(0, 3))
-        m = sample_uclass(k, b, bp, rng)
-        u = sample_utangent(m, rng)
-        v = sample_utangent(m, rng)
-        lhs = u_symplectic(m, u, v)
-        rhs = u_symplectic_single_slice_form(m, u, v)
-        scale = max(1.0, abs(lhs))
-        worst_u = max(worst_u, abs(lhs - rhs) / scale)
+def _check_form_identity(cfg, rng, k, trial) -> _Residuals:
+    b = int(rng.integers(1, 3))
+    bp = int(rng.integers(0, 3))
+    m = sample_uclass(k, b, bp, rng)
+    u = sample_utangent(m, rng)
+    v = sample_utangent(m, rng)
+    lhs = u_symplectic(m, u, v)
+    rhs = u_symplectic_single_slice_form(m, u, v)
+    yield "u_two_codings", abs(lhs - rhs) / max(1.0, abs(lhs))
 
-        orientation = INCOMING if trial % 2 == 0 else OUTGOING
-        p = sample_wpoint(k, orientation, rng)
-        tu = sample_wtangent(k, rng)
-        tv = sample_wtangent(k, rng)
-        canon = w_symplectic(p, tu, tv)
-        bracket = w_symplectic_bracket_form(p, tu, tv)
-        worst_w = max(worst_w, abs(canon - bracket) / max(1.0, abs(canon)))
-        literal = w_symplectic_moment_wedge(p, tu, tv)
-        mc = maurer_cartan_term(p, tu, tv)
-        worst_record = max(
-            worst_record, abs(literal - canon - mc) / max(1.0, abs(canon))
-        )
-    rng = trial_rng(cfg.seed, "form_identity-neg", 0)
+    p = sample_wpoint(k, _orientation(trial), rng)
+    tu = sample_wtangent(k, rng)
+    tv = sample_wtangent(k, rng)
+    canon = w_symplectic(p, tu, tv)
+    scale = max(1.0, abs(canon))
+    yield "w_two_codings", abs(canon - w_symplectic_bracket_form(p, tu, tv)) / scale
+    literal = w_symplectic_moment_wedge(p, tu, tv)
+    mc = maurer_cartan_term(p, tu, tv)
+    yield "literal_discrepancy_identity", abs(literal - canon - mc) / scale
+
+
+def _negative_form_identity(cfg, rng) -> float:
     neg = 0.0
     for _ in range(4):
         p = sample_wpoint(3, INCOMING, rng)
@@ -644,46 +622,16 @@ def _suite_form_identity(cfg: SuiteConfig) -> SuiteResult:
             neg,
             abs(w_symplectic_moment_wedge(p, tu, tv) - w_symplectic(p, tu, tv)),
         )
-    worst = max(worst_u, worst_w, worst_record)
-    passed = worst < tol and neg > 1e-2
-    return SuiteResult(
-        name="form_identity",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-        details={
-            "u_two_codings": worst_u,
-            "w_two_codings": worst_w,
-            "literal_discrepancy_identity": worst_record,
-        },
-    )
+    return neg
 
 
-def _signatures_up_to(total_max: int) -> list[tuple[int, int]]:
-    sigs = []
-    for b in range(0, total_max + 1):
-        for bp in range(0, total_max + 1 - b):
-            if 1 <= b + bp <= total_max:
-                sigs.append((b, bp))
-    return sigs
+def _check_axiom_d(cfg, rng, k, trial) -> _Residuals:
+    b, bp = _SIGNATURES[trial % len(_SIGNATURES)]
+    yield "", axiom_d_residual(sample_uclass(k, b, bp, rng))
 
 
-def _suite_axiom_d(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-10
-    worst = 0.0
-    sigs = _signatures_up_to(4)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "axiom_d", trial)
-        k = _draw_k(rng, cfg.k, 5)
-        b, bp = sigs[trial % len(sigs)]
-        m = sample_uclass(k, b, bp, rng)
-        worst = max(worst, axiom_d_residual(m))
-    # negative: perturb the slice point in one slot only
-    rng = trial_rng(cfg.seed, "axiom_d-neg", 0)
+def _negative_axiom_d(cfg, rng) -> float:
+    # perturb the slice point in one slot only
     m = sample_uclass(3, 2, 1, rng)
     values = []
     for i in range(m.n_factors):
@@ -694,17 +642,7 @@ def _suite_axiom_d(cfg: SuiteConfig) -> SuiteResult:
             mu = mu + 0.1 * np.eye(3)
         values.append(power_traces(mu))
     arr = np.array(values)
-    neg = float(np.max(np.abs(arr - arr[0])))
-    passed = worst < tol and neg > 1e-2
-    return SuiteResult(
-        name="axiom_d",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-    )
+    return float(np.max(np.abs(arr - arr[0])))
 
 
 def _matched_glue_pair(
@@ -726,58 +664,54 @@ def _matched_glue_pair(
     return m1, p_out, m2, q_in
 
 
-def _suite_gluing(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-9
-    worst = 0.0
-    sig_pairs = [
-        ((1, 1), (1, 0)),
-        ((1, 1), (1, 1)),
-        ((0, 1), (2, 0)),
-        ((2, 1), (1, 1)),
-        ((1, 2), (2, 0)),
-        ((0, 2), (1, 1)),
-    ]
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "gluing", trial)
-        k = _draw_k(rng, cfg.k, 4)
-        sig1, sig2 = sig_pairs[trial % len(sig_pairs)]
-        m1, p_out, m2, q_in = _matched_glue_pair(k, sig1, sig2, rng)
-        glued = glue(m1, p_out, m2, q_in)
-        expect_sig = (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1)
-        if (glued.b, glued.bprime) != expect_sig:
-            worst = max(worst, 1.0)
-            continue
-        worst = max(worst, axiom_d_residual(glued))
-        # invariance under the receiving factor
-        for receiver in range(1, glued.n_factors):
-            alt = glue_with_receiver(m1, p_out, m2, q_in, receiver)
-            worst = max(worst, u_equivalence_residual(glued, alt))
-        # invariance under re-gauging the matched pair
-        g0 = sample_group(k, rng)
-        reglued = glue(g_action(m1, p_out, g0), p_out, g_action(m2, q_in, g0), q_in)
-        worst = max(worst, u_equivalence_residual(glued, reglued))
-        # invariance under re-gauging a spectator factor of m1
-        if m1.n_factors > 1:
-            spect = 0 if p_out != 0 else 1
-            g1 = sample_group(k, rng)
-            glued_alt = glue(g_action(m1, spect, g1), p_out, m2, q_in)
-            # undo the spectator action on the result and compare
-            if spect < m1.b:
-                idx = spect
-            else:
-                idx = m2.b - 1 + spect - (1 if spect > p_out else 0)
-            undone = g_action(glued_alt, idx, np.linalg.inv(g1))
-            worst = max(worst, u_equivalence_residual(glued, undone))
-        # cylinder test for the (1,1) x (1,0) pair
-        if sig1 == (1, 1) and sig2 == (1, 0):
-            gg, _ = u11_to_tstar(m1)
-            expected = UClass(
-                b=1, bprime=0, gs=(gg @ m2.gs[0],), X=m1.X
-            )
-            worst = max(worst, u_equivalence_residual(glued, expected))
-    # negative: mismatched moments must raise
-    rng = trial_rng(cfg.seed, "gluing-neg", 0)
+_GLUE_SIGNATURE_PAIRS = (
+    ((1, 1), (1, 0)),
+    ((1, 1), (1, 1)),
+    ((0, 1), (2, 0)),
+    ((2, 1), (1, 1)),
+    ((1, 2), (2, 0)),
+    ((0, 2), (1, 1)),
+)
+
+
+def _check_gluing(cfg, rng, k, trial) -> _Residuals:
+    sig1, sig2 = _GLUE_SIGNATURE_PAIRS[trial % len(_GLUE_SIGNATURE_PAIRS)]
+    m1, p_out, m2, q_in = _matched_glue_pair(k, sig1, sig2, rng)
+    glued = glue(m1, p_out, m2, q_in)
+    expect_sig = (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1)
+    if (glued.b, glued.bprime) != expect_sig:
+        yield "", 1.0
+        return
+    yield "", axiom_d_residual(glued)
+    # invariance under the receiving factor
+    for receiver in range(1, glued.n_factors):
+        alt = glue_with_receiver(m1, p_out, m2, q_in, receiver)
+        yield "", u_equivalence_residual(glued, alt)
+    # invariance under re-gauging the matched pair
+    g0 = sample_group(k, rng)
+    reglued = glue(g_action(m1, p_out, g0), p_out, g_action(m2, q_in, g0), q_in)
+    yield "", u_equivalence_residual(glued, reglued)
+    # invariance under re-gauging a spectator factor of m1
+    if m1.n_factors > 1:
+        spect = 0 if p_out != 0 else 1
+        g1 = sample_group(k, rng)
+        glued_alt = glue(g_action(m1, spect, g1), p_out, m2, q_in)
+        # undo the spectator action on the result and compare
+        if spect < m1.b:
+            idx = spect
+        else:
+            idx = m2.b - 1 + spect - (1 if spect > p_out else 0)
+        undone = g_action(glued_alt, idx, np.linalg.inv(g1))
+        yield "", u_equivalence_residual(glued, undone)
+    # cylinder test for the (1,1) x (1,0) pair
+    if sig1 == (1, 1) and sig2 == (1, 0):
+        gg, _ = u11_to_tstar(m1)
+        expected = UClass(b=1, bprime=0, gs=(gg @ m2.gs[0],), X=m1.X)
+        yield "", u_equivalence_residual(glued, expected)
+
+
+def _negative_gluing(cfg, rng) -> float:
+    # mismatched moments must raise
     m1, p_out, m2, q_in = _matched_glue_pair(3, (1, 1), (1, 1), rng)
     m2_bad = UClass(
         b=m2.b,
@@ -787,247 +721,185 @@ def _suite_gluing(cfg: SuiteConfig) -> SuiteResult:
     )
     try:
         glue(m1, p_out, m2_bad, q_in)
-        neg = 0.0
+        return 0.0
     except GluingError:
-        neg = 10.0
-    passed = worst < tol and neg > 1.0
-    return SuiteResult(
-        name="gluing",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-    )
+        return 10.0
 
 
-def _suite_theorem_2_4_i(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-9
-    worst = 0.0
-    min_separation = np.inf
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "theorem_2_4_i", trial)
-        k = _draw_k(rng, cfg.k, 4)
-        m = sample_uclass(k, 1, 1, rng)
-        x = slice_embed(m.X)
-        z = sample_centralizer_element(x, rng)
-        m_eq = UClass(
-            b=1, bprime=1, gs=(m.gs[0] @ z, np.linalg.inv(z) @ m.gs[1]), X=m.X
-        )
-        g1, y1 = u11_to_tstar(m)
-        g2, y2 = u11_to_tstar(m_eq)
-        worst = max(
-            worst,
-            float(np.max(np.abs(g1 - g2))),
-            float(np.max(np.abs(y1 - y2))),
-        )
-        if not is_regular(y1):
-            worst = max(worst, 1.0)
-        back = u11_from_tstar(g1, y1)
-        worst = max(worst, u_equivalence_residual(m, back))
-        # injectivity: an independent class maps to a different image
-        other = sample_uclass(k, 1, 1, rng)
-        go, yo = u11_to_tstar(other)
-        sep = max(float(np.max(np.abs(g1 - go))), float(np.max(np.abs(y1 - yo))))
-        min_separation = min(min_separation, sep)
-    rng = trial_rng(cfg.seed, "theorem_2_4_i-neg", 0)
-    m = sample_uclass(3, 1, 1, rng)
-    x = slice_embed(m.X)
-    z = sample_centralizer_element(x, rng)
-    m_eq = UClass(b=1, bprime=1, gs=(m.gs[0] @ z, np.linalg.inv(z) @ m.gs[1]), X=m.X)
+def _centralizer_twin(m: UClass, rng: np.random.Generator) -> UClass:
+    """An equivalent (1,1) representative (g_1 z, z^{-1} g_2), z in Z(X)."""
+    z = sample_centralizer_element(slice_embed(m.X), rng)
+    return UClass(b=1, bprime=1, gs=(m.gs[0] @ z, np.linalg.inv(z) @ m.gs[1]), X=m.X)
+
+
+def _check_theorem_2_4_i(cfg, rng, k, trial) -> _Residuals:
+    m = sample_uclass(k, 1, 1, rng)
+    m_eq = _centralizer_twin(m, rng)
+    g1, y1 = u11_to_tstar(m)
+    g2, y2 = u11_to_tstar(m_eq)
+    yield "", float(np.max(np.abs(g1 - g2)))
+    yield "", float(np.max(np.abs(y1 - y2)))
+    if not is_regular(y1):
+        yield "", 1.0
+    back = u11_from_tstar(g1, y1)
+    yield "", u_equivalence_residual(m, back)
+    # injectivity: an independent class maps to a different image
+    other = sample_uclass(k, 1, 1, rng)
+    go, yo = u11_to_tstar(other)
+    sep = max(float(np.max(np.abs(g1 - go))), float(np.max(np.abs(y1 - yo))))
+    yield "min_pair_separation", sep
+
+
+def _negative_theorem_2_4_i(cfg, rng) -> float:
     # broken map: product in the wrong order is not class-invariant
-    neg = float(np.max(np.abs(m.gs[1] @ m.gs[0] - m_eq.gs[1] @ m_eq.gs[0])))
-    passed = worst < tol and min_separation > 1e-6 and neg > 1e-6
-    return SuiteResult(
-        name="theorem_2_4_i",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-        details={"min_pair_separation": float(min_separation)},
-    )
+    m = sample_uclass(3, 1, 1, rng)
+    m_eq = _centralizer_twin(m, rng)
+    return float(np.max(np.abs(m.gs[1] @ m.gs[0] - m_eq.gs[1] @ m_eq.gs[0])))
 
 
-def _suite_axiom_e(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-10
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "axiom_e", trial)
-        k = _draw_k(rng, cfg.k, 4)
-        p = sample_wpoint(k, INCOMING, rng)
-        q = phi_E(p)
-        # the slice coordinate is fixed by phi
-        worst = max(worst, float(np.max(np.abs(q.X.coeffs - p.X.coeffs))))
-        # anti-equivariance with the conjugated involution
-        g0 = sample_group(k, rng)
-        lhs = phi_E(g_act_w(p, g0))
-        rhs = g_act_w(q, theta_twisted(g0, "group"))
-        worst = max(worst, float(np.max(np.abs(lhs.g - rhs.g))))
-        worst = max(worst, float(np.max(np.abs(lhs.X.coeffs - rhs.X.coeffs))))
-        # round trip through the inverse
-        back = phi_E_inverse(q)
-        worst = max(worst, float(np.max(np.abs(back.g - p.g))))
-        # involution properties of theta itself
-        a = sample_disc(rng, k, k)
-        worst = max(worst, float(np.max(np.abs(theta(theta(a)) - a))))
-        h1 = sample_group(k, rng)
-        h2 = sample_group(k, rng)
-        worst = max(
-            worst,
-            float(
-                np.max(
-                    np.abs(theta(h1 @ h2, "group") - theta(h1, "group") @ theta(h2, "group"))
-                )
-            ),
-        )
-        # conjugator maps the opposite slice into the slice
-        conj = opposite_slice_conjugator(k)
-        conj_inv = np.linalg.inv(conj)
-        t = principal_triple(k)
-        fp = _f_powers(k)
-        for j in range(k):
-            candidate = conj @ (t.e.T + fp[j].T) @ conj_inv
-            if not is_in_slice(candidate):
-                worst = max(worst, 1.0)
-        # class-level reversal: signature shift, anti-equivariance on the
-        # moved factor, plain equivariance on the untouched ones
-        from .uspace import phi_e_class
+def _gaps(xs, ys) -> _Residuals:
+    """Largest entrywise difference of each pair of matrices."""
+    for a, b in zip(xs, ys):
+        yield "", float(np.max(np.abs(a - b)))
 
-        m = sample_uclass(k, 2, 1, rng)
-        q_cls = phi_e_class(m)
-        if (q_cls.b, q_cls.bprime) != (1, 2):
-            worst = max(worst, 1.0)
-        worst = max(worst, axiom_d_residual(q_cls))
-        g1 = sample_group(k, rng)
-        lhs_cls = phi_e_class(g_action(m, 1, g1))
-        rhs_cls = g_action(q_cls, q_cls.n_factors - 1, theta_twisted(g1, "group"))
-        for ga, gb in zip(lhs_cls.gs, rhs_cls.gs):
-            worst = max(worst, float(np.max(np.abs(ga - gb))))
-        lhs_cls = phi_e_class(g_action(m, 0, g1))
-        rhs_cls = g_action(q_cls, 0, g1)
-        for ga, gb in zip(lhs_cls.gs, rhs_cls.gs):
-            worst = max(worst, float(np.max(np.abs(ga - gb))))
-    rng = trial_rng(cfg.seed, "axiom_e-neg", 0)
+
+def _check_axiom_e(cfg, rng, k, trial) -> _Residuals:
+    p = sample_wpoint(k, INCOMING, rng)
+    q = phi_E(p)
+    # the slice coordinate is fixed by phi
+    yield "", float(np.max(np.abs(q.X.coeffs - p.X.coeffs)))
+    # anti-equivariance with the conjugated involution
+    g0 = sample_group(k, rng)
+    lhs = phi_E(g_act_w(p, g0))
+    rhs = g_act_w(q, theta_twisted(g0, "group"))
+    yield "", float(np.max(np.abs(lhs.g - rhs.g)))
+    yield "", float(np.max(np.abs(lhs.X.coeffs - rhs.X.coeffs)))
+    # round trip through the inverse
+    back = phi_E_inverse(q)
+    yield "", float(np.max(np.abs(back.g - p.g)))
+    # involution properties of theta itself
+    a = sample_disc(rng, k, k)
+    yield "", float(np.max(np.abs(theta(theta(a)) - a)))
+    h1 = sample_group(k, rng)
+    h2 = sample_group(k, rng)
+    split = theta(h1, "group") @ theta(h2, "group")
+    yield "", float(np.max(np.abs(theta(h1 @ h2, "group") - split)))
+    # conjugator maps the opposite slice into the slice
+    e = principal_triple(k).e
+    for f_j in _f_powers(k):
+        if not is_in_slice(_reverse(e + f_j)):
+            yield "", 1.0
+    # class-level reversal: signature shift, anti-equivariance on the
+    # moved factor, plain equivariance on the untouched ones
+    m = sample_uclass(k, 2, 1, rng)
+    q_cls = phi_e_class(m)
+    if (q_cls.b, q_cls.bprime) != (1, 2):
+        yield "", 1.0
+    yield "", axiom_d_residual(q_cls)
+    g1 = sample_group(k, rng)
+    lhs_cls = phi_e_class(g_action(m, 1, g1))
+    rhs_cls = g_action(q_cls, q_cls.n_factors - 1, theta_twisted(g1, "group"))
+    yield from _gaps(lhs_cls.gs, rhs_cls.gs)
+    lhs_cls = phi_e_class(g_action(m, 0, g1))
+    rhs_cls = g_action(q_cls, 0, g1)
+    yield from _gaps(lhs_cls.gs, rhs_cls.gs)
+
+
+def _negative_axiom_e(cfg, rng) -> float:
+    # the plain transpose involution is not the equivariance law
     p = sample_wpoint(3, INCOMING, rng)
     g0 = sample_group(3, rng)
     lhs = phi_E(g_act_w(p, g0))
     rhs_plain = g_act_w(phi_E(p), theta(g0, "group"))
-    neg = float(np.max(np.abs(lhs.g - rhs_plain.g)))
-    passed = worst < tol and neg > 1e-2
-    return SuiteResult(
-        name="axiom_e",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-    )
+    return float(np.max(np.abs(lhs.g - rhs_plain.g)))
 
 
 def _scheme_distance(d1: JetScheme, d2: JetScheme) -> float:
-    if len(d1.pieces) != len(d2.pieces):
+    """Largest base-point difference, and largest jet difference relative to
+    max(1, largest |jet entry|): normalization can scale jets far beyond 1,
+    where an absolute bound reads roundoff as failure."""
+    if [p.length for p in d1.pieces] != [p.length for p in d2.pieces]:
         return 1.0
-    err = 0.0
+    dz = jet_err = 0.0
+    scale = 1.0
     for p1, p2 in zip(d1.pieces, d2.pieces):
-        if p1.length != p2.length:
-            return 1.0
-        err = max(err, abs(p1.z - p2.z))
+        dz = max(dz, abs(p1.z - p2.z))
         for j1, j2 in zip(p1.jets, p2.jets):
-            err = max(err, float(np.max(np.abs(j1 - j2))))
-    return err
+            jet_err = max(jet_err, float(np.max(np.abs(j1 - j2))))
+            scale = max(scale, float(np.max(np.abs(j1))), float(np.max(np.abs(j2))))
+    return max(dz, jet_err / scale)
 
 
-def _suite_hilbert_round_trip(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-9
-    worst = 0.0
-    sigs = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)]
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, "hilbert_round_trip", trial)
-        k = _draw_k(rng, cfg.k, 4)
-        b, bp = sigs[trial % len(sigs)]
-        d = sample_jetscheme(k, b, bp, rng)
-        m = hilb_to_u(d)
-        d_back = u_to_hilb(m)
-        worst = max(worst, _scheme_distance(normalize_scheme(d), d_back))
-        m_back = hilb_to_u(d_back)
-        worst = max(worst, u_equivalence_residual(m, m_back))
-        # equivariance: group action on jets matches the class action
-        gs = [sample_group(k, rng) for _ in range(b + bp)]
-        lhs = hilb_to_u(act_on_scheme(d, gs))
-        rhs = m
-        for j, g in enumerate(gs):
-            rhs = g_action(rhs, j, g)
-        for ga, gb in zip(lhs.gs, rhs.gs):
-            worst = max(worst, float(np.max(np.abs(ga - gb))))
-        worst = max(worst, float(np.max(np.abs(lhs.X.coeffs - rhs.X.coeffs))))
-    rng = trial_rng(cfg.seed, "hilbert_round_trip-neg", 0)
+_HILBERT_SIGNATURES = ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2))
+
+
+def _check_hilbert_round_trip(cfg, rng, k, trial) -> _Residuals:
+    b, bp = _HILBERT_SIGNATURES[trial % len(_HILBERT_SIGNATURES)]
+    d = sample_jetscheme(k, b, bp, rng)
+    m = hilb_to_u(d)
+    d_back = u_to_hilb(m)
+    yield "", _scheme_distance(normalize_scheme(d), d_back)
+    m_back = hilb_to_u(d_back)
+    yield "", u_equivalence_residual(m, m_back)
+    # equivariance: group action on jets matches the class action
+    gs = [sample_group(k, rng) for _ in range(b + bp)]
+    lhs = hilb_to_u(act_on_scheme(d, gs))
+    rhs = m
+    for j, g in enumerate(gs):
+        rhs = g_action(rhs, j, g)
+    yield from _gaps(lhs.gs, rhs.gs)
+    yield "", float(np.max(np.abs(lhs.X.coeffs - rhs.X.coeffs)))
+
+
+def _negative_hilbert_round_trip(cfg, rng) -> float:
+    # shifted jets on one piece give an inequivalent class
     d = sample_jetscheme(3, 1, 0, rng)
     m = hilb_to_u(d)
     pieces = list(d.pieces)
     jets0 = tuple(j + 0.25 for j in pieces[0].jets)
     pieces[0] = LocalPiece(z=pieces[0].z, length=pieces[0].length, jets=jets0)
     d_bad = JetScheme(k=3, b=1, bprime=0, pieces=tuple(pieces))
-    neg = u_equivalence_residual(m, hilb_to_u(d_bad))
-    passed = worst < tol and neg > 1e-3
-    return SuiteResult(
-        name="hilbert_round_trip",
-        trials=cfg.trials,
-        max_residual=worst,
-        tolerance=tol,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-    )
+    return u_equivalence_residual(m, hilb_to_u(d_bad))
+
+
+# Jordan configurations per size as (base point index, block length) lists;
+# equal types share base points so they collide, distinct types differ.
+_JORDAN_BASE_POINTS = (complex(-1.1 + 0.2j), complex(0.9 - 0.4j), complex(2.2 + 0.5j))
+_JORDAN_TYPES = {
+    2: (
+        ((0, 1), (1, 1)),
+        ((0, 2),),
+        ((0, 1), (0, 1)),
+    ),
+    3: (
+        ((0, 1), (1, 1), (2, 1)),
+        ((0, 2), (1, 1)),
+        ((0, 3),),
+        ((0, 1), (0, 1), (1, 1)),
+        ((0, 2), (0, 1)),
+        ((0, 1), (0, 1), (0, 1)),
+    ),
+}
 
 
 def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
-    """The full list of Jordan configurations for sizes up to k, with shared
-    sampled eigenvalues so equal types collide and distinct types differ."""
-    zs = [complex(-1.1 + 0.2j), complex(0.9 - 0.4j), complex(2.2 + 0.5j)]
+    """One scheme per Jordan configuration of size k, resampled until its
+    factor matrix is invertible."""
 
-    def build(pieces_spec):
+    def build(spec):
         pieces = []
-        for z, l in pieces_spec:
+        for z_idx, l in spec:
             jet = sample_disc(rng, l, k)
             while np.linalg.norm(jet[0]) < 0.3:
                 jet[0] = sample_disc(rng, k)
-            pieces.append(LocalPiece(z=z, length=l, jets=(jet,)))
+            pieces.append(LocalPiece(z=_JORDAN_BASE_POINTS[z_idx], length=l, jets=(jet,)))
         return JetScheme(k=k, b=1, bprime=0, pieces=tuple(pieces))
 
-    configs = []
-    if k == 2:
-        configs = [
-            [(zs[0], 1), (zs[1], 1)],
-            [(zs[0], 2)],
-            [(zs[0], 1), (zs[0], 1)],
-        ]
-    elif k == 3:
-        configs = [
-            [(zs[0], 1), (zs[1], 1), (zs[2], 1)],
-            [(zs[0], 2), (zs[1], 1)],
-            [(zs[0], 3)],
-            [(zs[0], 1), (zs[0], 1), (zs[1], 1)],
-            [(zs[0], 2), (zs[0], 1)],
-            [(zs[0], 1), (zs[0], 1), (zs[0], 1)],
-        ]
-    else:
-        raise ValidationError("Jordan enumeration implemented for k = 2, 3")
     out = []
-    for spec in configs:
+    for spec in _JORDAN_TYPES[k]:
         d = build(spec)
-        # keep resampling until every factor matrix is invertible
         tries = 0
-        while not all(
-            np.linalg.svd(g_matrix(d, j), compute_uv=False)[-1] > 1e-6
-            for j in range(1)
-        ):
+        while not np.linalg.svd(g_matrix(d, 0), compute_uv=False)[-1] > 1e-6:
             d = build(spec)
             tries += 1
             if tries > 50:
@@ -1036,113 +908,148 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
     return out
 
 
-def _suite_fitting_orbits(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    worst = 0.0
+def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     mistakes = 0
-    comparisons = 0
-    for k in (2, 3):
-        rng = trial_rng(cfg.seed, "fitting_orbits", k)
-        schemes = _jordan_type_schemes(k, rng)
-        for i, d1 in enumerate(schemes):
-            for j, d2 in enumerate(schemes):
-                comparisons += 1
-                same_inv = orbit_invariant_equal(orbit_invariant(d1), orbit_invariant(d2))
-                conj = adjoint_orbits_match(f_moment(d1), f_moment(d2))
-                if same_inv != conj:
-                    mistakes += 1
-        # a second sample of the same Jordan type must give conjugate moments
-        schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
-        for d1, d2 in zip(schemes, schemes2):
-            if not adjoint_orbits_match(f_moment(d1), f_moment(d2)):
+    schemes = _jordan_type_schemes(k, rng)
+    for d1 in schemes:
+        for d2 in schemes:
+            same_inv = orbit_invariant_equal(orbit_invariant(d1), orbit_invariant(d2))
+            conj = adjoint_orbits_match(f_moment(d1), f_moment(d2))
+            if same_inv != conj:
                 mistakes += 1
-        # group action fixes the invariant
-        g0 = sample_group(k, rng)
-        for d in schemes:
-            acted = act_on_scheme(d, [g0])
-            if not orbit_invariant_equal(orbit_invariant(d), orbit_invariant(acted)):
-                mistakes += 1
-        # kernel dichotomy on constructed examples
-        rng2 = trial_rng(cfg.seed, "fitting_orbits-kernel", k)
-        d_split = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k)
-        if f_kernel_dimension(d_split) != 0:
+    # a second sample of the same Jordan type must give conjugate moments
+    schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
+    for d1, d2 in zip(schemes, schemes2):
+        if not adjoint_orbits_match(f_moment(d1), f_moment(d2)):
             mistakes += 1
-        zc = complex(0.4, -0.2)
-        d_coll = sample_jetscheme(
-            k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2)
-        )
-        if f_kernel_dimension(d_coll) == 0:
+    # group action fixes the invariant
+    g0 = sample_group(k, rng)
+    for d in schemes:
+        acted = act_on_scheme(d, [g0])
+        if not orbit_invariant_equal(orbit_invariant(d), orbit_invariant(acted)):
             mistakes += 1
-        if not locally_nondegenerate(d_coll) or nondegenerate(d_coll):
-            mistakes += 1
-    worst = float(mistakes)
-    rng = trial_rng(cfg.seed, "fitting_orbits-neg", 0)
+    # kernel dichotomy on constructed examples
+    rng2 = trial_rng(cfg.seed, "fitting_orbits-kernel", k)
+    d_split = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k)
+    if f_kernel_dimension(d_split) != 0:
+        mistakes += 1
+    zc = complex(0.4, -0.2)
+    d_coll = sample_jetscheme(
+        k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2)
+    )
+    if f_kernel_dimension(d_coll) == 0:
+        mistakes += 1
+    if not locally_nondegenerate(d_coll) or nondegenerate(d_coll):
+        mistakes += 1
+    yield "mispredictions", mistakes
+
+
+def _negative_fitting_orbits(cfg, rng) -> float:
+    # a shifted moment is not in the same adjoint orbit
     d = sample_jetscheme(3, 1, 0, rng, lengths=[1, 1, 1])
     mu = f_moment(d)
-    neg = 0.0 if adjoint_orbits_match(mu, mu + 0.3 * np.eye(3)) else 10.0
-    passed = mistakes == 0 and neg > 1.0
-    return SuiteResult(
-        name="fitting_orbits",
-        trials=comparisons,
-        max_residual=worst,
-        tolerance=0.5,
-        negative_residual=neg,
-        passed=passed,
-        seconds=time.perf_counter() - t0,
-        details={"mispredictions": mistakes},
-    )
+    return 0.0 if adjoint_orbits_match(mu, mu + 0.3 * np.eye(3)) else 10.0
 
 
-def _suite_free_action(cfg: SuiteConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    tol = 1e-9
-    worst = 0.0
+def _check_free_action(cfg, rng, k, sig) -> _Residuals:
+    m = sample_uclass(k, *sig, rng)
+    yield "", float(np.max(np.abs(stabilizer_solve(m) - np.eye(k))))
+
+
+def _free_action_cases(cfg: SuiteConfig) -> list:
     n_per_sig = max(1, min(cfg.trials, 25))
-    count = 0
-    for b, bp in _signatures_up_to(4):
-        for trial in range(n_per_sig):
-            rng = trial_rng(cfg.seed, f"free_action-{b}-{bp}", trial)
-            k = _draw_k(rng, cfg.k, 4)
-            m = sample_uclass(k, b, bp, rng)
-            h = stabilizer_solve(m)
-            worst = max(worst, float(np.max(np.abs(h - np.eye(k)))))
-            count += 1
-    # negative: without the product constraint any centralizer element is a
+    return [
+        (f"free_action-{b}-{bp}", trial, (b, bp))
+        for b, bp in _SIGNATURES
+        for trial in range(n_per_sig)
+    ]
+
+
+def _negative_free_action(cfg, rng) -> float:
+    # without the product constraint any centralizer element is a
     # "stabilizer", so the solve would not be pinned to the identity
-    rng = trial_rng(cfg.seed, "free_action-neg", 0)
     m = sample_uclass(3, 2, 1, rng)
-    x = slice_embed(m.X)
-    z = sample_centralizer_element(x, rng)
-    neg = float(np.max(np.abs(np.linalg.inv(z) - np.eye(3))))
-    passed = worst < tol and neg > 1e-3
+    z = sample_centralizer_element(slice_embed(m.X), rng)
+    return float(np.max(np.abs(np.linalg.inv(z) - np.eye(3))))
+
+
+# name -> _Suite(check, negative control, tolerance, negative threshold, ...)
+_SUITES = {
+    "polarization": _Suite(
+        _check_polarization, _negative_polarization, 1e-9, 1e-9, k_cap=5,
+        parts=(("identity_residual", "max", None), ("bracket_residual", "max", 1e-10)),
+    ),
+    "hamiltonian_w": _Suite(_check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2),
+    "closedness": _Suite(
+        _check_closedness, _negative_closedness, None, 1e-2, k_cap=3,
+        parts=(("w", "max", None), ("u", "max", None), ("f", "max", None)),
+    ),
+    "form_identity": _Suite(
+        _check_form_identity, _negative_form_identity, 1e-10, 1e-2,
+        parts=(
+            ("u_two_codings", "max", None),
+            ("w_two_codings", "max", None),
+            ("literal_discrepancy_identity", "max", None),
+        ),
+    ),
+    "axiom_d": _Suite(_check_axiom_d, _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
+    "gluing": _Suite(_check_gluing, _negative_gluing, 1e-9, 1.0),
+    "theorem_2_4_i": _Suite(
+        _check_theorem_2_4_i, _negative_theorem_2_4_i, 1e-9, 1e-6,
+        parts=(("", "max", None), ("min_pair_separation", "min", 1e-6)),
+    ),
+    "axiom_e": _Suite(_check_axiom_e, _negative_axiom_e, 1e-10, 1e-2),
+    "hilbert_round_trip": _Suite(
+        _check_hilbert_round_trip, _negative_hilbert_round_trip, 1e-9, 1e-3
+    ),
+    "fitting_orbits": _Suite(
+        _check_fitting_orbits, _negative_fitting_orbits, 0.5, 1.0, k_cap=None,
+        parts=(("mispredictions", "sum", None),),
+        cases=lambda cfg: [("fitting_orbits", k, k) for k in _JORDAN_TYPES],
+        # one trial per ordered pair of configurations compared
+        trials=sum(len(types) ** 2 for types in _JORDAN_TYPES.values()),
+    ),
+    "free_action": _Suite(
+        _check_free_action, _negative_free_action, 1e-9, 1e-3, cases=_free_action_cases
+    ),
+}
+
+
+def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
+    """Run one suite: fold each residual part over the cases, evaluate the
+    negative control and apply the pass rule."""
+    t0 = time.perf_counter()
+    suite = _SUITES[name]
+    cases = (
+        suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
+    )
+    acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
+    folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
+    for stream, index, case in cases:
+        rng = trial_rng(cfg.seed, stream, index)
+        k = case if suite.k_cap is None else _draw_k(rng, cfg.k, suite.k_cap)
+        for part, value in suite.check(cfg, rng, k, case):
+            acc[part] = folds[part](acc[part], value)
+    neg = suite.negative(cfg, trial_rng(cfg.seed, f"{name}-neg", 0))
+    tol = cfg.tol_fd if suite.tolerance is None else suite.tolerance
+    passed = True
+    for part, fold, bound in suite.parts:
+        bound = tol if bound is None else bound
+        passed = passed and (acc[part] > bound if fold == "min" else acc[part] < bound)
     return SuiteResult(
-        name="free_action",
-        trials=count,
-        max_residual=worst,
+        name=name,
+        trials=len(cases) if suite.trials is None else suite.trials,
+        max_residual=float(max(acc[part] for part, fold, _ in suite.parts if fold != "min")),
         tolerance=tol,
         negative_residual=neg,
-        passed=passed,
+        passed=passed and neg > suite.neg_threshold,
         seconds=time.perf_counter() - t0,
+        details={part: acc[part] for part, _, _ in suite.parts if part},
     )
-
-
-_SUITES = {
-    "polarization": _suite_polarization,
-    "hamiltonian_w": _suite_hamiltonian_w,
-    "closedness": _suite_closedness,
-    "form_identity": _suite_form_identity,
-    "axiom_d": _suite_axiom_d,
-    "gluing": _suite_gluing,
-    "theorem_2_4_i": _suite_theorem_2_4_i,
-    "axiom_e": _suite_axiom_e,
-    "hilbert_round_trip": _suite_hilbert_round_trip,
-    "fitting_orbits": _suite_fitting_orbits,
-    "free_action": _suite_free_action,
-}
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Execute the configured suites and collect a report; deterministic for
     a fixed config (timing fields aside)."""
-    results = [_SUITES[name](config) for name in config.suites]
+    results = [_run(name, config) for name in config.suites]
     return Report(version=VERSION, config=config, suites=results)

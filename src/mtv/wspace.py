@@ -257,6 +257,14 @@ def theta_twisted(g: Matrix, kind: str = "algebra") -> Matrix:
     return p @ theta(g, kind) @ np.linalg.inv(p)
 
 
+def _reverse(a: Matrix) -> Matrix:
+    """p a^T p^{-1} with p the opposite-slice conjugator: the orientation
+    reversal of a group factor, g -> p theta(g)^{-1} p^{-1}, and of the
+    slice matrix, X -> -Ad(p) theta(X)."""
+    conj = opposite_slice_conjugator(a.shape[0])
+    return conj @ a.T @ np.linalg.inv(conj)
+
+
 # Residual bound asserted before re-reading the slice part in phi_E.
 PHI_SLICE_TOL = 1e-12
 
@@ -270,18 +278,13 @@ def phi_E(p: WPoint) -> WPoint:
     """
     if p.orientation != INCOMING:
         raise ValidationError("phi_E expects an incoming point")
-    k = p.X.k
-    conj = opposite_slice_conjugator(k)
-    conj_inv = np.linalg.inv(conj)
     x = slice_embed(p.X)
-    mapped = conj @ (-theta(x, "algebra")) @ conj_inv  # = p X^T p^{-1}
+    mapped = _reverse(x)
     scale = max(1.0, float(np.max(np.abs(mapped))))
     if float(np.max(np.abs(mapped - x))) > PHI_SLICE_TOL * scale:
         raise ValidationError("slice part drifted off the slice in phi_E")
     new_x = slice_representative(mapped, check_regular=False)
-    # theta(g)^{-1} = (g^{-T})^{-1} = g^T
-    new_g = conj @ p.g.T @ conj_inv
-    return WPoint(g=new_g, X=new_x, orientation=OUTGOING)
+    return WPoint(g=_reverse(p.g), X=new_x, orientation=OUTGOING)
 
 
 def phi_E_inverse(p: WPoint) -> WPoint:

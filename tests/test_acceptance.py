@@ -5,14 +5,14 @@ Every expected value is produced by the randomized suites in mtv.verify,
 which carry their own independent oracles (multilinear symmetrization,
 finite differences, stabilizer solves) and negative controls.
 """
-from mtv.verify import SuiteConfig, _SUITES
+from mtv.verify import SuiteConfig, run_suite
 
 SEED = 20260808
 
 
 def _run(name: str, **cfg_kwargs) -> object:
     cfg = SuiteConfig(seed=SEED, suites=(name,), **cfg_kwargs)
-    return _SUITES[name](cfg)
+    return run_suite(cfg).suites[0]
 
 
 def _report(criterion: str, passed: bool, detail: str):

@@ -47,6 +47,13 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_rejects_removed_knobs(capsys):
+    # --b, --bprime and --tol-alg never took effect in verify
+    assert main(["verify", "--tol-alg", "1e-10"]) == 2
+    assert main(["verify", "--b", "2"]) == 2
+    assert main(["verify", "--bprime", "1"]) == 2
+
+
 def test_glue_round_trip(tmp_path, capsys):
     m1, m2 = matched_pair()
     f1 = tmp_path / "m1.json"

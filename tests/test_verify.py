@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,12 +132,22 @@ class TestRunSuite:
         assert [s.name for s in report.suites] == list(SUITE_NAMES)
 
     def test_deterministic_reports(self):
-        cfg = SuiteConfig(k=3, trials=4, seed=9, suites=("axiom_d", "gluing"))
-        r1 = run_suite(cfg)
-        r2 = run_suite(cfg)
-        for a, b in zip(r1.suites, r2.suites):
-            assert a.max_residual == b.max_residual
-            assert a.negative_residual == b.negative_residual
+        cfg = SuiteConfig(k=3, trials=4, seed=9)
+        r1, r2 = run_suite(cfg), run_suite(cfg)
+        fields = [dataclasses.asdict(r) for r in (r1, r2)]
+        for report in fields:
+            for s in report["suites"]:
+                s.pop("seconds")
+        assert [s["name"] for s in fields[0]["suites"]] == list(SUITE_NAMES)
+        assert fields[0] == fields[1]
+
+    def test_hilbert_round_trip_relative_jet_error(self):
+        # trial 16 at this seed normalizes jets to ~2.4e5, where a relative
+        # error of 2.5e-14 is 6e-9 in absolute terms
+        cfg = SuiteConfig(k=5, trials=17, seed=1370273968, suites=("hilbert_round_trip",))
+        res = run_suite(cfg).suites[0]
+        assert res.passed
+        assert res.max_residual < 1e-9
 
     def test_single_suite_selection(self):
         cfg = SuiteConfig(k=3, trials=3, seed=1, suites=("polarization",))
