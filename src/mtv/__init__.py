@@ -73,7 +73,6 @@ from .hilbert import (
     LocalPiece,
     f_moment,
     f_presymplectic,
-    fitting_transverse,
     g_matrix,
     hilb_to_u,
     jet_normalize,

@@ -32,22 +32,25 @@ from .errors import (
     SignatureError,
     ValidationError,
 )
-from .lie import Matrix, as_matrix, commutator, pairing, power_traces
+from .lie import Matrix, _krylov_frame, as_matrix, commutator, pairing, power_traces
 from .slodowy import (
     SlicePoint,
     slice_coefficients_from_roots,
     slice_embed,
 )
 from .uspace import UClass
-from .wspace import INCOMING, OUTGOING
+from .wspace import INCOMING, OUTGOING, _moment
 
 # Pieces closer than this in z are treated as sharing a base point.
 Z_MATCH_TOL = 1e-8
-# Default clustering radius when reading pieces off spectral data; multiple
+# Clustering radius for reading pieces off spectral data; multiple
 # eigenvalues scatter like eps^(1/m) in double precision, so a desk-scale
 # radius far above that and far below sampled separations is used, with a
 # power-trace reconstruction check as the backstop.
 ROOT_CLUSTER_RADIUS = 0.05
+# Relative cutoff of the nondegeneracy tests: singular-value ratios of the
+# factor matrices and residuals of jet proportionality.
+NONDEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ class JetScheme:
     def __post_init__(self):
         if self.b < 0 or self.bprime < 0 or self.b + self.bprime < 1:
             raise SignatureError("need b + b' >= 1")
+        if self.k < 1:
+            raise ValidationError("k must be >= 1")
         pieces = tuple(self.pieces)
         total = sum(p.length for p in pieces)
         if total != self.k:
@@ -125,25 +130,11 @@ class JetScheme:
         return INCOMING if j < self.b else OUTGOING
 
 
-def fitting_transverse(d: JetScheme) -> bool:
-    """Shape validator: piece lengths sum to k and every factor of every
-    piece carries a full jet with nonzero leading vector.  Construction of
-    LocalPiece/JetScheme already enforces this; deserialized data goes
-    through here."""
-    total = sum(p.length for p in d.pieces)
-    if total != d.k:
-        raise ValidationError("piece lengths do not sum to k")
-    for p in d.pieces:
-        if p.n_factors != d.n_factors:
-            raise ValidationError("piece is missing factor jets")
-    return True
-
-
-def has_distinct_base_points(d: JetScheme, tol: float = Z_MATCH_TOL) -> bool:
+def has_distinct_base_points(d: JetScheme) -> bool:
     zs = [p.z for p in d.pieces]
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            if abs(zs[i] - zs[j]) <= tol:
+            if abs(zs[i] - zs[j]) <= Z_MATCH_TOL:
                 return False
     return True
 
@@ -196,17 +187,16 @@ def g_matrix(d: JetScheme, factor: int) -> Matrix:
     return np.stack(cols, axis=1)
 
 
-def _invertible(m: Matrix, tol: float = 1e-9) -> bool:
+def _invertible(m: Matrix) -> bool:
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > tol * max(s[0], 1.0))
+    return bool(s[-1] > NONDEGENERACY_TOL * max(s[0], 1.0))
 
 
-def locally_nondegenerate(d: JetScheme, tol: float = 1e-9) -> bool:
+def locally_nondegenerate(d: JetScheme) -> bool:
     """Finite stabilizer in each factor: the connected stabilizer of D in
     factor j is {g : g fixes all of factor j's coefficient vectors}, which is
     trivial iff the assembled matrix is invertible."""
-    fitting_transverse(d)
-    return all(_invertible(g_matrix(d, j), tol) for j in range(d.n_factors))
+    return all(_invertible(g_matrix(d, j)) for j in range(d.n_factors))
 
 
 def jet_scalar_multiply(jet: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -232,7 +222,7 @@ def jet_scalar_inverse(s: np.ndarray) -> np.ndarray:
 
 
 def jet_proportional(
-    jet_a: np.ndarray, jet_b: np.ndarray, tol: float = 1e-9
+    jet_a: np.ndarray, jet_b: np.ndarray
 ) -> tuple[bool, np.ndarray | None]:
     """Whether jet_b(eps) = c(eps) * jet_a(eps) for a scalar jet c; returns
     the witness when it exists."""
@@ -246,12 +236,12 @@ def jet_proportional(
         for i in range(1, m + 1):
             resid = resid - c[m - i] * jet_a[i]
         c[m] = np.vdot(lead, resid) / norm2
-        if np.max(np.abs(resid - c[m] * lead)) > tol * scale:
+        if np.max(np.abs(resid - c[m] * lead)) > NONDEGENERACY_TOL * scale:
             return False, None
     return True, c
 
 
-def _swap_stabilizer_exists(d: JetScheme, i: int, j: int, tol: float = 1e-9) -> bool:
+def _swap_stabilizer_exists(d: JetScheme, i: int, j: int) -> bool:
     """Whether some single-factor group element can exchange pieces i and j
     (requires matching (z, l) and proportional jets in all other factors)."""
     pi, pj = d.pieces[i], d.pieces[j]
@@ -259,23 +249,23 @@ def _swap_stabilizer_exists(d: JetScheme, i: int, j: int, tol: float = 1e-9) -> 
         return False
     mismatched = 0
     for m in range(d.n_factors):
-        ok_fwd, _ = jet_proportional(pi.jets[m], pj.jets[m], tol)
-        ok_bwd, _ = jet_proportional(pj.jets[m], pi.jets[m], tol)
+        ok_fwd, _ = jet_proportional(pi.jets[m], pj.jets[m])
+        ok_bwd, _ = jet_proportional(pj.jets[m], pi.jets[m])
         if not (ok_fwd and ok_bwd):
             mismatched += 1
     # the swapping element lives in one factor; all others must already match
     return mismatched <= 1
 
 
-def nondegenerate(d: JetScheme, tol: float = 1e-9) -> bool:
+def nondegenerate(d: JetScheme) -> bool:
     """Trivial stabilizer of D in each factor: finite stabilizers plus no
     piece-swapping elements."""
-    if not locally_nondegenerate(d, tol):
+    if not locally_nondegenerate(d):
         return False
     n = len(d.pieces)
     for i in range(n):
         for j in range(i + 1, n):
-            if _swap_stabilizer_exists(d, i, j, tol):
+            if _swap_stabilizer_exists(d, i, j):
                 return False
     return True
 
@@ -297,6 +287,8 @@ def jet_normalize(piece: LocalPiece) -> LocalPiece:
         jet = piece.jets[m]
         lead = jet[0]
         nz = np.nonzero(np.abs(lead) > 1e-12 * max(1.0, float(np.max(np.abs(lead)))))[0]
+        if nz.size == 0:
+            raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
         r = int(nz[0])
         # choose s with (jet * s)[j][r] = delta_{j,0}
         s = np.zeros(length, dtype=complex)
@@ -340,24 +332,6 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(new_pieces))
 
 
-def _pattern_cyclic_frame(d: JetScheme) -> Matrix:
-    """Krylov frame of the Jordan matrix using the sum of block-end basis
-    vectors; invertible when base points are pairwise distinct."""
-    j = jordan_of(d)
-    k = d.k
-    v = np.zeros(k, dtype=complex)
-    offset = 0
-    for p in d.pieces:
-        v[offset + p.length - 1] = 1.0
-        offset += p.length
-    frame = np.empty((k, k), dtype=complex)
-    w = v
-    for c in range(k):
-        frame[:, c] = w
-        w = j @ w
-    return frame
-
-
 def slice_conjugator(d: JetScheme) -> Matrix:
     """A deterministic invertible C with slice_embed(X) = C J(D) C^{-1},
     where X is the slice point with the scheme's characteristic polynomial.
@@ -369,15 +343,15 @@ def slice_conjugator(d: JetScheme) -> Matrix:
     roots = np.concatenate([[p.z] * p.length for p in d.pieces])
     x = slice_embed(slice_coefficients_from_roots(roots, d.k))
     # e_1 is exactly cyclic for slice matrices: the frame is unit lower
-    # triangular.
-    k = d.k
-    bx = np.empty((k, k), dtype=complex)
-    w = np.zeros(k, dtype=complex)
-    w[0] = 1.0
-    for c in range(k):
-        bx[:, c] = w
-        w = x @ w
-    bj = _pattern_cyclic_frame(d)
+    # triangular.  The sum of the block-end basis vectors is cyclic for J(D)
+    # when base points are pairwise distinct.
+    bx = _krylov_frame(x, np.eye(d.k, dtype=complex)[0])
+    v = np.zeros(d.k, dtype=complex)
+    offset = 0
+    for p in d.pieces:
+        offset += p.length
+        v[offset - 1] = 1.0
+    bj = _krylov_frame(jordan_of(d), v)
     return bx @ np.linalg.inv(bj)
 
 
@@ -437,9 +411,7 @@ def _cluster_roots(
     return [(complex(np.mean(g)), len(g)) for g in groups.values()]
 
 
-def u_to_hilb(
-    m: UClass, cluster_radius: float = ROOT_CLUSTER_RADIUS
-) -> JetScheme:
+def u_to_hilb(m: UClass) -> JetScheme:
     """Inverse correspondence: read pieces off the spectral data of X and
     jets off the factor matrices transported through the Jordan conjugation.
 
@@ -450,11 +422,11 @@ def u_to_hilb(
     x_mat = slice_embed(m.X)
     k = m.X.k
     roots = np.linalg.eigvals(x_mat)
-    clusters = _cluster_roots(roots, cluster_radius)
+    clusters = _cluster_roots(roots, ROOT_CLUSTER_RADIUS)
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
-            if abs(clusters[i][0] - clusters[j][0]) < max(2 * cluster_radius, 1e-8):
+            if abs(clusters[i][0] - clusters[j][0]) < max(2 * ROOT_CLUSTER_RADIUS, 1e-8):
                 raise ConditioningError("cluster centers too close to resolve")
     centers = np.concatenate([[z] * l for z, l in clusters])
     recon = np.array([np.sum(centers**p) for p in range(1, k + 1)])
@@ -515,7 +487,7 @@ def f_moment(d: JetScheme, factor: int = 0) -> Matrix:
     g = g_matrix(d, factor)
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
-    return g @ jordan_of(d) @ np.linalg.inv(g)
+    return _moment(g, jordan_of(d), INCOMING)
 
 
 def _eigen_shift(d: JetScheme, dz: np.ndarray) -> Matrix:
@@ -544,28 +516,28 @@ def f_presymplectic(d: JetScheme, u: FTangent, v: FTangent) -> complex:
     g = g_matrix(d, 0)
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
-    ginv = np.linalg.inv(g)
-    mu = g @ jordan_of(d) @ ginv
     if len(u.dz) != len(d.pieces) or len(v.dz) != len(d.pieces):
         raise ValidationError("need one dz per piece")
-    dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(d, u.dz) @ ginv
-    dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(d, v.dz) @ ginv
-    return (
-        pairing(u.rho, dmu_v)
-        - pairing(v.rho, dmu_u)
-        - pairing(mu, commutator(u.rho, v.rho))
-    )
+    mu, wedge = _f_moment_wedge(d, g, u, v)
+    return wedge - pairing(mu, commutator(u.rho, v.rho))
 
 
 def f_presymplectic_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> complex:
     """The literal pairing-wedge <rho, dmu(v)> - <rho', dmu(u)>; differs from
     the closed form by the recorded term <mu, [rho_u, rho_v]>."""
-    g = g_matrix(d, 0)
+    return _f_moment_wedge(d, g_matrix(d, 0), u, v)[1]
+
+
+def _f_moment_wedge(
+    d: JetScheme, g: Matrix, u: FTangent, v: FTangent
+) -> tuple[Matrix, complex]:
+    """mu = G J G^{-1} for the factor matrix G, and the pairing-wedge
+    <rho_u, dmu(v)> - <rho_v, dmu(u)>."""
     ginv = np.linalg.inv(g)
-    mu = g @ jordan_of(d) @ ginv
+    mu = _moment(g, jordan_of(d), INCOMING)
     dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(d, u.dz) @ ginv
     dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(d, v.dz) @ ginv
-    return pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
+    return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
 
 
 def f_gram_matrix(d: JetScheme) -> np.ndarray:
@@ -593,12 +565,12 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
     return gram
 
 
-def f_kernel_dimension(d: JetScheme, tol: float = 1e-8) -> int:
+def f_kernel_dimension(d: JetScheme) -> int:
     """Dimension of the kernel of the presymplectic form at D on the
     (group, per-piece eigenvalue) tangent space."""
     gram = f_gram_matrix(d)
     sing = np.linalg.svd(gram, compute_uv=False)
-    cutoff = tol * max(sing[0], 1.0)
+    cutoff = 1e-8 * max(sing[0], 1.0)
     return int(np.sum(sing <= cutoff))
 
 
@@ -613,23 +585,22 @@ def orbit_invariant(d: JetScheme) -> tuple[tuple[complex, int], ...]:
 def orbit_invariant_equal(
     inv1: tuple[tuple[complex, int], ...],
     inv2: tuple[tuple[complex, int], ...],
-    tol: float = 1e-8,
 ) -> bool:
     if len(inv1) != len(inv2):
         return False
     return all(
-        abs(z1 - z2) <= tol and l1 == l2
+        abs(z1 - z2) <= Z_MATCH_TOL and l1 == l2
         for (z1, l1), (z2, l2) in zip(inv1, inv2)
     )
 
 
-def adjoint_orbits_match(m1: Matrix, m2: Matrix, tol: float = 1e-6) -> bool:
+def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool:
     """Independent conjugacy test: equal power traces and equal rank
     sequences of (M - z)^p for every candidate eigenvalue z."""
     m1 = as_matrix(m1)
     m2 = as_matrix(m2)
     k = m1.shape[0]
-    if np.max(np.abs(power_traces(m1) - power_traces(m2))) > tol:
+    if np.max(np.abs(power_traces(m1) - power_traces(m2))) > 1e-6:
         return False
     eigs = np.linalg.eigvals(m1)
     centers = _cluster_roots(eigs, ROOT_CLUSTER_RADIUS)

@@ -82,15 +82,26 @@ def polarized_gradient(p: InvariantPolynomial, x: Matrix) -> Matrix:
     return p.coefficient * p.degree * np.linalg.matrix_power(x, p.degree - 1)
 
 
-def power_traces(x: Matrix, k: int | None = None) -> np.ndarray:
+def power_traces(x: Matrix) -> np.ndarray:
     """(trace X, trace X^2, ..., trace X^k)."""
-    n = x.shape[0] if k is None else k
-    out = np.empty(n, dtype=complex)
-    acc = np.eye(x.shape[0], dtype=complex)
-    for m in range(n):
+    k = x.shape[0]
+    out = np.empty(k, dtype=complex)
+    acc = np.eye(k, dtype=complex)
+    for m in range(k):
         acc = acc @ x
         out[m] = np.trace(acc)
     return out
+
+
+def _krylov_frame(x: Matrix, v: np.ndarray) -> Matrix:
+    """The k x k matrix with columns v, Xv, ..., X^(k-1) v."""
+    k = x.shape[0]
+    frame = np.empty((k, k), dtype=complex)
+    w = v
+    for j in range(k):
+        frame[:, j] = w
+        w = x @ w
+    return frame
 
 
 def ad_operator(x: Matrix) -> Matrix:
@@ -100,37 +111,37 @@ def ad_operator(x: Matrix) -> Matrix:
     return np.kron(x, eye) - np.kron(eye, x.T)
 
 
-def nullspace(a: Matrix, tol: float = RANK_TOL) -> Matrix:
+def nullspace(a: Matrix) -> Matrix:
     """Orthonormal basis (as rows) of the kernel of `a`, by SVD.  The right
     singular vectors are the conjugated rows of Vh."""
     _, s, vh = np.linalg.svd(a)
     if s.size == 0:
         return vh
-    cutoff = tol * max(s[0], 1.0)
+    cutoff = RANK_TOL * max(s[0], 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()
 
 
-def centralizer_basis(x: Matrix, tol: float = RANK_TOL) -> list[Matrix]:
+def centralizer_basis(x: Matrix) -> list[Matrix]:
     """Orthonormal basis of Z(X) = ker(ad_X), via a rank-revealing SVD."""
     x = as_matrix(x)
     k = x.shape[0]
-    vecs = nullspace(ad_operator(x), tol)
+    vecs = nullspace(ad_operator(x))
     return [v.reshape(k, k) for v in vecs]
 
 
-def centralizer_dimension(x: Matrix, tol: float = RANK_TOL) -> int:
+def centralizer_dimension(x: Matrix) -> int:
     x = as_matrix(x)
     k = x.shape[0]
     s = np.linalg.svd(ad_operator(x), compute_uv=False)
-    cutoff = tol * max(s[0], 1.0)
+    cutoff = RANK_TOL * max(s[0], 1.0)
     return int(k * k - np.sum(s > cutoff))
 
 
-def is_regular(x: Matrix, tol: float = RANK_TOL) -> bool:
+def is_regular(x: Matrix) -> bool:
     """True iff dim Z(X) equals k, the rank of gl(k)."""
     x = as_matrix(x)
-    return centralizer_dimension(x, tol) == x.shape[0]
+    return centralizer_dimension(x) == x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -155,10 +166,10 @@ class AElement:
                     raise ValidationError("summand degree exceeds k")
         return prof
 
-    def is_sum_zero(self, k: int, tol: float = 1e-12) -> bool:
+    def is_sum_zero(self, k: int) -> bool:
         """Membership test for A_0: factor-wise sums cancel degree by degree."""
         prof = self.degree_profile(k)
-        return bool(np.max(np.abs(prof.sum(axis=0))) <= tol)
+        return bool(np.max(np.abs(prof.sum(axis=0))) <= 1e-12)
 
 
 def gradient_of_combination(

@@ -5,6 +5,8 @@ see the per-type functions for the object layouts.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ValidationError
@@ -13,6 +15,21 @@ from .lie import Matrix, as_matrix
 from .slodowy import SlicePoint
 from .uspace import UClass
 from .wspace import INCOMING, OUTGOING, WPoint
+
+
+def _parses_input(fn):
+    """Report structurally wrong JSON given to a `*_from_json` reader (a
+    missing key, a wrong type, an unparsable number) as ValidationError."""
+
+    @functools.wraps(fn)
+    def reader(data):
+        try:
+            return fn(data)
+        except (TypeError, ValueError, KeyError) as exc:
+            what = fn.__name__.removesuffix("_from_json")
+            raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+    return reader
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -31,11 +48,9 @@ def matrix_to_json(m: Matrix) -> list[list[list[float]]]:
     return [[complex_to_pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
 
 
+@_parses_input
 def matrix_from_json(data) -> Matrix:
-    try:
-        rows = [[pair_to_complex(entry) for entry in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix: {exc}") from exc
+    rows = [[pair_to_complex(entry) for entry in row] for row in data]
     return as_matrix(np.array(rows, dtype=complex))
 
 
@@ -43,6 +58,7 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
 
 
+@_parses_input
 def vector_from_json(data) -> np.ndarray:
     return np.array([pair_to_complex(p) for p in data], dtype=complex)
 
@@ -51,6 +67,7 @@ def slice_point_to_json(s: SlicePoint) -> dict:
     return {"k": s.k, "coeffs": vector_to_json(s.coeffs)}
 
 
+@_parses_input
 def slice_point_from_json(data) -> SlicePoint:
     return SlicePoint(k=int(data["k"]), coeffs=vector_from_json(data["coeffs"]))
 
@@ -63,6 +80,7 @@ def wpoint_to_json(p: WPoint) -> dict:
     }
 
 
+@_parses_input
 def wpoint_from_json(data) -> WPoint:
     orientation = data["orientation"]
     if orientation not in (INCOMING, OUTGOING):
@@ -83,6 +101,7 @@ def uclass_to_json(m: UClass) -> dict:
     }
 
 
+@_parses_input
 def uclass_from_json(data) -> UClass:
     return UClass(
         b=int(data["b"]),
@@ -111,6 +130,7 @@ def jetscheme_to_json(d: JetScheme) -> dict:
     }
 
 
+@_parses_input
 def jetscheme_from_json(data) -> JetScheme:
     pieces = []
     for pd in data["pieces"]:

@@ -158,14 +158,15 @@ def slice_project(x: Matrix) -> tuple[SlicePoint, float]:
     return point, residual
 
 
-def is_in_slice(x: Matrix, tol: float = SLICE_TOL) -> bool:
-    """True iff X - e lies in span{f^j} entrywise up to `tol`."""
+def is_in_slice(x: Matrix) -> bool:
+    """True iff X - e lies in span{f^j} entrywise up to SLICE_TOL (relative
+    to max(1, largest |entry|))."""
     try:
         _, residual = slice_project(x)
     except ValidationError:
         return False
     scale = max(1.0, float(np.max(np.abs(x))))
-    return residual <= tol * scale
+    return residual <= SLICE_TOL * scale
 
 
 def slice_tangent_from_power_traces(s: SlicePoint, dt: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .lie import Matrix, as_matrix, commutator, pairing, power_traces
+from .lie import Matrix, _krylov_frame, as_matrix, commutator, pairing, power_traces
 from .slodowy import SlicePoint, slice_embed, slice_representative
 from .wspace import (
     DET_TOL,
@@ -28,6 +28,7 @@ from .wspace import (
     OUTGOING,
     WPoint,
     WTangent,
+    _moment,
     _reverse,
     w_symplectic,
     slice_direction,
@@ -77,6 +78,12 @@ class UTangent:
     dc: np.ndarray
 
 
+def _centralizer_residual(u: Matrix, x: Matrix) -> float:
+    """max |[u, X]| scaled by max(1, |X|) * max(1, |u|) (largest entries)."""
+    scale = max(1.0, float(np.max(np.abs(x)))) * max(1.0, float(np.max(np.abs(u))))
+    return float(np.max(np.abs(commutator(u, x)))) / scale
+
+
 @dataclass(frozen=True)
 class W00Point:
     """A point of the closed-surface space: (g, X) with Ad(g) X = X."""
@@ -86,11 +93,7 @@ class W00Point:
 
     def __post_init__(self):
         g = as_matrix(self.g)
-        x = slice_embed(self.X)
-        res = float(np.max(np.abs(g @ x - x @ g)))
-        if res > 1e-10 * max(1.0, float(np.max(np.abs(x)))) * max(
-            1.0, float(np.max(np.abs(g)))
-        ):
+        if _centralizer_residual(g, slice_embed(self.X)) > 1e-10:
             raise ValidationError("group part must centralize the slice point")
         object.__setattr__(self, "g", g)
 
@@ -129,36 +132,28 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
         raise SignatureError("signatures differ")
     residual = float(np.max(np.abs(m1.X.coeffs - m2.X.coeffs)))
     x = slice_embed(m1.X)
-    scale = max(1.0, float(np.max(np.abs(x))))
     prod = np.eye(m1.X.k, dtype=complex)
     for i in range(m1.n_factors):
         if m1.orientation(i) == INCOMING:
             u = np.linalg.inv(m2.gs[i]) @ m1.gs[i]
         else:
             u = m1.gs[i] @ np.linalg.inv(m2.gs[i])
-        comm = float(np.max(np.abs(commutator(u, x))))
-        residual = max(
-            residual, comm / (scale * max(1.0, float(np.max(np.abs(u)))))
-        )
+        residual = max(residual, _centralizer_residual(u, x))
         prod = prod @ u
     residual = max(residual, float(np.max(np.abs(prod - np.eye(m1.X.k)))))
     return residual
 
 
-def u_equivalent(m1: UClass, m2: UClass, tol: float = EQUIV_TOL) -> bool:
+def u_equivalent(m1: UClass, m2: UClass) -> bool:
     """Whether two representatives define the same class.  Z(X) is abelian
     for regular X, so the product order in the relation is immaterial."""
-    return u_equivalence_residual(m1, m2) <= tol
+    return u_equivalence_residual(m1, m2) <= EQUIV_TOL
 
 
 def u_moment(m: UClass, i: int) -> Matrix:
     """Moment map of the i-th boundary factor; independent of the chosen
     representative."""
-    x = slice_embed(m.X)
-    g = m.gs[i]
-    if m.orientation(i) == INCOMING:
-        return g @ x @ np.linalg.inv(g)
-    return -np.linalg.inv(g) @ x @ g
+    return _moment(m.gs[i], slice_embed(m.X), m.orientation(i))
 
 
 def axiom_d_residual(m: UClass) -> float:
@@ -254,20 +249,25 @@ def u_symplectic_single_slice_form(m: UClass, u: UTangent, v: UTangent) -> compl
     return term + curvature
 
 
-def _centralizer_residual(u: Matrix, x: Matrix) -> float:
-    scale = max(1.0, float(np.max(np.abs(x)))) * max(1.0, float(np.max(np.abs(u))))
-    return float(np.max(np.abs(commutator(u, x)))) / scale
+def _match_moments(m1: UClass, p_out: int, m2: UClass, q_in: int) -> None:
+    """Raise GluingError unless the moment of factor p_out of m1 is minus
+    that of factor q_in of m2."""
+    mu1 = u_moment(m1, p_out)
+    mu2 = u_moment(m2, q_in)
+    if np.max(np.abs(mu1 + mu2)) > GLUE_TOL * max(1.0, float(np.max(np.abs(mu1)))):
+        raise GluingError("boundary moments do not match")
 
 
-def glue(m1: UClass, p_out: int, m2: UClass, q_in: int) -> UClass:
+def glue(m1: UClass, p_out: int, m2: UClass, q_in: int, receiver: int = 0) -> UClass:
     """Symplectic quotient gluing: match the outgoing factor `p_out` of m1
     against the incoming factor `q_in` of m2.
 
     The moment condition forces the slice parts equal and
     u = g_{p'} h_q in Z(X); after gauge-fixing g_{p'} = 1 the leftover u is
-    pushed into another factor through the equivalence relation (incoming
-    absorb on the right, outgoing on the left), and the matched factors are
-    dropped.  The resulting class is independent of the receiving factor.
+    pushed through the equivalence relation into the factor `receiver` of
+    the glued tuple (incoming factors absorb it on the right, outgoing ones
+    on the left), and the matched factors are dropped.  The resulting class
+    is independent of the receiving factor.
     """
     if not (m1.b <= p_out < m1.n_factors):
         raise SignatureError("p_out must index an outgoing factor of m1")
@@ -275,10 +275,7 @@ def glue(m1: UClass, p_out: int, m2: UClass, q_in: int) -> UClass:
         raise SignatureError("q_in must index an incoming factor of m2")
     if m1.X.k != m2.X.k:
         raise SignatureError("sizes differ")
-    mu1 = u_moment(m1, p_out)
-    mu2 = u_moment(m2, q_in)
-    if np.max(np.abs(mu1 + mu2)) > GLUE_TOL * max(1.0, float(np.max(np.abs(mu1)))):
-        raise GluingError("boundary moments do not match")
+    _match_moments(m1, p_out, m2, q_in)
     if np.max(np.abs(m1.X.coeffs - m2.X.coeffs)) > GLUE_TOL:
         raise GluingError("slice parts differ despite matched moments")
     x = slice_embed(m1.X)
@@ -293,46 +290,19 @@ def glue(m1: UClass, p_out: int, m2: UClass, q_in: int) -> UClass:
             "gluing a (0,1) against a (1,0) leaves no factors; "
             "use w00_from_glue for the closed-surface point"
         )
-    kept: list[tuple[Matrix, str]] = []
-    for i in range(m1.b):
-        kept.append((m1.gs[i], INCOMING))
-    for i in range(m2.b):
-        if i != q_in:
-            kept.append((m2.gs[i], INCOMING))
-    for i in range(m1.b, m1.n_factors):
-        if i != p_out:
-            kept.append((m1.gs[i], OUTGOING))
-    for i in range(m2.b, m2.n_factors):
-        kept.append((m2.gs[i], OUTGOING))
-    kept = absorb_centralizer(kept, u, 0)
-    gs = tuple(g for g, _ in kept)
-    return UClass(b=new_b, bprime=new_bprime, gs=gs, X=m1.X)
-
-
-def absorb_centralizer(
-    factors: list[tuple[Matrix, str]], u: Matrix, index: int
-) -> list[tuple[Matrix, str]]:
-    """Push a centralizer element into the factor at `index`: incoming
-    factors multiply on the right by u, outgoing ones on the left by u."""
-    out = list(factors)
-    g, orient = out[index]
-    if orient == INCOMING:
-        out[index] = (g @ u, orient)
+    if not 0 <= receiver < new_b + new_bprime:
+        raise ValidationError(f"receiver {receiver} out of range")
+    gs = (
+        list(m1.gs[: m1.b])
+        + [g for i, g in enumerate(m2.gs[: m2.b]) if i != q_in]
+        + [g for i, g in enumerate(m1.gs) if i >= m1.b and i != p_out]
+        + list(m2.gs[m2.b :])
+    )
+    if receiver < new_b:
+        gs[receiver] = gs[receiver] @ u
     else:
-        out[index] = (u @ g, orient)
-    return out
-
-
-def glue_with_receiver(m1: UClass, p_out: int, m2: UClass, q_in: int, receiver: int) -> UClass:
-    """Same as `glue` but the centralizer leftover goes into the factor with
-    the given index of the concatenated tuple; used to verify independence."""
-    base = glue(m1, p_out, m2, q_in)
-    u = m1.gs[p_out] @ m2.gs[q_in]
-    factors = [(base.gs[i], base.orientation(i)) for i in range(base.n_factors)]
-    # undo the default absorption at index 0, redo at the requested index
-    factors = absorb_centralizer(factors, np.linalg.inv(u), 0)
-    factors = absorb_centralizer(factors, u, receiver)
-    return UClass(b=base.b, bprime=base.bprime, gs=tuple(g for g, _ in factors), X=base.X)
+        gs[receiver] = u @ gs[receiver]
+    return UClass(b=new_b, bprime=new_bprime, gs=tuple(gs), X=m1.X)
 
 
 def w00_from_glue(m_out: UClass, m_in: UClass) -> W00Point:
@@ -340,10 +310,7 @@ def w00_from_glue(m_out: UClass, m_in: UClass) -> W00Point:
     the closed-surface point (g, X) with Ad(g) X = X."""
     if (m_out.b, m_out.bprime) != (0, 1) or (m_in.b, m_in.bprime) != (1, 0):
         raise SignatureError("need a (0,1) class and a (1,0) class")
-    mu1 = u_moment(m_out, 0)
-    mu2 = u_moment(m_in, 0)
-    if np.max(np.abs(mu1 + mu2)) > GLUE_TOL * max(1.0, float(np.max(np.abs(mu1)))):
-        raise GluingError("boundary moments do not match")
+    _match_moments(m_out, 0, m_in, 0)
     w = m_out.gs[0] @ m_in.gs[0]
     return W00Point(g=w, X=m_in.X)
 
@@ -354,8 +321,7 @@ def u11_to_tstar(m: UClass) -> tuple[Matrix, Matrix]:
     if (m.b, m.bprime) != (1, 1):
         raise SignatureError("signature must be (1,1)")
     g1, g2 = m.gs
-    x = slice_embed(m.X)
-    return g1 @ g2, g1 @ x @ np.linalg.inv(g1)
+    return g1 @ g2, _moment(g1, slice_embed(m.X), INCOMING)
 
 
 def find_cyclic_vector(x: Matrix) -> np.ndarray:
@@ -369,11 +335,7 @@ def find_cyclic_vector(x: Matrix) -> np.ndarray:
     for _ in range(4):
         candidates.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     for v in candidates:
-        krylov = np.empty((k, k), dtype=complex)
-        w = v.astype(complex)
-        for j in range(k):
-            krylov[:, j] = w
-            w = x @ w
+        krylov = _krylov_frame(x, v)
         sigma = np.linalg.svd(krylov, compute_uv=False)[-1]
         if sigma > best_sigma:
             best_sigma = sigma
@@ -402,17 +364,18 @@ def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
     return UClass(b=1, bprime=1, gs=(g1, g2), X=x)
 
 
-def sl_membership(m: UClass, trace_tol: float = 1e-10, det_tol: float = 1e-9) -> bool:
+def sl_membership(m: UClass) -> bool:
     """Whether the class lies in the special-linear subfamily: trace-free X
-    and unit determinant product (outgoing factors contribute det^{-1})."""
+    (to 1e-10) and unit determinant product (to 1e-9; outgoing factors
+    contribute det^{-1})."""
     x = slice_embed(m.X)
-    if abs(np.trace(x)) > trace_tol:
+    if abs(np.trace(x)) > 1e-10:
         return False
     prod = 1.0 + 0.0j
     for i in range(m.n_factors):
         d = np.linalg.det(m.gs[i])
         prod *= d if m.orientation(i) == INCOMING else 1.0 / d
-    return abs(prod - 1.0) <= det_tol
+    return abs(prod - 1.0) <= 1e-9
 
 
 def fibration_data(m: UClass) -> tuple[SlicePoint, list[Matrix]]:
@@ -453,7 +416,7 @@ def a0_action(element, m: UClass) -> UClass:
     return replace(m, gs=tuple(gs))
 
 
-def stabilizer_solve(m: UClass, tol: float = 1e-9) -> Matrix:
+def stabilizer_solve(m: UClass) -> Matrix:
     """Solve the freeness conditions for the first-factor action: find all
     (h, u_1..u_n) with u_i in Z(X), h u_1 = 1, the other factors fixed by
     their u_i, and prod u_i = 1.  Returns h (the identity when the action is
@@ -474,7 +437,7 @@ def stabilizer_solve(m: UClass, tol: float = 1e-9) -> Matrix:
         coeffs, *_ = np.linalg.lstsq(cols, g.ravel(), rcond=None)
         u = sum(c * bm for c, bm in zip(coeffs, basis))
         residual = np.max(np.abs((g @ u if m.orientation(i) == INCOMING else u @ g) - g))
-        if residual > tol * max(1.0, float(np.max(np.abs(g)))):
+        if residual > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
             raise ValidationError("per-factor fixing equation unsolvable")
         # the homogeneous system must have no kernel: g invertible => unique
         sigma = np.linalg.svd(cols, compute_uv=False)

@@ -11,9 +11,9 @@ identical residuals; the negative control evaluates one deliberately
 corrupted input from the stream "<suite>-neg", and its residual must
 exceed the threshold.
 
-The moment-map sign convention is calibrated once on the incoming
-group x slice space, where the left action has moment Ad(g) X; the sign that
-validates there (+1) is frozen for every other suite.
+The moment maps follow one fixed sign convention, that of the canonical
+form -d<X, g^{-1}dg>: an incoming factor has moment g X g^{-1} (the left
+action), an outgoing one -g^{-1} X g, and the scheme side G J G^{-1}.
 """
 from __future__ import annotations
 
@@ -69,7 +69,6 @@ from .uspace import (
     UTangent,
     g_action,
     glue,
-    glue_with_receiver,
     phi_e_class,
     stabilizer_solve,
     u11_from_tstar,
@@ -193,10 +192,10 @@ def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
     return SlicePoint(k=k, coeffs=sample_disc(rng, k) * scales)
 
 
-def sample_group(k: int, rng: np.random.Generator, spread: float = 0.5) -> Matrix:
-    """exp of a matrix with entries in the unit disc (scaled for
-    conditioning); always invertible."""
-    a = sample_disc(rng, k, k, radius=min(1.0, spread * 2)) * spread / np.sqrt(k)
+def sample_group(k: int, rng: np.random.Generator) -> Matrix:
+    """exp of a matrix with entries in the unit disc (scaled by 0.5 / sqrt(k)
+    for conditioning); always invertible."""
+    a = sample_disc(rng, k, k) * 0.5 / np.sqrt(k)
     return expm(a)
 
 
@@ -223,11 +222,10 @@ def sample_utangent(m: UClass, rng: np.random.Generator) -> UTangent:
     )
 
 
-def sample_centralizer_element(
-    x_emb: Matrix, rng: np.random.Generator, scale: float = 0.5
-) -> Matrix:
-    """exp of a norm-controlled random polynomial gradient: an invertible
-    element of Z(X) close enough to 1 for well-conditioned tests."""
+def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matrix:
+    """exp of a norm-controlled random polynomial gradient (spectral norm at
+    most 0.5): an invertible element of Z(X) close enough to 1 for
+    well-conditioned tests."""
     k = x_emb.shape[0]
     summands = [
         InvariantPolynomial(m, complex(sample_disc(rng)))
@@ -236,7 +234,7 @@ def sample_centralizer_element(
     c = gradient_of_combination(summands, x_emb)
     norm = np.linalg.norm(c, 2)
     if norm > 1e-12:
-        c = scale * c / max(1.0, norm)
+        c = 0.5 * c / max(1.0, norm)
     return expm(c)
 
 
@@ -249,6 +247,15 @@ def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
         lengths.append(l)
         rest -= l
     return lengths
+
+
+def _sample_jet(rng: np.random.Generator, length: int, k: int) -> np.ndarray:
+    """A (length, k) jet from the unit disc, its leading vector redrawn until
+    its norm is at least 0.3."""
+    jet = sample_disc(rng, length, k)
+    while np.linalg.norm(jet[0]) < 0.3:
+        jet[0] = sample_disc(rng, k)
+    return jet
 
 
 def sample_jetscheme(
@@ -273,13 +280,8 @@ def sample_jetscheme(
             base = np.asarray(zs, dtype=complex)
         pieces = []
         for z, l in zip(base, ls):
-            jets = []
-            for _ in range(n):
-                jet = sample_disc(rng, l, k)
-                while np.linalg.norm(jet[0]) < 0.3:
-                    jet[0] = sample_disc(rng, k)
-                jets.append(jet)
-            pieces.append(LocalPiece(z=complex(z), length=l, jets=tuple(jets)))
+            jets = tuple(_sample_jet(rng, l, k) for _ in range(n))
+            pieces.append(LocalPiece(z=complex(z), length=l, jets=jets))
         d = JetScheme(k=k, b=b, bprime=bprime, pieces=tuple(pieces))
         ok = True
         for j in range(n):
@@ -301,13 +303,13 @@ def sample_jetscheme(
 # (`displace`).
 
 
-def _dexp_transport(s: Matrix, a: Matrix, sign: int, terms: int = 10) -> Matrix:
-    """sum_n (sign * ad_s)^n a / (n+1)!: converts a chart-constant direction
-    into the logarithmic representative at exp displacement s."""
+def _dexp_transport(s: Matrix, a: Matrix, sign: int) -> Matrix:
+    """sum_{n<10} (sign * ad_s)^n a / (n+1)!: converts a chart-constant
+    direction into the logarithmic representative at exp displacement s."""
     out = np.zeros_like(a)
     term = a.astype(complex)
     fact = 1.0
-    for n in range(terms):
+    for n in range(10):
         fact *= n + 1
         out = out + term / fact
         term = sign * (s @ term - term @ s)
@@ -388,6 +390,14 @@ class FChart:
         return (h * direction.rho, h * direction.dz)
 
 
+def _central_difference(f, chart, direction, step: float):
+    """(f(c+) - f(c-)) / 2h for the chart coordinates c+- displaced by
+    +-step along `direction`."""
+    plus = f(chart.displace(direction, step))
+    minus = f(chart.displace(direction, -step))
+    return (plus - minus) / (2 * step)
+
+
 def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     """d omega(u, v, w) by the three-term alternating sum with central
     differences in a flat chart; u, v, w are chart-constant tangents."""
@@ -404,9 +414,9 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     dirs = (u, v, w)
     for idx, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
         rest = [dirs[i] for i in range(3) if i != idx]
-        plus = omega_at(chart.displace(dirs[idx], step), rest[0], rest[1])
-        minus = omega_at(chart.displace(dirs[idx], -step), rest[0], rest[1])
-        total += sign * (plus - minus) / (2 * step)
+        total += sign * _central_difference(
+            lambda c: omega_at(c, rest[0], rest[1]), chart, dirs[idx], step
+        )
     return total
 
 
@@ -423,9 +433,7 @@ def fd_moment_condition_w(
         a_fund = -xi
     fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
     lhs = w_symplectic(p, fund, v)
-    plus = w_moment(chart.point_at(*chart.displace(v, step)))
-    minus = w_moment(chart.point_at(*chart.displace(v, -step)))
-    dmu = (plus - minus) / (2 * step)
+    dmu = _central_difference(lambda c: w_moment(chart.point_at(*c)), chart, v, step)
     rhs = pairing(dmu, xi)
     if sign_flip:
         rhs = -rhs
@@ -448,9 +456,9 @@ def fd_moment_condition_a(
     fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
     lhs = w_symplectic(p, fund, v)
     pm = InvariantPolynomial(degree)
-    plus = inv_poly_eval(pm, slice_embed(chart.point_at(*chart.displace(v, step)).X))
-    minus = inv_poly_eval(pm, slice_embed(chart.point_at(*chart.displace(v, -step)).X))
-    rhs = (plus - minus) / (2 * step)
+    rhs = _central_difference(
+        lambda c: inv_poly_eval(pm, slice_embed(chart.point_at(*c).X)), chart, v, step
+    )
     return abs(lhs - rhs)
 
 
@@ -685,7 +693,7 @@ def _check_gluing(cfg, rng, k, trial) -> _Residuals:
     yield "", axiom_d_residual(glued)
     # invariance under the receiving factor
     for receiver in range(1, glued.n_factors):
-        alt = glue_with_receiver(m1, p_out, m2, q_in, receiver)
+        alt = glue(m1, p_out, m2, q_in, receiver)
         yield "", u_equivalence_residual(glued, alt)
     # invariance under re-gauging the matched pair
     g0 = sample_group(k, rng)
@@ -889,9 +897,7 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
     def build(spec):
         pieces = []
         for z_idx, l in spec:
-            jet = sample_disc(rng, l, k)
-            while np.linalg.norm(jet[0]) < 0.3:
-                jet[0] = sample_disc(rng, k)
+            jet = _sample_jet(rng, l, k)
             pieces.append(LocalPiece(z=_JORDAN_BASE_POINTS[z_idx], length=l, jets=(jet,)))
         return JetScheme(k=k, b=1, bprime=0, pieces=tuple(pieces))
 

@@ -93,12 +93,17 @@ def slice_direction(x: SlicePoint, dc: np.ndarray) -> Matrix:
     return out
 
 
+def _moment(g: Matrix, x: Matrix, orientation: str) -> Matrix:
+    """The moment map of one boundary factor g at the matrix X:
+    g X g^{-1} for incoming, -g^{-1} X g for outgoing."""
+    if orientation == INCOMING:
+        return g @ x @ np.linalg.inv(g)
+    return -np.linalg.inv(g) @ x @ g
+
+
 def w_moment(p: WPoint) -> Matrix:
     """mu(g, X) = g X g^{-1} for incoming, -g^{-1} X g for outgoing."""
-    x = slice_embed(p.X)
-    if p.orientation == INCOMING:
-        return p.g @ x @ np.linalg.inv(p.g)
-    return -np.linalg.inv(p.g) @ x @ p.g
+    return _moment(p.g, slice_embed(p.X), p.orientation)
 
 
 def w_symplectic(p: WPoint, u: WTangent, v: WTangent) -> complex:

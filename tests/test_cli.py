@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mtv.cli import main
 from mtv.serialize import uclass_from_json, uclass_to_json
@@ -107,4 +108,26 @@ def test_sample_deterministic(tmp_path):
 def test_bad_input_file(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
+    assert main(["hilb", "to-u", "--in", str(f)]) == 2
+
+
+@pytest.mark.parametrize(
+    "direction, data",
+    [
+        ("from-u", {"b": "x", "bprime": 1, "gs": [], "X": {"k": 1, "coeffs": [[0, 0]]}}),
+        ("to-u", {"k": 2, "b": 1, "bprime": 0, "pieces": 5}),
+        ("to-u", [1, 2]),
+        ("from-u", [1, 2]),
+    ],
+)
+def test_malformed_json_exit_2(tmp_path, direction, data):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert main(["hilb", direction, "--in", str(f)]) == 2
+
+
+def test_empty_jetscheme_exit_2(tmp_path):
+    assert main(["sample", "--kind", "jetscheme", "--k", "0"]) == 2
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"k": 0, "b": 1, "bprime": 0, "pieces": []}))
     assert main(["hilb", "to-u", "--in", str(f)]) == 2

@@ -18,7 +18,6 @@ from mtv.hilbert import (
     f_moment,
     f_presymplectic,
     f_presymplectic_moment_wedge,
-    fitting_transverse,
     g_matrix,
     hilb_to_u,
     jet_normalize,
@@ -72,14 +71,14 @@ def simple_scheme(k, b=1, bprime=0, zs=None, vectors=None):
 
 
 class TestSchemaAndValidation:
-    def test_fitting_transverse_valid(self, rng):
-        d = sample_jetscheme(3, 1, 1, rng)
-        assert fitting_transverse(d)
-
     def test_length_mismatch(self):
         piece = LocalPiece(z=0.0, length=1, jets=(np.array([[1.0, 0.0]]),))
         with pytest.raises(ValidationError):
             JetScheme(k=3, b=1, bprime=0, pieces=(piece,))
+
+    def test_empty_scheme_rejected(self):
+        with pytest.raises(ValidationError):
+            JetScheme(k=0, b=1, bprime=0, pieces=())
 
     def test_missing_factor_jets(self):
         piece = LocalPiece(z=0.0, length=2, jets=(np.eye(2, 2, dtype=complex),))
@@ -223,6 +222,14 @@ class TestJetNormalize:
         # the second factor absorbs the inverse scale: the product of the
         # stored scalings is one, so the tensor is unchanged
         np.testing.assert_allclose(q.jets[1], [[6.0, 3.0]], atol=1e-14)
+
+    def test_leading_vector_below_pivot_cutoff(self):
+        # nonzero, but every entry is under the 1e-12 pivot cutoff
+        piece = LocalPiece(
+            z=0.0, length=1, jets=(np.array([[1e-13, 0.0]]), np.array([[1.0, 0.0]]))
+        )
+        with pytest.raises(DegenerateSchemeError):
+            jet_normalize(piece)
 
     def test_idempotent(self, rng):
         d = sample_jetscheme(4, 2, 1, rng, lengths=[2, 2])

@@ -18,7 +18,6 @@ from mtv.uspace import (
     fibration_data,
     g_action,
     glue,
-    glue_with_receiver,
     perm_action,
     sl_membership,
     stabilizer_solve,
@@ -326,8 +325,14 @@ class TestGlue:
         m1, p_out, m2, q_in = self.matched_pair(rng, 3, (2, 1), (1, 1))
         g = glue(m1, p_out, m2, q_in)
         for receiver in range(1, g.n_factors):
-            alt = glue_with_receiver(m1, p_out, m2, q_in, receiver)
+            alt = glue(m1, p_out, m2, q_in, receiver)
             assert u_equivalent(g, alt)
+
+    @pytest.mark.parametrize("receiver", [-1, 3])
+    def test_receiver_out_of_range(self, rng, receiver):
+        m1, p_out, m2, q_in = self.matched_pair(rng, 3, (2, 1), (1, 1))
+        with pytest.raises(ValidationError):
+            glue(m1, p_out, m2, q_in, receiver)
 
     def test_gauge_independence(self, rng):
         m1, p_out, m2, q_in = self.matched_pair(rng, 2, (1, 1), (1, 1))
