@@ -10,9 +10,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from .errors import MtvError
+from .errors import MtvError, ValidationError
 from .hilbert import hilb_to_u, u_to_hilb
 from .serialize import (
     jetscheme_from_json,
@@ -79,8 +77,6 @@ def _cmd_verify(args) -> int:
         k=args.k,
         trials=args.trials,
         seed=args.seed,
-        tol_fd=args.tol_fd,
-        fd_step=args.fd_step,
         suites=suites,
     )
     report = run_suite(config)
@@ -118,6 +114,8 @@ def _cmd_hilb(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.k < 1 or args.seed < 0:
+        raise ValidationError("k must be positive and seed non-negative")
     rng = trial_rng(args.seed, f"sample-{args.kind}", 0)
     if args.kind == "wpoint":
         p = sample_wpoint(args.k, args.orientation, rng)
@@ -142,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=3)
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol-fd", type=float, default=1e-4, dest="tol_fd")
-    p_verify.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
     p_verify.add_argument(
         "--suite",
         action="append",

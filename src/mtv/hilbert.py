@@ -39,7 +39,7 @@ from .slodowy import (
     slice_embed,
 )
 from .uspace import UClass
-from .wspace import INCOMING, OUTGOING, _moment
+from .wspace import INCOMING, _Signature, _moment
 
 # Pieces closer than this in z are treated as sharing a base point.
 Z_MATCH_TOL = 1e-8
@@ -93,7 +93,7 @@ class LocalPiece:
 
 
 @dataclass(frozen=True)
-class JetScheme:
+class JetScheme(_Signature):
     """A Fitting-transverse subscheme: disjoint transverse pieces with total
     length k.  Distinct base points are required only by the transverse
     Hilbert scheme correspondence, not by the type: the larger Fitting locus
@@ -105,8 +105,7 @@ class JetScheme:
     pieces: tuple[LocalPiece, ...]
 
     def __post_init__(self):
-        if self.b < 0 or self.bprime < 0 or self.b + self.bprime < 1:
-            raise SignatureError("need b + b' >= 1")
+        super().__post_init__()
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         pieces = tuple(self.pieces)
@@ -119,15 +118,6 @@ class JetScheme:
             if p.k != self.k:
                 raise ValidationError("jet vectors must live in C^k")
         object.__setattr__(self, "pieces", pieces)
-
-    @property
-    def n_factors(self) -> int:
-        return self.b + self.bprime
-
-    def orientation(self, j: int) -> str:
-        if not 0 <= j < self.n_factors:
-            raise ValidationError(f"factor index {j} out of range")
-        return INCOMING if j < self.b else OUTGOING
 
 
 def has_distinct_base_points(d: JetScheme) -> bool:
@@ -290,14 +280,8 @@ def jet_normalize(piece: LocalPiece) -> LocalPiece:
         if nz.size == 0:
             raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
         r = int(nz[0])
-        # choose s with (jet * s)[j][r] = delta_{j,0}
-        s = np.zeros(length, dtype=complex)
-        s[0] = 1.0 / lead[r]
-        for jdeg in range(1, length):
-            acc = 0.0 + 0.0j
-            for i in range(1, jdeg + 1):
-                acc += jet[i][r] * s[jdeg - i]
-            s[jdeg] = -acc / lead[r]
+        # s with (jet * s)[j][r] = delta_{j,0}: the inverse of the pivot jet
+        s = jet_scalar_inverse(jet[:, r])
         new_jets.append(jet_scalar_multiply(jet, s))
         product = jet_scalar_multiply(product[:, None], s).ravel()
     absorber = jet_scalar_inverse(product)
@@ -482,9 +466,9 @@ class FTangent:
         object.__setattr__(self, "dz", np.asarray(self.dz, dtype=complex))
 
 
-def f_moment(d: JetScheme, factor: int = 0) -> Matrix:
-    """mu(D) = G(D) J(D) G(D)^{-1} for the chosen factor."""
-    g = g_matrix(d, factor)
+def f_moment(d: JetScheme) -> Matrix:
+    """mu(D) = G(D) J(D) G(D)^{-1} for the first factor."""
+    g = g_matrix(d, 0)
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
     return _moment(g, jordan_of(d), INCOMING)

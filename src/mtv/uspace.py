@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     GluingError,
@@ -20,14 +21,26 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .lie import Matrix, _krylov_frame, as_matrix, commutator, pairing, power_traces
+from .lie import (
+    Matrix,
+    _krylov_frame,
+    as_matrix,
+    centralizer_basis,
+    commutator,
+    gradient_of_combination,
+    pairing,
+    power_traces,
+)
 from .slodowy import SlicePoint, slice_embed, slice_representative
 from .wspace import (
-    DET_TOL,
     INCOMING,
     OUTGOING,
     WPoint,
     WTangent,
+    _Signature,
+    _absorb,
+    _act,
+    _group_element,
     _moment,
     _reverse,
     w_symplectic,
@@ -41,33 +54,21 @@ GLUE_TOL = 1e-9         # moment matching for gluing
 
 
 @dataclass(frozen=True)
-class UClass:
+class UClass(_Signature):
     b: int
     bprime: int
     gs: tuple[Matrix, ...]
     X: SlicePoint
 
     def __post_init__(self):
-        if self.b < 0 or self.bprime < 0 or self.b + self.bprime < 1:
-            raise SignatureError("need b, b' >= 0 with b + b' >= 1")
-        gs = tuple(as_matrix(g) for g in self.gs)
+        super().__post_init__()
+        gs = tuple(_group_element(g) for g in self.gs)
         if len(gs) != self.b + self.bprime:
             raise ValidationError("factor count does not match signature")
         for g in gs:
             if g.shape[0] != self.X.k:
                 raise ValidationError("factor size does not match slice point")
-            if abs(np.linalg.det(g)) < DET_TOL:
-                raise SingularMatrixError("factor is numerically singular")
         object.__setattr__(self, "gs", gs)
-
-    @property
-    def n_factors(self) -> int:
-        return self.b + self.bprime
-
-    def orientation(self, i: int) -> str:
-        if not 0 <= i < self.n_factors:
-            raise ValidationError(f"factor index {i} out of range")
-        return INCOMING if i < self.b else OUTGOING
 
 
 @dataclass(frozen=True)
@@ -172,14 +173,8 @@ def axiom_d_residual(m: UClass) -> float:
 def g_action(m: UClass, i: int, g0: Matrix) -> UClass:
     """Boundary group action on factor i; the moment map transforms by
     Ad(g0) for both orientations."""
-    g0 = as_matrix(g0)
-    if abs(np.linalg.det(g0)) < DET_TOL:
-        raise SingularMatrixError("acting element is singular")
     gs = list(m.gs)
-    if m.orientation(i) == INCOMING:
-        gs[i] = g0 @ gs[i]
-    else:
-        gs[i] = gs[i] @ np.linalg.inv(g0)
+    gs[i] = _act(gs[i], g0, m.orientation(i))
     return replace(m, gs=tuple(gs))
 
 
@@ -298,10 +293,7 @@ def glue(m1: UClass, p_out: int, m2: UClass, q_in: int, receiver: int = 0) -> UC
         + [g for i, g in enumerate(m1.gs) if i >= m1.b and i != p_out]
         + list(m2.gs[m2.b :])
     )
-    if receiver < new_b:
-        gs[receiver] = gs[receiver] @ u
-    else:
-        gs[receiver] = u @ gs[receiver]
+    gs[receiver] = _absorb(gs[receiver], u, INCOMING if receiver < new_b else OUTGOING)
     return UClass(b=new_b, bprime=new_bprime, gs=tuple(gs), X=m1.X)
 
 
@@ -399,20 +391,13 @@ def a0_action(element, m: UClass) -> UClass:
     """Factor-wise abelian action on a class: factor i moves by
     exp(C_{P_i}(X)) on its action side.  For a sum-zero tuple (the diagonal
     quotient group) the result is equivalent to the input."""
-    from scipy.linalg import expm
-
-    from .lie import gradient_of_combination
-
     if element.n_factors != m.n_factors:
         raise ValidationError("polynomial tuple length does not match factors")
     x = slice_embed(m.X)
     gs = list(m.gs)
     for i, summands in enumerate(element.factors):
         u = expm(gradient_of_combination(summands, x))
-        if m.orientation(i) == INCOMING:
-            gs[i] = gs[i] @ u
-        else:
-            gs[i] = u @ gs[i]
+        gs[i] = _absorb(gs[i], u, m.orientation(i))
     return replace(m, gs=tuple(gs))
 
 
@@ -421,22 +406,18 @@ def stabilizer_solve(m: UClass) -> Matrix:
     (h, u_1..u_n) with u_i in Z(X), h u_1 = 1, the other factors fixed by
     their u_i, and prod u_i = 1.  Returns h (the identity when the action is
     free).  Raises if a nontrivial stabilizer shows up."""
-    from .lie import centralizer_basis
-
     x = slice_embed(m.X)
     k = m.X.k
     basis = centralizer_basis(x)
     prod = np.eye(k, dtype=complex)
     for i in range(1, m.n_factors):
         g = m.gs[i]
+        orientation = m.orientation(i)
         # solve g u = g  (incoming) / u g = g (outgoing) for u in span(basis)
-        if m.orientation(i) == INCOMING:
-            cols = np.stack([(g @ bm).ravel() for bm in basis], axis=1)
-        else:
-            cols = np.stack([(bm @ g).ravel() for bm in basis], axis=1)
+        cols = np.stack([_absorb(g, bm, orientation).ravel() for bm in basis], axis=1)
         coeffs, *_ = np.linalg.lstsq(cols, g.ravel(), rcond=None)
         u = sum(c * bm for c, bm in zip(coeffs, basis))
-        residual = np.max(np.abs((g @ u if m.orientation(i) == INCOMING else u @ g) - g))
+        residual = np.max(np.abs(_absorb(g, u, orientation) - g))
         if residual > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
             raise ValidationError("per-factor fixing equation unsolvable")
         # the homogeneous system must have no kernel: g invertible => unique

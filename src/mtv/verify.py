@@ -114,22 +114,22 @@ SUITE_NAMES = (
 )
 
 
+# Step of every finite difference the suites take.
+FD_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     k: int = 3
     trials: int = 50
     seed: int = 42
-    tol_fd: float = 1e-4
-    fd_step: float = 1e-4
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
         if self.trials < 1 or self.k < 1:
             raise ValidationError("trials and k must be positive")
-        if self.tol_fd <= 0 or self.fd_step <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.fd_step**2 <= np.finfo(float).eps:
-            raise ValidationError("fd_step^2 must exceed machine epsilon")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if not self.suites:
             raise ValidationError("empty suite list")
         for name in self.suites:
@@ -420,20 +420,28 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     return total
 
 
+def _moment_condition(
+    p: WPoint, a_fund: Matrix, observable, v: WTangent, step: float
+) -> tuple[complex, object]:
+    """omega(fund, v) for the fundamental field with group component a_fund,
+    and the central difference of `observable` along v, on a W point."""
+    chart = WChart(p)
+    fund = WTangent(a=a_fund, dc=np.zeros(p.X.k, dtype=complex))
+    lhs = w_symplectic(p, fund, v)
+    dobs = _central_difference(lambda c: observable(chart.point_at(*c)), chart, v, step)
+    return lhs, dobs
+
+
 def fd_moment_condition_w(
     p: WPoint, xi: Matrix, v: WTangent, step: float, sign_flip: bool = False
 ) -> float:
     """|omega(xi#, v) - <d mu(v), xi>| on a W point, d mu by central
     differences; `sign_flip` turns it into the negative control."""
-    chart = WChart(p)
-    k = p.X.k
     if p.orientation == INCOMING:
         a_fund = np.linalg.inv(p.g) @ xi @ p.g
     else:
         a_fund = -xi
-    fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
-    lhs = w_symplectic(p, fund, v)
-    dmu = _central_difference(lambda c: w_moment(chart.point_at(*c)), chart, v, step)
+    lhs, dmu = _moment_condition(p, a_fund, w_moment, v, step)
     rhs = pairing(dmu, xi)
     if sign_flip:
         rhs = -rhs
@@ -445,19 +453,15 @@ def fd_moment_condition_a(
 ) -> float:
     """Moment condition for the abelian action: the fundamental field of the
     degree-m generator against the finite difference of P_m(X)."""
-    chart = WChart(p)
-    k = p.X.k
     x = slice_embed(p.X)
     c = polarized_gradient(InvariantPolynomial(degree), x)
     if p.orientation == INCOMING:
         a_fund = c
     else:
         a_fund = np.linalg.inv(p.g) @ c @ p.g
-    fund = WTangent(a=a_fund, dc=np.zeros(k, dtype=complex))
-    lhs = w_symplectic(p, fund, v)
     pm = InvariantPolynomial(degree)
-    rhs = _central_difference(
-        lambda c: inv_poly_eval(pm, slice_embed(chart.point_at(*c).X)), chart, v, step
+    lhs, rhs = _moment_condition(
+        p, a_fund, lambda q: inv_poly_eval(pm, slice_embed(q.X)), v, step
     )
     return abs(lhs - rhs)
 
@@ -489,6 +493,7 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex:
 # A check takes (cfg, rng, k, case) and yields (part, residual) pairs; the
 # part "" is the suite's unnamed residual, named parts are also reported in
 # `details`.  For suites that loop over trials, `case` is the trial index.
+# A negative control takes its own RNG stream and returns one residual.
 
 _Residuals = Iterator[tuple[str, float]]
 
@@ -501,8 +506,8 @@ _SIGNATURES = tuple(
 @dataclass(frozen=True)
 class _Suite:
     check: Callable[[SuiteConfig, np.random.Generator, int, object], _Residuals]
-    negative: Callable[[SuiteConfig, np.random.Generator], float]
-    tolerance: float | None  # reported bound of max_residual; None: cfg.tol_fd
+    negative: Callable[[np.random.Generator], float]
+    tolerance: float  # reported bound of max_residual
     neg_threshold: float
     k_cap: int | None = 4  # None: the case is the matrix size, no draw
     # (part, fold, bound): "max" and "sum" parts must stay below the bound,
@@ -528,6 +533,12 @@ def _orientation(trial: int) -> str:
     return INCOMING if trial % 2 == 0 else OUTGOING
 
 
+def _worst_incoming_k3(rng: np.random.Generator, residual) -> float:
+    """The largest |residual(p, rng)| over four incoming k = 3 points p; each
+    point is drawn before the inputs that `residual` draws for it."""
+    return max(abs(residual(sample_wpoint(3, INCOMING, rng), rng)) for _ in range(4))
+
+
 def _check_polarization(cfg, rng, k, trial) -> _Residuals:
     x = sample_disc(rng, k, k)
     for m in range(1, k + 1):
@@ -539,7 +550,7 @@ def _check_polarization(cfg, rng, k, trial) -> _Residuals:
         yield "bracket_residual", float(np.max(np.abs(commutator(c, x))))
 
 
-def _negative_polarization(cfg, rng) -> float:
+def _negative_polarization(rng) -> float:
     # a wrong gradient (coefficient off by 10%)
     x = sample_disc(rng, 3, 3)
     c_bad = 1.1 * polarized_gradient(InvariantPolynomial(2), x)
@@ -553,31 +564,30 @@ def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:
     p = sample_wpoint(k, _orientation(trial), rng)
     xi = sample_disc(rng, k, k)
     v = sample_wtangent(k, rng)
-    yield "", fd_moment_condition_w(p, xi, v, cfg.fd_step)
+    yield "", fd_moment_condition_w(p, xi, v, FD_STEP)
     degree = int(rng.integers(1, k + 1))
-    yield "", fd_moment_condition_a(p, degree, v, cfg.fd_step)
+    yield "", fd_moment_condition_a(p, degree, v, FD_STEP)
 
 
-def _negative_hamiltonian_w(cfg, rng) -> float:
-    neg = 0.0
-    for _ in range(4):
-        p = sample_wpoint(3, INCOMING, rng)
+def _negative_hamiltonian_w(rng) -> float:
+    def flipped(p, rng):
         xi = sample_disc(rng, 3, 3)
         v = sample_wtangent(3, rng)
-        neg = max(neg, fd_moment_condition_w(p, xi, v, cfg.fd_step, sign_flip=True))
-    return neg
+        return fd_moment_condition_w(p, xi, v, FD_STEP, sign_flip=True)
+
+    return _worst_incoming_k3(rng, flipped)
 
 
 def _check_closedness(cfg, rng, k, trial) -> _Residuals:
     p = sample_wpoint(k, _orientation(trial), rng)
     tans = [sample_wtangent(k, rng) for _ in range(3)]
-    yield "w", abs(fd_exterior_derivative(w_symplectic, WChart(p), *tans, cfg.fd_step))
+    yield "w", abs(fd_exterior_derivative(w_symplectic, WChart(p), *tans, FD_STEP))
 
     b = int(rng.integers(1, 3))
     bp = int(rng.integers(0, 2))
     m = sample_uclass(k, b, bp, rng)
     utans = [sample_utangent(m, rng) for _ in range(3)]
-    yield "u", abs(fd_exterior_derivative(u_symplectic, UChart(m), *utans, cfg.fd_step))
+    yield "u", abs(fd_exterior_derivative(u_symplectic, UChart(m), *utans, FD_STEP))
 
     d = sample_jetscheme(k, 1, 0, rng)
     s = len(d.pieces)
@@ -585,18 +595,16 @@ def _check_closedness(cfg, rng, k, trial) -> _Residuals:
         FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, s))
         for _ in range(3)
     ]
-    yield "f", abs(fd_exterior_derivative(f_presymplectic, FChart(d), *ftans, cfg.fd_step))
+    yield "f", abs(fd_exterior_derivative(f_presymplectic, FChart(d), *ftans, FD_STEP))
 
 
-def _negative_closedness(cfg, rng) -> float:
+def _negative_closedness(rng) -> float:
     # the literal moment-wedge form is not closed
-    neg = 0.0
-    for _ in range(4):
-        chart = WChart(sample_wpoint(3, INCOMING, rng))
+    def d_literal(p, rng):
         tans = [sample_wtangent(3, rng) for _ in range(3)]
-        val = fd_exterior_derivative(w_symplectic_moment_wedge, chart, *tans, cfg.fd_step)
-        neg = max(neg, abs(val))
-    return neg
+        return fd_exterior_derivative(w_symplectic_moment_wedge, WChart(p), *tans, FD_STEP)
+
+    return _worst_incoming_k3(rng, d_literal)
 
 
 def _check_form_identity(cfg, rng, k, trial) -> _Residuals:
@@ -620,17 +628,13 @@ def _check_form_identity(cfg, rng, k, trial) -> _Residuals:
     yield "literal_discrepancy_identity", abs(literal - canon - mc) / scale
 
 
-def _negative_form_identity(cfg, rng) -> float:
-    neg = 0.0
-    for _ in range(4):
-        p = sample_wpoint(3, INCOMING, rng)
+def _negative_form_identity(rng) -> float:
+    def literal_gap(p, rng):
         tu = sample_wtangent(3, rng)
         tv = sample_wtangent(3, rng)
-        neg = max(
-            neg,
-            abs(w_symplectic_moment_wedge(p, tu, tv) - w_symplectic(p, tu, tv)),
-        )
-    return neg
+        return w_symplectic_moment_wedge(p, tu, tv) - w_symplectic(p, tu, tv)
+
+    return _worst_incoming_k3(rng, literal_gap)
 
 
 def _check_axiom_d(cfg, rng, k, trial) -> _Residuals:
@@ -638,7 +642,7 @@ def _check_axiom_d(cfg, rng, k, trial) -> _Residuals:
     yield "", axiom_d_residual(sample_uclass(k, b, bp, rng))
 
 
-def _negative_axiom_d(cfg, rng) -> float:
+def _negative_axiom_d(rng) -> float:
     # perturb the slice point in one slot only
     m = sample_uclass(3, 2, 1, rng)
     values = []
@@ -718,7 +722,7 @@ def _check_gluing(cfg, rng, k, trial) -> _Residuals:
         yield "", u_equivalence_residual(glued, expected)
 
 
-def _negative_gluing(cfg, rng) -> float:
+def _negative_gluing(rng) -> float:
     # mismatched moments must raise
     m1, p_out, m2, q_in = _matched_glue_pair(3, (1, 1), (1, 1), rng)
     m2_bad = UClass(
@@ -758,7 +762,7 @@ def _check_theorem_2_4_i(cfg, rng, k, trial) -> _Residuals:
     yield "min_pair_separation", sep
 
 
-def _negative_theorem_2_4_i(cfg, rng) -> float:
+def _negative_theorem_2_4_i(rng) -> float:
     # broken map: product in the wrong order is not class-invariant
     m = sample_uclass(3, 1, 1, rng)
     m_eq = _centralizer_twin(m, rng)
@@ -813,7 +817,7 @@ def _check_axiom_e(cfg, rng, k, trial) -> _Residuals:
     yield from _gaps(lhs_cls.gs, rhs_cls.gs)
 
 
-def _negative_axiom_e(cfg, rng) -> float:
+def _negative_axiom_e(rng) -> float:
     # the plain transpose involution is not the equivariance law
     p = sample_wpoint(3, INCOMING, rng)
     g0 = sample_group(3, rng)
@@ -859,7 +863,7 @@ def _check_hilbert_round_trip(cfg, rng, k, trial) -> _Residuals:
     yield "", float(np.max(np.abs(lhs.X.coeffs - rhs.X.coeffs)))
 
 
-def _negative_hilbert_round_trip(cfg, rng) -> float:
+def _negative_hilbert_round_trip(rng) -> float:
     # shifted jets on one piece give an inequivalent class
     d = sample_jetscheme(3, 1, 0, rng)
     m = hilb_to_u(d)
@@ -950,7 +954,7 @@ def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     yield "mispredictions", mistakes
 
 
-def _negative_fitting_orbits(cfg, rng) -> float:
+def _negative_fitting_orbits(rng) -> float:
     # a shifted moment is not in the same adjoint orbit
     d = sample_jetscheme(3, 1, 0, rng, lengths=[1, 1, 1])
     mu = f_moment(d)
@@ -971,7 +975,7 @@ def _free_action_cases(cfg: SuiteConfig) -> list:
     ]
 
 
-def _negative_free_action(cfg, rng) -> float:
+def _negative_free_action(rng) -> float:
     # without the product constraint any centralizer element is a
     # "stabilizer", so the solve would not be pinned to the identity
     m = sample_uclass(3, 2, 1, rng)
@@ -987,7 +991,7 @@ _SUITES = {
     ),
     "hamiltonian_w": _Suite(_check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2),
     "closedness": _Suite(
-        _check_closedness, _negative_closedness, None, 1e-2, k_cap=3,
+        _check_closedness, _negative_closedness, 1e-4, 1e-2, k_cap=3,
         parts=(("w", "max", None), ("u", "max", None), ("f", "max", None)),
     ),
     "form_identity": _Suite(
@@ -1036,17 +1040,16 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
         k = case if suite.k_cap is None else _draw_k(rng, cfg.k, suite.k_cap)
         for part, value in suite.check(cfg, rng, k, case):
             acc[part] = folds[part](acc[part], value)
-    neg = suite.negative(cfg, trial_rng(cfg.seed, f"{name}-neg", 0))
-    tol = cfg.tol_fd if suite.tolerance is None else suite.tolerance
+    neg = suite.negative(trial_rng(cfg.seed, f"{name}-neg", 0))
     passed = True
     for part, fold, bound in suite.parts:
-        bound = tol if bound is None else bound
+        bound = suite.tolerance if bound is None else bound
         passed = passed and (acc[part] > bound if fold == "min" else acc[part] < bound)
     return SuiteResult(
         name=name,
         trials=len(cases) if suite.trials is None else suite.trials,
         max_residual=float(max(acc[part] for part, fold, _ in suite.parts if fold != "min")),
-        tolerance=tol,
+        tolerance=suite.tolerance,
         negative_residual=neg,
         passed=passed and neg > suite.neg_threshold,
         seconds=time.perf_counter() - t0,

@@ -18,14 +18,14 @@ variants are exposed so the discrepancy can be pinned down in tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import SignatureError, SingularMatrixError, ValidationError
 from .lie import (
     InvariantPolynomial,
     Matrix,
@@ -51,6 +51,46 @@ OUTGOING: Literal["out"] = "out"
 DET_TOL = 1e-12
 
 
+def _group_element(g) -> Matrix:
+    """g as a matrix; raises SingularMatrixError when |det g| < DET_TOL."""
+    g = as_matrix(g)
+    if abs(np.linalg.det(g)) < DET_TOL:
+        raise SingularMatrixError("group element is numerically singular")
+    return g
+
+
+def _act(g: Matrix, h: Matrix, orientation: str) -> Matrix:
+    """h acting on the factor g: h g if incoming, g h^{-1} if outgoing."""
+    h = _group_element(h)
+    if orientation == INCOMING:
+        return h @ g
+    return g @ np.linalg.inv(h)
+
+
+def _absorb(g: Matrix, u: Matrix, orientation: str) -> Matrix:
+    """The factor g absorbing u: g u if incoming, u g if outgoing."""
+    if orientation == INCOMING:
+        return g @ u
+    return u @ g
+
+
+class _Signature:
+    """Signature (b, b'): b incoming factors, then b' outgoing ones."""
+
+    def __post_init__(self):
+        if self.b < 0 or self.bprime < 0 or self.b + self.bprime < 1:
+            raise SignatureError("need b, b' >= 0 with b + b' >= 1")
+
+    @property
+    def n_factors(self) -> int:
+        return self.b + self.bprime
+
+    def orientation(self, i: int) -> str:
+        if not 0 <= i < self.n_factors:
+            raise ValidationError(f"factor index {i} out of range")
+        return INCOMING if i < self.b else OUTGOING
+
+
 @dataclass(frozen=True)
 class WPoint:
     g: Matrix
@@ -58,13 +98,11 @@ class WPoint:
     orientation: str
 
     def __post_init__(self):
-        g = as_matrix(self.g)
         if self.orientation not in (INCOMING, OUTGOING):
             raise ValidationError("orientation must be 'in' or 'out'")
+        g = _group_element(self.g)
         if g.shape[0] != self.X.k:
             raise ValidationError("group element and slice point sizes differ")
-        if abs(np.linalg.det(g)) < DET_TOL:
-            raise SingularMatrixError("group element is numerically singular")
         object.__setattr__(self, "g", g)
 
 
@@ -106,27 +144,29 @@ def w_moment(p: WPoint) -> Matrix:
     return _moment(p.g, slice_embed(p.X), p.orientation)
 
 
+def _form_directions(
+    p: WPoint, u: WTangent, v: WTangent
+) -> tuple[Matrix, Matrix, int]:
+    """The group directions the canonical form pairs, with the sign of its
+    curvature term: (a_u, a_v, +1) on an incoming point.  An outgoing point
+    uses the right-logarithmic (Ad(g) a_u, Ad(g) a_v, -1), so that the right
+    action g -> g g0^{-1} has moment -Ad(g^{-1}) X."""
+    if p.orientation == INCOMING:
+        return u.a, v.a, 1
+    ginv = np.linalg.inv(p.g)
+    return p.g @ u.a @ ginv, p.g @ v.a @ ginv, -1
+
+
 def w_symplectic(p: WPoint, u: WTangent, v: WTangent) -> complex:
     """The canonical symplectic form evaluated on two tangents at p."""
     x = slice_embed(p.X)
     dxu = slice_direction(p.X, u.dc)
     dxv = slice_direction(p.X, v.dc)
-    if p.orientation == INCOMING:
-        au, av = u.a, v.a
-        return (
-            pairing(au, dxv)
-            - pairing(av, dxu)
-            + pairing(x, commutator(au, av))
-        )
-    # Outgoing: right-logarithmic components b = Ad(g) a, opposite curvature
-    # sign, so that the right action g -> g g0^{-1} has moment -Ad(g^{-1})X.
-    ginv = np.linalg.inv(p.g)
-    bu = p.g @ u.a @ ginv
-    bv = p.g @ v.a @ ginv
+    au, av, sign = _form_directions(p, u, v)
     return (
-        pairing(bu, dxv)
-        - pairing(bv, dxu)
-        - pairing(x, commutator(bu, bv))
+        pairing(au, dxv)
+        - pairing(av, dxu)
+        + sign * pairing(x, commutator(au, av))
     )
 
 
@@ -172,23 +212,14 @@ def w_symplectic_moment_wedge(p: WPoint, u: WTangent, v: WTangent) -> complex:
 def maurer_cartan_term(p: WPoint, u: WTangent, v: WTangent) -> complex:
     """The exact discrepancy w_symplectic_moment_wedge - w_symplectic."""
     x = slice_embed(p.X)
-    if p.orientation == INCOMING:
-        return pairing(x, commutator(u.a, v.a))
-    ginv = np.linalg.inv(p.g)
-    bu = p.g @ u.a @ ginv
-    bv = p.g @ v.a @ ginv
-    return -pairing(x, commutator(bu, bv))
+    au, av, sign = _form_directions(p, u, v)
+    return sign * pairing(x, commutator(au, av))
 
 
 def g_act_w(p: WPoint, g0: Matrix) -> WPoint:
     """Boundary group action: left translation on incoming, inverse right
     translation on outgoing; the moment map transforms by Ad(g0) either way."""
-    g0 = as_matrix(g0)
-    if abs(np.linalg.det(g0)) < DET_TOL:
-        raise SingularMatrixError("acting element is singular")
-    if p.orientation == INCOMING:
-        return WPoint(g=g0 @ p.g, X=p.X, orientation=p.orientation)
-    return WPoint(g=p.g @ np.linalg.inv(g0), X=p.X, orientation=p.orientation)
+    return replace(p, g=_act(p.g, g0, p.orientation))
 
 
 def a_action(
@@ -199,10 +230,7 @@ def a_action(
     exp(C_P(X)) on incoming points, left multiplication on outgoing ones."""
     x = slice_embed(p.X)
     c = gradient_of_combination(summands, x)
-    u = expm(c)
-    if p.orientation == INCOMING:
-        return WPoint(g=p.g @ u, X=p.X, orientation=p.orientation)
-    return WPoint(g=u @ p.g, X=p.X, orientation=p.orientation)
+    return replace(p, g=_absorb(p.g, expm(c), p.orientation))
 
 
 def a_moment(p: WPoint) -> np.ndarray:
@@ -213,13 +241,10 @@ def a_moment(p: WPoint) -> np.ndarray:
 def theta(m: Matrix, kind: str = "algebra") -> Matrix:
     """The type-A involution for the diagonal Cartan: -A^T on the algebra,
     inverse transpose on the group."""
-    m = as_matrix(m)
     if kind == "algebra":
-        return -m.T
+        return -as_matrix(m).T
     if kind == "group":
-        if abs(np.linalg.det(m)) < DET_TOL:
-            raise SingularMatrixError("group involution needs invertible input")
-        return np.linalg.inv(m).T
+        return np.linalg.inv(_group_element(m)).T
     raise ValidationError("kind must be 'algebra' or 'group'")
 
 

@@ -35,7 +35,7 @@ def test_criterion_01_polarization():
 
 
 def test_criterion_02_hamiltonian_w():
-    res = _run("hamiltonian_w", k=4, trials=100, fd_step=1e-4)
+    res = _run("hamiltonian_w", k=4, trials=100)
     ok = res.max_residual < 1e-5 and res.negative_residual > 1e-2
     _report(
         "hamiltonian_w",
@@ -46,7 +46,7 @@ def test_criterion_02_hamiltonian_w():
 
 
 def test_criterion_03_closedness():
-    res = _run("closedness", k=3, trials=50, tol_fd=1e-4, fd_step=1e-4)
+    res = _run("closedness", k=3, trials=50)
     ok = (
         res.details["w"] < 1e-4
         and res.details["u"] < 1e-4

@@ -49,10 +49,25 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 def test_verify_rejects_removed_knobs(capsys):
-    # --b, --bprime and --tol-alg never took effect in verify
+    # --b, --bprime and --tol-alg never took effect in verify; the
+    # finite-difference step and tolerance are fixed
     assert main(["verify", "--tol-alg", "1e-10"]) == 2
     assert main(["verify", "--b", "2"]) == 2
     assert main(["verify", "--bprime", "1"]) == 2
+    assert main(["verify", "--tol-fd", "1e-4"]) == 2
+    assert main(["verify", "--fd-step", "1e-4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k", "2", "--trials", "1", "--seed", "-1", "--suite", "axiom_d"],
+        ["sample", "--kind", "wpoint", "--seed", "-5"],
+        ["sample", "--kind", "wpoint", "--k", "-1"],
+    ],
+)
+def test_invalid_seed_or_size_exit_2(argv):
+    assert main(argv) == 2
 
 
 def test_glue_round_trip(tmp_path, capsys):

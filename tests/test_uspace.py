@@ -5,6 +5,7 @@ from mtv.errors import (
     GluingError,
     LevelSetError,
     SignatureError,
+    SingularMatrixError,
     ValidationError,
 )
 from mtv.lie import AElement, InvariantPolynomial, commutator, is_regular
@@ -39,7 +40,7 @@ from mtv.verify import (
     sample_utangent,
     sample_wpoint,
 )
-from mtv.wspace import INCOMING, OUTGOING, WPoint, WTangent, w_symplectic
+from mtv.wspace import INCOMING, OUTGOING, WPoint, WTangent, g_act_w, theta, w_symplectic
 
 from conftest import rand_complex
 
@@ -222,6 +223,27 @@ class TestActions:
         )
         assert not elem.is_sum_zero(3)
         assert not u_equivalent(m, a0_action(elem, m))
+
+
+SINGULAR = np.diag([1.0, 1e-13])
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda m, p: WPoint(g=SINGULAR, X=m.X, orientation=INCOMING),
+        lambda m, p: UClass(b=1, bprime=1, gs=(m.gs[0], SINGULAR), X=m.X),
+        lambda m, p: g_act_w(p, SINGULAR),
+        lambda m, p: g_action(m, 1, SINGULAR),
+        lambda m, p: theta(SINGULAR, "group"),
+    ],
+    ids=["WPoint", "UClass", "g_act_w", "g_action", "theta"],
+)
+def test_singular_group_element_refused(use, rng):
+    m = sample_uclass(2, 1, 1, rng)
+    p = sample_wpoint(2, OUTGOING, rng)
+    with pytest.raises(SingularMatrixError):
+        use(m, p)
 
 
 class TestUSymplectic:

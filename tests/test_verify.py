@@ -23,10 +23,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SuiteConfig(trials=0)
         with pytest.raises(ValidationError):
-            SuiteConfig(tol_fd=-1.0)
-        with pytest.raises(ValidationError):
-            SuiteConfig(fd_step=1e-9)
-        with pytest.raises(ValidationError):
             SuiteConfig(suites=())
         with pytest.raises(ValidationError):
             SuiteConfig(suites=("no_such_suite",))
