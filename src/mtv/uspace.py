@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .errors import (
     GluingError,
@@ -28,6 +28,7 @@ from .lie import (
     centralizer_basis,
     commutator,
     gradient_of_combination,
+    nullspace,
     pairing,
     power_traces,
 )
@@ -160,13 +161,19 @@ def u_moment(m: UClass, i: int) -> Matrix:
 def axiom_d_residual(m: UClass) -> float:
     """Max spread of the invariant polynomial values over all boundary
     moments: P(mu_i) must equal P(mu_j) and P(-mu'_l) for every generator."""
-    values = []
-    for i in range(m.n_factors):
-        mu = u_moment(m, i)
-        if m.orientation(i) == OUTGOING:
-            mu = -mu
-        values.append(power_traces(mu))
-    arr = np.array(values)
+    return _invariant_spread(_signed_moments(m))
+
+
+def _signed_moments(m: UClass) -> list[Matrix]:
+    """mu_i for incoming factors and -mu'_l for outgoing ones."""
+    mus = (u_moment(m, i) for i in range(m.n_factors))
+    return [mu if m.orientation(i) == INCOMING else -mu for i, mu in enumerate(mus)]
+
+
+def _invariant_spread(moments: Sequence[Matrix]) -> float:
+    """Largest difference of the power traces of any moment from those of
+    the first."""
+    arr = np.array([power_traces(mu) for mu in moments])
     return float(np.max(np.abs(arr - arr[0])))
 
 
@@ -401,31 +408,30 @@ def a0_action(element, m: UClass) -> UClass:
     return replace(m, gs=tuple(gs))
 
 
-def stabilizer_solve(m: UClass) -> Matrix:
-    """Solve the freeness conditions for the first-factor action: find all
-    (h, u_1..u_n) with u_i in Z(X), h u_1 = 1, the other factors fixed by
-    their u_i, and prod u_i = 1.  Returns h (the identity when the action is
-    free).  Raises if a nontrivial stabilizer shows up."""
-    x = slice_embed(m.X)
-    k = m.X.k
-    basis = centralizer_basis(x)
-    prod = np.eye(k, dtype=complex)
-    for i in range(1, m.n_factors):
-        g = m.gs[i]
-        orientation = m.orientation(i)
-        # solve g u = g  (incoming) / u g = g (outgoing) for u in span(basis)
-        cols = np.stack([_absorb(g, bm, orientation).ravel() for bm in basis], axis=1)
-        coeffs, *_ = np.linalg.lstsq(cols, g.ravel(), rcond=None)
-        u = sum(c * bm for c, bm in zip(coeffs, basis))
-        residual = np.max(np.abs(_absorb(g, u, orientation) - g))
-        if residual > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-            raise ValidationError("per-factor fixing equation unsolvable")
-        # the homogeneous system must have no kernel: g invertible => unique
-        sigma = np.linalg.svd(cols, compute_uv=False)
-        if sigma[-1] <= 1e-9 * sigma[0]:
-            raise ValidationError("unexpected kernel in the fixing equations")
-        prod = prod @ u
-    # h is forced by h u_1 = 1 with u_1 = (prod of the others)^{-1}
-    u1 = np.linalg.inv(prod)
-    h = np.linalg.inv(u1)
-    return h
+def _stabilizer_relation(m: UClass) -> list[Matrix]:
+    """Row blocks of the freeness relation for the first-factor action,
+    linearized at the identity.  The unknowns are (xi, zeta_1..zeta_n) in
+    gl(k) + Z(X)^n, xi as row-major vec and each zeta_i in `centralizer_basis`
+    coordinates.  Block 1: factor 1 absorbing zeta_1 equals factor 1 moved by
+    xi (xi g_1 incoming, -g_1 xi outgoing).  Blocks 2..n: factor i absorbs
+    zeta_i to zero.  Last block: the product constraint, sum zeta_i = 0."""
+    k, n = m.X.k, m.n_factors
+    basis = centralizer_basis(slice_embed(m.X))
+    eye = np.eye(k, dtype=complex)
+    g1 = m.gs[0]
+    moved = np.kron(eye, g1.T) if m.orientation(0) == INCOMING else -np.kron(g1, eye)
+    absorbed = block_diag(*(
+        np.stack([_absorb(g, z, m.orientation(i)).ravel() for z in basis], axis=1)
+        for i, g in enumerate(m.gs)
+    ))
+    xi_cols = np.vstack([-moved, np.zeros(((n - 1) * k * k, k * k))])
+    zeta_sum = np.tile(np.stack([z.ravel() for z in basis], axis=1), n)
+    product = np.hstack([np.zeros((k * k, k * k)), zeta_sum])
+    return np.split(np.hstack([xi_cols, absorbed]), n) + [product]
+
+
+def stabilizer_dimension(m: UClass) -> int:
+    """Dimension of the linearized stabilizer of m under the first-factor
+    action: the kernel dimension of `_stabilizer_relation`, 0 when the
+    action is free."""
+    return len(nullspace(np.vstack(_stabilizer_relation(m))))

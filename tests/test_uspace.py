@@ -8,7 +8,7 @@ from mtv.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from mtv.lie import AElement, InvariantPolynomial, commutator, is_regular
+from mtv.lie import AElement, InvariantPolynomial, commutator, is_regular, nullspace
 from mtv.slodowy import slice_embed, slice_point
 from mtv.uspace import (
     UClass,
@@ -21,7 +21,8 @@ from mtv.uspace import (
     glue,
     perm_action,
     sl_membership,
-    stabilizer_solve,
+    _stabilizer_relation,
+    stabilizer_dimension,
     u11_from_tstar,
     u11_to_tstar,
     u_build,
@@ -32,6 +33,7 @@ from mtv.uspace import (
     w00_from_glue,
 )
 from mtv.verify import (
+    _SIGNATURES,
     UChart,
     fd_exterior_derivative,
     sample_centralizer_element,
@@ -576,9 +578,14 @@ class TestPhiEClass:
 
 
 class TestFreeAction:
-    @pytest.mark.parametrize("sig", [(1, 0), (2, 0), (1, 1), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("sig", _SIGNATURES)
     def test_only_identity_stabilizer(self, sig, rng):
-        for _ in range(5):
-            m = sample_uclass(3, *sig, rng)
-            h = stabilizer_solve(m)
-            assert np.max(np.abs(h - np.eye(3))) < 1e-9
+        for k in range(2, 6):
+            assert stabilizer_dimension(sample_uclass(k, *sig, rng)) == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_without_product_constraint_kernel_is_k(self, k, rng):
+        # every centralizer direction of factor 1 then stabilizes the class
+        for sig in _SIGNATURES:
+            blocks = _stabilizer_relation(sample_uclass(k, *sig, rng))
+            assert len(nullspace(np.vstack(blocks[:-1]))) == k

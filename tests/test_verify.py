@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mtv import verify
 from mtv.errors import ValidationError
+from mtv.slodowy import slice_embed
 from mtv.verify import (
     SUITE_NAMES,
     SuiteConfig,
@@ -156,3 +158,21 @@ class TestRunSuite:
         report = run_suite(cfg)
         for s in report.suites:
             assert s.negative_residual > s.tolerance
+
+
+# Each negative control must run the routine its suite checks: with that
+# routine stubbed out, the control must stop exceeding its threshold.
+@pytest.mark.parametrize(
+    "name, routine, stub",
+    [
+        ("axiom_d", "_invariant_spread", lambda moments: 0.0),
+        ("theorem_2_4_i", "u11_to_tstar", lambda m: (np.eye(m.X.k), slice_embed(m.X))),
+        ("free_action", "_stabilizer_relation", lambda m: [np.eye(m.X.k ** 2)] * 2),
+    ],
+    ids=["axiom_d", "theorem_2_4_i", "free_action"],
+)
+def test_negative_control_runs_guarded_routine(name, routine, stub, monkeypatch):
+    suite = verify._SUITES[name]
+    assert suite.negative(trial_rng(2, f"{name}-neg", 0)) > suite.neg_threshold
+    monkeypatch.setattr(verify, routine, stub)
+    assert suite.negative(trial_rng(2, f"{name}-neg", 0)) < suite.neg_threshold
