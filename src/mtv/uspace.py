@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .errors import (
     GluingError,
@@ -25,10 +25,8 @@ from .lie import (
     Matrix,
     _krylov_frame,
     as_matrix,
-    centralizer_basis,
     commutator,
     gradient_of_combination,
-    nullspace,
     pairing,
     power_traces,
 )
@@ -406,32 +404,3 @@ def a0_action(element, m: UClass) -> UClass:
         u = expm(gradient_of_combination(summands, x))
         gs[i] = _absorb(gs[i], u, m.orientation(i))
     return replace(m, gs=tuple(gs))
-
-
-def _stabilizer_relation(m: UClass) -> list[Matrix]:
-    """Row blocks of the freeness relation for the first-factor action,
-    linearized at the identity.  The unknowns are (xi, zeta_1..zeta_n) in
-    gl(k) + Z(X)^n, xi as row-major vec and each zeta_i in `centralizer_basis`
-    coordinates.  Block 1: factor 1 absorbing zeta_1 equals factor 1 moved by
-    xi (xi g_1 incoming, -g_1 xi outgoing).  Blocks 2..n: factor i absorbs
-    zeta_i to zero.  Last block: the product constraint, sum zeta_i = 0."""
-    k, n = m.X.k, m.n_factors
-    basis = centralizer_basis(slice_embed(m.X))
-    eye = np.eye(k, dtype=complex)
-    g1 = m.gs[0]
-    moved = np.kron(eye, g1.T) if m.orientation(0) == INCOMING else -np.kron(g1, eye)
-    absorbed = block_diag(*(
-        np.stack([_absorb(g, z, m.orientation(i)).ravel() for z in basis], axis=1)
-        for i, g in enumerate(m.gs)
-    ))
-    xi_cols = np.vstack([-moved, np.zeros(((n - 1) * k * k, k * k))])
-    zeta_sum = np.tile(np.stack([z.ravel() for z in basis], axis=1), n)
-    product = np.hstack([np.zeros((k * k, k * k)), zeta_sum])
-    return np.split(np.hstack([xi_cols, absorbed]), n) + [product]
-
-
-def stabilizer_dimension(m: UClass) -> int:
-    """Dimension of the linearized stabilizer of m under the first-factor
-    action: the kernel dimension of `_stabilizer_relation`, 0 when the
-    action is free."""
-    return len(nullspace(np.vstack(_stabilizer_relation(m))))

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from .errors import GluingError, ValidationError
+from .errors import GluingError, SingularMatrixError, ValidationError
 from .hilbert import (
     FTangent,
     JetScheme,
@@ -53,7 +53,6 @@ from .lie import (
     gradient_of_combination,
     inv_poly_eval,
     is_regular,
-    nullspace,
     pairing,
     polarized_gradient,
 )
@@ -70,7 +69,6 @@ from .uspace import (
     g_action,
     glue,
     phi_e_class,
-    stabilizer_dimension,
     u11_from_tstar,
     u11_to_tstar,
     u_equivalence_residual,
@@ -79,7 +77,6 @@ from .uspace import (
     axiom_d_residual,
     _invariant_spread,
     _signed_moments,
-    _stabilizer_relation,
 )
 from .wspace import (
     INCOMING,
@@ -937,16 +934,30 @@ def _negative_fitting_orbits(rng) -> float:
     return 0.0 if adjoint_orbits_match(mu, mu + 0.3 * np.eye(3)) else 10.0
 
 
+def _accepts_first_factor(m: UClass, g: Matrix) -> float:
+    """1.0 if a class takes g as its first factor, 0.0 if it refuses it."""
+    try:
+        UClass(b=m.b, bprime=m.bprime, gs=(g,) + m.gs[1:], X=m.X)
+    except SingularMatrixError:
+        return 0.0
+    return 1.0
+
+
 def _check_free_action(cfg, rng, k, trial) -> _Residuals:
+    # The first-factor action is free by construction: h g_1 = g_1 z_1 with
+    # the other factors fixed and prod z_i = 1 forces every z_i = 1, hence
+    # h = 1, once each factor is invertible.  So the part that can fail is
+    # the refusal of a singular factor, which every h = 1 + v w^T with
+    # w^T g_1 = 0 would fix.
     b, bp = _SIGNATURES[trial % len(_SIGNATURES)]
-    yield "", stabilizer_dimension(sample_uclass(k, b, bp, rng))
+    m = sample_uclass(k, b, bp, rng)
+    yield "", _accepts_first_factor(m, m.gs[0] @ np.diag([1.0] * (k - 1) + [0.0]))
 
 
 def _negative_free_action(rng) -> float:
-    # without the product constraint every centralizer direction of factor
-    # 1 is a stabilizer direction: a kernel of dimension k = 3
-    blocks = _stabilizer_relation(sample_uclass(3, 2, 1, rng))
-    return float(len(nullspace(np.vstack(blocks[:-1]))))
+    # a scaled first factor stays invertible, so the class must take it
+    m = sample_uclass(3, 2, 1, rng)
+    return _accepts_first_factor(m, 0.5 * m.gs[0])
 
 
 # name -> _Suite(check, negative control, tolerance, negative threshold, ...)
@@ -983,8 +994,8 @@ _SUITES = {
         parts=(("mispredictions", "sum", None),),
         cases=lambda cfg: [("fitting_orbits", k, k) for k in _JORDAN_TYPES],
     ),
-    # integer kernel dimensions: 0.5 separates 0 from 1
-    "free_action": _Suite(_check_free_action, _negative_free_action, 0.5, 2.5, k_cap=5),
+    # acceptances are counted 0 or 1: 0.5 separates them
+    "free_action": _Suite(_check_free_action, _negative_free_action, 0.5, 0.5, k_cap=5),
 }
 
 

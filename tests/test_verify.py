@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mtv import verify
+from mtv import uspace, verify
 from mtv.errors import ValidationError
+from mtv.lie import as_matrix
 from mtv.slodowy import slice_embed
 from mtv.verify import (
     SUITE_NAMES,
@@ -167,7 +168,7 @@ class TestRunSuite:
     [
         ("axiom_d", "_invariant_spread", lambda moments: 0.0),
         ("theorem_2_4_i", "u11_to_tstar", lambda m: (np.eye(m.X.k), slice_embed(m.X))),
-        ("free_action", "_stabilizer_relation", lambda m: [np.eye(m.X.k ** 2)] * 2),
+        ("free_action", "_accepts_first_factor", lambda m, g: 0.0),
     ],
     ids=["axiom_d", "theorem_2_4_i", "free_action"],
 )
@@ -176,3 +177,10 @@ def test_negative_control_runs_guarded_routine(name, routine, stub, monkeypatch)
     assert suite.negative(trial_rng(2, f"{name}-neg", 0)) > suite.neg_threshold
     monkeypatch.setattr(verify, routine, stub)
     assert suite.negative(trial_rng(2, f"{name}-neg", 0)) < suite.neg_threshold
+
+
+def test_free_action_fails_without_singular_refusal(monkeypatch):
+    # with the determinant check gone, a class takes a singular first factor
+    monkeypatch.setattr(uspace, "_group_element", as_matrix)
+    res = run_suite(SuiteConfig(k=3, trials=3, seed=1, suites=("free_action",))).suites[0]
+    assert res.max_residual == 1.0 and not res.passed
