@@ -21,6 +21,7 @@ is what ships.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,7 @@ from .errors import (
 from .lie import Matrix, _krylov_frame, as_matrix, commutator, pairing, power_traces
 from .slodowy import (
     SlicePoint,
+    _slice_frame,
     slice_coefficients_from_roots,
     slice_embed,
 )
@@ -73,15 +75,20 @@ class LocalPiece:
                 raise ValidationError(
                     f"jet must have shape (length, k), got {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValidationError("jet entries must be finite")
             if k is None:
                 k = arr.shape[1]
             elif arr.shape[1] != k:
                 raise ValidationError("jets disagree on the ambient dimension")
-            if np.linalg.norm(arr[0]) == 0.0:
+            if not arr[0].any():
                 raise DegenerateSchemeError("leading jet vector vanishes")
             jets.append(arr)
+        z = complex(self.z)
+        if not cmath.isfinite(z):
+            raise ValidationError("base point must be finite")
         object.__setattr__(self, "jets", tuple(jets))
-        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "z", z)
 
     @property
     def k(self) -> int:
@@ -324,12 +331,9 @@ def slice_conjugator(d: JetScheme) -> Matrix:
         raise DegenerateSchemeError(
             "base points collide: no slice conjugator (scheme not transverse)"
         )
-    roots = np.concatenate([[p.z] * p.length for p in d.pieces])
-    x = slice_embed(slice_coefficients_from_roots(roots, d.k))
-    # e_1 is exactly cyclic for slice matrices: the frame is unit lower
-    # triangular.  The sum of the block-end basis vectors is cyclic for J(D)
-    # when base points are pairwise distinct.
-    bx = _krylov_frame(x, np.eye(d.k, dtype=complex)[0])
+    # The sum of the block-end basis vectors is cyclic for J(D) when base
+    # points are pairwise distinct.
+    bx = _slice_frame(scheme_slice_point(d))
     v = np.zeros(d.k, dtype=complex)
     offset = 0
     for p in d.pieces:

@@ -32,6 +32,15 @@ def _parses_input(fn):
     return reader
 
 
+def _int_field(data, key: str) -> int:
+    """The integer field `key` of a JSON object; bools, floats and strings
+    are refused rather than truncated."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -69,7 +78,7 @@ def slice_point_to_json(s: SlicePoint) -> dict:
 
 @_parses_input
 def slice_point_from_json(data) -> SlicePoint:
-    return SlicePoint(k=int(data["k"]), coeffs=vector_from_json(data["coeffs"]))
+    return SlicePoint(k=_int_field(data, "k"), coeffs=vector_from_json(data["coeffs"]))
 
 
 def wpoint_to_json(p: WPoint) -> dict:
@@ -104,8 +113,8 @@ def uclass_to_json(m: UClass) -> dict:
 @_parses_input
 def uclass_from_json(data) -> UClass:
     return UClass(
-        b=int(data["b"]),
-        bprime=int(data["bprime"]),
+        b=_int_field(data, "b"),
+        bprime=_int_field(data, "bprime"),
         gs=tuple(matrix_from_json(g) for g in data["gs"]),
         X=slice_point_from_json(data["X"]),
     )
@@ -134,7 +143,7 @@ def jetscheme_to_json(d: JetScheme) -> dict:
 def jetscheme_from_json(data) -> JetScheme:
     pieces = []
     for pd in data["pieces"]:
-        length = int(pd["len"])
+        length = _int_field(pd, "len")
         jets = tuple(
             np.array([vector_from_json(vec) for vec in factor], dtype=complex)
             for factor in pd["jets"]
@@ -143,8 +152,8 @@ def jetscheme_from_json(data) -> JetScheme:
             LocalPiece(z=pair_to_complex(pd["z"]), length=length, jets=jets)
         )
     return JetScheme(
-        k=int(data["k"]),
-        b=int(data["b"]),
-        bprime=int(data["bprime"]),
+        k=_int_field(data, "k"),
+        b=_int_field(data, "b"),
+        bprime=_int_field(data, "bprime"),
         pieces=tuple(pieces),
     )

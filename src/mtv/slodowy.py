@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RegularityError, ValidationError
-from .lie import Matrix, as_matrix, is_regular, power_traces
+from .lie import Matrix, _krylov_frame, as_matrix, is_regular, power_traces
 
 # Entrywise tolerance for slice membership tests.
 SLICE_TOL = 1e-10
@@ -116,16 +116,23 @@ def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
     return SlicePoint(k=k, coeffs=coeffs)
 
 
-def slice_representative(x: Matrix, check_regular: bool = True) -> SlicePoint:
+def slice_representative(x: Matrix) -> SlicePoint:
     """The unique slice point whose embedded matrix has the characteristic
     polynomial of X.
 
     Works through power traces (see `_slice_from_power_sums`).
     """
     x = as_matrix(x)
-    if check_regular and not is_regular(x):
+    if not is_regular(x):
         raise RegularityError("slice representative requires a regular matrix")
     return _slice_from_power_sums(power_traces(x), x.shape[0])
+
+
+def _slice_frame(s: SlicePoint) -> Matrix:
+    """The Krylov frame (e_1, X e_1, ..., X^(k-1) e_1) of the slice matrix X.
+    X is e plus an upper triangular matrix, so the frame is unit upper
+    triangular: e_1 is cyclic for every slice matrix."""
+    return _krylov_frame(slice_embed(s), np.eye(s.k, dtype=complex)[0])
 
 
 def slice_coefficients_from_roots(roots: np.ndarray, k: int) -> SlicePoint:

@@ -30,7 +30,7 @@ from .lie import (
     pairing,
     power_traces,
 )
-from .slodowy import SlicePoint, slice_embed, slice_representative
+from .slodowy import SlicePoint, _slice_frame, slice_embed, slice_representative
 from .wspace import (
     INCOMING,
     OUTGOING,
@@ -342,21 +342,13 @@ def find_cyclic_vector(x: Matrix) -> np.ndarray:
     return best
 
 
-def conjugation_to(x_from: Matrix, x_to: Matrix) -> Matrix:
-    """An invertible g with g x_from g^{-1} = x_to, for regular matrices with
-    equal characteristic polynomial, via matching Krylov frames."""
-    b_from = find_cyclic_vector(x_from)
-    b_to = find_cyclic_vector(x_to)
-    # both satisfy  x b = b K  with the same companion K, so g = b_to b_from^{-1}
-    g = b_to @ np.linalg.inv(b_from)
-    return g
-
-
 def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
     """Explicit inverse of `u11_to_tstar` on (g, regular Y)."""
     y = as_matrix(y)
     x = slice_representative(y)
-    g1 = conjugation_to(slice_embed(x), y)
+    # both frames satisfy  M b = b K  with the same companion K, so
+    # g1 = b_y b_x^{-1} conjugates slice_embed(x) to y
+    g1 = find_cyclic_vector(y) @ np.linalg.inv(_slice_frame(x))
     g2 = np.linalg.inv(g1) @ g
     return UClass(b=1, bprime=1, gs=(g1, g2), X=x)
 

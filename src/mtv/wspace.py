@@ -19,7 +19,6 @@ variants are exposed so the discrepancy can be pinned down in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -32,17 +31,10 @@ from .lie import (
     as_matrix,
     commutator,
     gradient_of_combination,
-    nullspace,
     pairing,
     power_traces,
 )
-from .slodowy import (
-    SlicePoint,
-    _f_powers,
-    principal_triple,
-    slice_embed,
-    slice_representative,
-)
+from .slodowy import SlicePoint, _f_powers, slice_embed
 
 INCOMING: Literal["in"] = "in"
 OUTGOING: Literal["out"] = "out"
@@ -248,84 +240,42 @@ def theta(m: Matrix, kind: str = "algebra") -> Matrix:
     raise ValidationError("kind must be 'algebra' or 'group'")
 
 
-@lru_cache(maxsize=None)
 def opposite_slice_conjugator(k: int) -> Matrix:
     """The intertwiner p with p e' p^{-1} = e, p h' p^{-1} = h, p f' p^{-1} = f,
-    where (e', h', f') = (e^T-pattern ones superdiagonal, -h, f^T) is the
-    opposite principal triple.  p maps the opposite slice onto the slice,
-    preserving slice coefficients; unique up to scale (Schur), normalized so
-    the first column's first nonzero entry is 1.  Cached per k.
-    """
-    t = principal_triple(k)
-    e2 = t.e.T.copy()  # ones on the superdiagonal
-    f2 = t.f.T.copy()
-    h2 = -t.h
-    eye = np.eye(k, dtype=complex)
-    rows = []
-    for a, b in ((e2, t.e), (h2, t.h), (f2, t.f)):
-        # p a = b p  <=>  (I (x) a^T - b (x) I) vec(p) = 0  (row-major vec)
-        rows.append(np.kron(eye, a.T) - np.kron(b, eye))
-    system = np.vstack(rows)
-    kernel = nullspace(system)
-    if kernel.shape[0] != 1:
-        raise ValidationError(
-            f"intertwiner space has dimension {kernel.shape[0]}, expected 1"
-        )
-    p = kernel[0].reshape(k, k)
-    first_col = p[:, 0]
-    nz = np.nonzero(np.abs(first_col) > 1e-9 * np.max(np.abs(p)))[0]
-    p = p / first_col[nz[0]]
-    return p
+    where (e', h', f') = (e^T, -h, f^T) is the opposite principal triple: the
+    reversal permutation J, exact in integer arithmetic and its own inverse.
+    It maps the opposite slice onto the slice, preserving slice coefficients."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    return np.eye(k, dtype=complex)[::-1].copy()
 
 
 def theta_twisted(g: Matrix, kind: str = "algebra") -> Matrix:
     """The involution Ad(p) o theta appearing in the orientation-reversal
-    equivariance law; p is the opposite-slice conjugator."""
-    g = as_matrix(g)
-    k = g.shape[0]
-    p = opposite_slice_conjugator(k)
-    return p @ theta(g, kind) @ np.linalg.inv(p)
+    equivariance law; p is the opposite-slice conjugator J, so this is
+    theta(g) with rows and columns reversed."""
+    return theta(g, kind)[::-1, ::-1].copy()
 
 
 def _reverse(a: Matrix) -> Matrix:
-    """p a^T p^{-1} with p the opposite-slice conjugator: the orientation
-    reversal of a group factor, g -> p theta(g)^{-1} p^{-1}, and of the
-    slice matrix, X -> -Ad(p) theta(X)."""
-    conj = opposite_slice_conjugator(a.shape[0])
-    return conj @ a.T @ np.linalg.inv(conj)
-
-
-# Residual bound asserted before re-reading the slice part in phi_E.
-PHI_SLICE_TOL = 1e-12
+    """J a^T J, the flip of a about its antidiagonal, as a new array: the
+    orientation reversal of a group factor, g -> p theta(g)^{-1} p^{-1}, and
+    of the slice matrix, X -> -Ad(p) theta(X).  An involution that fixes
+    every slice matrix exactly."""
+    return a.T[::-1, ::-1].copy()
 
 
 def phi_E(p: WPoint) -> WPoint:
-    """Orientation reversal W^{1,0} -> W^{0,1}:
-    (g, X) -> (p theta(g)^{-1} p^{-1}, slice part of -Ad(p) theta(X)).
-
-    With the intertwining conjugator the slice part equals X exactly; the
-    residual is asserted below tolerance before projecting back.
-    """
+    """Orientation reversal W^{1,0} -> W^{0,1}: (g, X) -> (p theta(g)^{-1}
+    p^{-1}, -Ad(p) theta(X)) = (_reverse(g), X), as `_reverse` fixes X."""
     if p.orientation != INCOMING:
         raise ValidationError("phi_E expects an incoming point")
-    x = slice_embed(p.X)
-    mapped = _reverse(x)
-    scale = max(1.0, float(np.max(np.abs(mapped))))
-    if float(np.max(np.abs(mapped - x))) > PHI_SLICE_TOL * scale:
-        raise ValidationError("slice part drifted off the slice in phi_E")
-    new_x = slice_representative(mapped, check_regular=False)
-    return WPoint(g=_reverse(p.g), X=new_x, orientation=OUTGOING)
+    return WPoint(g=_reverse(p.g), X=p.X, orientation=OUTGOING)
 
 
 def phi_E_inverse(p: WPoint) -> WPoint:
-    """Inverse of phi_E: outgoing -> incoming, by the same closed formulas."""
+    """Inverse of phi_E: outgoing -> incoming.  `_reverse` is an involution,
+    so this is the same map."""
     if p.orientation != OUTGOING:
         raise ValidationError("phi_E_inverse expects an outgoing point")
-    k = p.X.k
-    conj = opposite_slice_conjugator(k)
-    conj_inv = np.linalg.inv(conj)
-    x = slice_embed(p.X)
-    mapped = (conj_inv @ x @ conj).T
-    new_x = slice_representative(mapped, check_regular=False)
-    new_g = (conj_inv @ p.g @ conj).T
-    return WPoint(g=new_g, X=new_x, orientation=INCOMING)
+    return WPoint(g=_reverse(p.g), X=p.X, orientation=INCOMING)

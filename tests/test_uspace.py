@@ -568,6 +568,13 @@ class TestPhiEClass:
         for a, b in zip(lhs.gs, rhs.gs):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_moved_factor_is_a_copy(self, rng):
+        from mtv.uspace import phi_e_class
+
+        m = sample_uclass(3, 2, 1, rng)
+        q = phi_e_class(m)
+        assert not any(np.shares_memory(q.gs[-1], g) for g in m.gs)
+
     def test_needs_incoming_factor(self, rng):
         from mtv.uspace import phi_e_class
 

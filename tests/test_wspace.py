@@ -261,12 +261,20 @@ class TestOppositeSliceConjugator:
             candidate = p @ (t.e.T + fp[j].T) @ p_inv
             assert is_in_slice(candidate)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_intertwines_triples(self, k):
         p = opposite_slice_conjugator(k)
         t = principal_triple(k)
         for opp, std in ((t.e.T, t.e), (-t.h, t.h), (t.f.T, t.f)):
-            np.testing.assert_allclose(p @ opp, std @ p, atol=1e-12)
+            np.testing.assert_array_equal(p @ opp, std @ p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_is_reversal_permutation(self, k):
+        np.testing.assert_array_equal(opposite_slice_conjugator(k), np.eye(k)[::-1])
+
+    def test_rejects_k0(self):
+        with pytest.raises(ValidationError):
+            opposite_slice_conjugator(0)
 
 
 class TestPhiE:
@@ -304,6 +312,14 @@ class TestPhiE:
         back = phi_E_inverse(phi_E(p))
         np.testing.assert_allclose(back.g, p.g, atol=1e-12)
         np.testing.assert_allclose(back.X.coeffs, p.X.coeffs, atol=1e-12)
+
+    def test_round_trip_exact(self, rng):
+        for k in (1, 2, 3, 4, 5):
+            p = sample_wpoint(k, INCOMING, rng)
+            back = phi_E_inverse(phi_E(p))
+            assert back.orientation == INCOMING
+            np.testing.assert_array_equal(back.g, p.g)
+            np.testing.assert_array_equal(back.X.coeffs, p.X.coeffs)
 
     def test_moment_intertwining(self, rng):
         p = sample_wpoint(3, INCOMING, rng)
