@@ -530,26 +530,29 @@ def _f_moment_wedge(
 
 def f_gram_matrix(d: JetScheme) -> np.ndarray:
     """Gram matrix of the presymplectic form on the standard coordinate
-    tangents (matrix units for rho, one shift per piece)."""
+    tangents (matrix units E_ab for rho in row-major order, then one shift
+    e_i per piece).  The form is bilinear, so with mu = G J G^{-1} and
+    Q_i = G P_i G^{-1}, P_i the projection onto piece i, its blocks are
+
+        omega(E_ab, E_cd) = delta_bc mu_da - delta_da mu_bc,
+        omega(E_ab, e_i) = (Q_i)_ba,    omega(e_i, e_j) = 0.
+    """
+    if (d.b, d.bprime) != (1, 0):
+        raise SignatureError("the presymplectic form is defined for (1,0)")
+    mu = f_moment(d)  # refuses a singular factor matrix
     k = d.k
     s = len(d.pieces)
-    dim = k * k + s
-    basis: list[FTangent] = []
-    for a in range(k):
-        for b_ in range(k):
-            rho = np.zeros((k, k), dtype=complex)
-            rho[a, b_] = 1.0
-            basis.append(FTangent(rho=rho, dz=np.zeros(s, dtype=complex)))
-    for i in range(s):
-        dz = np.zeros(s, dtype=complex)
-        dz[i] = 1.0
-        basis.append(FTangent(rho=np.zeros((k, k), dtype=complex), dz=dz))
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = f_presymplectic(d, basis[i], basis[j])
-            gram[i, j] = val
-            gram[j, i] = -val
+    g = g_matrix(d, 0)
+    ginv = np.linalg.inv(g)
+    eye = np.eye(k)
+    rho_rho = np.einsum("bc,da->abcd", eye, mu) - np.einsum("da,bc->abcd", eye, mu)
+    # column i holds (Q_i)_ba at row a k + b; P_i is the shift of piece i alone
+    q = [g @ _eigen_shift(d, e) @ ginv for e in np.eye(s)]
+    rho_dz = np.stack([q_i.T.ravel() for q_i in q], axis=1)
+    gram = np.zeros((k * k + s, k * k + s), dtype=complex)
+    gram[: k * k, : k * k] = rho_rho.reshape(k * k, k * k)
+    gram[: k * k, k * k :] = rho_dz
+    gram[k * k :, : k * k] = -rho_dz.T
     return gram
 
 

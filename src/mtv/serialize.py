@@ -49,7 +49,11 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValidationError(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    re, im = pair
+    # float() would parse a string and read a bool as 0 or 1
+    if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
+        raise ValidationError(f"expected numbers [re, im], got {pair!r}")
+    return complex(float(re), float(im))
 
 
 def matrix_to_json(m: Matrix) -> list[list[list[float]]]:

@@ -17,7 +17,6 @@ action), an outgoing one -g^{-1} X g, and the scheme side G J G^{-1}.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 import zlib
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 from .errors import GluingError, SingularMatrixError, ValidationError
 from .hilbert import (
@@ -296,18 +295,36 @@ def sample_jetscheme(
 # ----------------------------------------------------------------------
 # flat charts and finite-difference operators
 #
-# A chart maps coordinates to points (`point_at`), carries chart-constant
-# tangents to the form's coordinates at a displaced point (`tangent_at`),
-# and turns a tangent into the coordinate displacement h * direction
-# (`displace`).
+# A chart turns a tangent into the coordinate displacement h * direction
+# (`displace`) and maps coordinates to the point there together with two
+# chart-constant tangents carried to the form's coordinates at it
+# (`frame_at`); `WChart.point_at` gives the point alone.  A group
+# coordinate s enters through e^s: `_exp_transport` gives e^s and the
+# carried group directions from one block-triangular exponential.
 
 
-def _dexp_transport(s: Matrix, a: Matrix, left: bool = False) -> Matrix:
-    """The logarithmic representative, at exp displacement s, of the
-    chart-constant direction a: exp(-s) L(s, a) for a right chart and
-    L(s, a) exp(-s) for a left one, L the Frechet derivative of exp."""
-    frechet = expm_frechet(s, a, compute_expm=False)
-    return frechet @ expm(-s) if left else expm(-s) @ frechet
+def _exp_transport(
+    s: Matrix, directions: tuple[Matrix, ...], left: bool = False
+) -> tuple[Matrix, list[Matrix]]:
+    """e^s and the logarithmic representative, at exp displacement s, of each
+    chart-constant direction a: e^(-s) L(s, a) for a right chart and
+    L(s, a) e^(-s) for a left one, L the Frechet derivative of exp.  The
+    first block row of exp([[s, a_1, ..., a_n], [0, s, ...], ..., [..., s]])
+    is (e^s, L(s, a_1), ..., L(s, a_n)) (Van Loan 1978)."""
+    if left:  # L(s, a) e^(-s) is the transpose of the right form at (s^T, a^T)
+        es, moved = _exp_transport(s.T, tuple(a.T for a in directions))
+        return es.T, [t.T for t in moved]
+    k = s.shape[0]
+    n = len(directions)
+    block = np.zeros(((n + 1) * k, (n + 1) * k), dtype=complex)
+    for i in range(n + 1):
+        block[i * k:(i + 1) * k, i * k:(i + 1) * k] = s
+    for i, a in enumerate(directions, 1):
+        block[:k, i * k:(i + 1) * k] = a
+    e = expm(block)
+    es = e[:k, :k]
+    moved = np.linalg.solve(es, e[:k, k:])
+    return es, [moved[:, i * k:(i + 1) * k] for i in range(n)]
 
 
 class WChart:
@@ -317,15 +334,20 @@ class WChart:
         self.p = p
         self.k = p.X.k
 
-    def point_at(self, s: Matrix, dc: np.ndarray) -> WPoint:
+    def _place(self, es: Matrix, dc: np.ndarray) -> WPoint:
         return WPoint(
-            g=self.p.g @ expm(s),
+            g=self.p.g @ es,
             X=SlicePoint(self.k, self.p.X.coeffs + dc),
             orientation=self.p.orientation,
         )
 
-    def tangent_at(self, vec: WTangent, s: Matrix) -> WTangent:
-        return WTangent(a=_dexp_transport(s, vec.a), dc=vec.dc)
+    def point_at(self, s: Matrix, dc: np.ndarray) -> WPoint:
+        return self._place(expm(s), dc)
+
+    def frame_at(self, coords, u: WTangent, v: WTangent) -> tuple[WPoint, WTangent, WTangent]:
+        s, dc = coords
+        es, (au, av) = _exp_transport(s, (u.a, v.a))
+        return self._place(es, dc), WTangent(a=au, dc=u.dc), WTangent(a=av, dc=v.dc)
 
     def displace(self, direction: WTangent, h: float) -> tuple[Matrix, np.ndarray]:
         return (h * direction.a, h * direction.dc)
@@ -338,22 +360,17 @@ class UChart:
         self.m = m
         self.k = m.X.k
 
-    def point_at(self, s_list: list[Matrix], dc: np.ndarray) -> UClass:
-        gs = tuple(g @ expm(s) for g, s in zip(self.m.gs, s_list))
-        return UClass(
+    def frame_at(self, coords, u: UTangent, v: UTangent) -> tuple[UClass, UTangent, UTangent]:
+        s_list, dc = coords
+        moved = [_exp_transport(s, (a, b)) for s, a, b in zip(s_list, u.a_list, v.a_list)]
+        point = UClass(
             b=self.m.b,
             bprime=self.m.bprime,
-            gs=gs,
+            gs=tuple(g @ es for g, (es, _) in zip(self.m.gs, moved)),
             X=SlicePoint(self.k, self.m.X.coeffs + dc),
         )
-
-    def tangent_at(self, vec: UTangent, s_list: list[Matrix]) -> UTangent:
-        return UTangent(
-            a_list=tuple(
-                _dexp_transport(s, a) for s, a in zip(s_list, vec.a_list)
-            ),
-            dc=vec.dc,
-        )
+        au, av = zip(*(pair for _, pair in moved))
+        return point, UTangent(a_list=au, dc=u.dc), UTangent(a_list=av, dc=v.dc)
 
     def displace(self, direction: UTangent, h: float) -> tuple[list[Matrix], np.ndarray]:
         return ([h * a for a in direction.a_list], h * direction.dc)
@@ -365,20 +382,18 @@ class FChart:
 
     def __init__(self, d: JetScheme):
         self.d = d
-        self.k = d.k
-        self.n_pieces = len(d.pieces)
 
-    def point_at(self, s: Matrix, dz: np.ndarray) -> JetScheme:
-        moved = act_on_scheme(self.d, [expm(s)])
+    def frame_at(self, coords, u: FTangent, v: FTangent) -> tuple[JetScheme, FTangent, FTangent]:
+        s, dz = coords
+        # the group displacement acts on the left
+        es, (ru, rv) = _exp_transport(s, (u.rho, v.rho), left=True)
+        moved = act_on_scheme(self.d, [es])
         pieces = tuple(
             LocalPiece(z=p.z + dz[i], length=p.length, jets=p.jets)
             for i, p in enumerate(moved.pieces)
         )
-        return JetScheme(k=self.d.k, b=self.d.b, bprime=self.d.bprime, pieces=pieces)
-
-    def tangent_at(self, vec: FTangent, s: Matrix) -> FTangent:
-        # the group displacement acts on the left
-        return FTangent(rho=_dexp_transport(s, vec.rho, left=True), dz=vec.dz)
+        point = JetScheme(k=self.d.k, b=self.d.b, bprime=self.d.bprime, pieces=pieces)
+        return point, FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
 
     def displace(self, direction: FTangent, h: float) -> tuple[Matrix, np.ndarray]:
         return (h * direction.rho, h * direction.dz)
@@ -399,10 +414,7 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
         raise ValidationError("fd step underflow")
 
     def omega_at(coords, t1, t2):
-        point = chart.point_at(*coords)
-        t1m = chart.tangent_at(t1, coords[0])
-        t2m = chart.tangent_at(t2, coords[0])
-        return form(point, t1m, t2m)
+        return form(*chart.frame_at(coords, t1, t2))
 
     total = 0.0 + 0.0j
     dirs = (u, v, w)
@@ -466,19 +478,16 @@ def fd_moment_condition_a(
 
 def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex:
     """p(X, ..., X, Y) for the invariant symmetric form p with
-    p(X, ..., X) = trace(X^m): average of trace products over all argument
-    orders.  With one argument distinguished, cyclicity collapses the
-    average, but the oracle evaluates the full sum so it stays independent."""
-    args = [x] * (degree - 1) + [y]
-    total = 0.0 + 0.0j
-    count = 0
-    for perm in itertools.permutations(range(degree)):
-        prod = np.eye(x.shape[0], dtype=complex)
-        for idx in perm:
-            prod = prod @ args[idx]
-        total += np.trace(prod)
-        count += 1
-    return total / count
+    p(X, ..., X) = trace(X^m): the average of trace products over all m!
+    argument orders.  With one Y among m - 1 X's, the orders give only the m
+    distinct words X^j Y X^(m-1-j), each (m-1)! times, so the average over
+    all orders is the average of those m traces.  No cyclicity is used, so
+    the oracle stays independent of the closed form m X^(m-1)."""
+    powers = [np.eye(x.shape[0], dtype=complex)]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] @ x)
+    words = (np.trace(powers[j] @ y @ powers[degree - 1 - j]) for j in range(degree))
+    return sum(words) / degree
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,11 @@ def test_bad_input_file(tmp_path):
         ("to-u", {"k": 3, "b": 1, "bprime": 0,
                   "pieces": [{"z": [0.5, 0], "len": 3.2,
                               "jets": [[[[float(i == j), 0] for j in range(3)] for i in range(3)]]}]}),
+        # float() would read these halves as 0.5 and 1.0
+        ("to-u", {"k": 1, "b": 1, "bprime": 0,
+                  "pieces": [{"z": ["0.5", 0], "len": 1, "jets": [[[[1, 0]]]]}]}),
+        ("to-u", {"k": 1, "b": 1, "bprime": 0,
+                  "pieces": [{"z": [0.5, 0], "len": 1, "jets": [[[[True, 0]]]]}]}),
     ],
 )
 def test_malformed_json_exit_2(tmp_path, direction, data):

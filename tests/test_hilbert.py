@@ -14,6 +14,7 @@ from mtv.hilbert import (
     act_on_scheme,
     adjoint_orbits_match,
     block_reversal,
+    f_gram_matrix,
     f_kernel_dimension,
     f_moment,
     f_presymplectic,
@@ -449,7 +450,43 @@ class TestFMoment:
             f_moment(d)
 
 
+def _gram_by_pairs(d):
+    """The Gram matrix of the presymplectic form by one `f_presymplectic`
+    call per pair of coordinate tangents (matrix units, then piece shifts)."""
+    k, s = d.k, len(d.pieces)
+    units = np.eye(k * k + s, dtype=complex)
+    basis = [FTangent(rho=e[: k * k].reshape(k, k), dz=e[k * k :]) for e in units]
+    gram = np.zeros((k * k + s, k * k + s), dtype=complex)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            gram[i, j] = f_presymplectic(d, basis[i], basis[j])
+            gram[j, i] = -gram[i, j]
+    return gram
+
+
 class TestFPresymplectic:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_gram_matrix_matches_pair_loop(self, rng, k):
+        collide = [0.4 - 0.2j] * 2 + [2.0 + 0.1j + 1.3 * i for i in range(k - 2)]
+        schemes = [
+            sample_jetscheme(k, 1, 0, rng),
+            sample_jetscheme(k, 1, 0, rng),
+            sample_jetscheme(k, 1, 0, rng, lengths=[k - 1, 1]),
+            sample_jetscheme(k, 1, 0, rng, lengths=[k]),
+            sample_jetscheme(k, 1, 0, rng, lengths=[1] * k, zs=collide),
+        ]
+        for d in schemes:
+            ref = _gram_by_pairs(d)
+            gram = f_gram_matrix(d)
+            assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_gram_matrix_refusals(self, rng):
+        with pytest.raises(SignatureError):
+            f_gram_matrix(sample_jetscheme(3, 1, 1, rng))
+        d = simple_scheme(2, vectors=[np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+        with pytest.raises(DegenerateSchemeError):
+            f_gram_matrix(d)
+
     def test_antisymmetry(self, rng):
         d = sample_jetscheme(3, 1, 0, rng)
         s = len(d.pieces)

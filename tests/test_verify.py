@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
 from mtv import uspace, verify
 from mtv.errors import ValidationError
@@ -13,9 +15,11 @@ from mtv.verify import (
     WChart,
     fd_exterior_derivative,
     run_suite,
+    sample_disc,
     sample_jetscheme,
     sample_wpoint,
     sample_wtangent,
+    symmetrized_form_value,
     trial_rng,
 )
 from mtv.wspace import INCOMING, w_symplectic
@@ -121,6 +125,47 @@ class TestFiniteDifferences:
         r2 = abs(fd_exterior_derivative(w_symplectic, chart, *tans, 1e-4))
         assert r2 < r1
         assert r1 / r2 == pytest.approx(4.0, rel=0.35)
+
+
+def _symmetrized_by_permutations(x, y, degree):
+    """p(X, ..., X, Y) as the plain average of trace products over all m!
+    argument orders."""
+    args = [x] * (degree - 1) + [y]
+    perms = list(itertools.permutations(range(degree)))
+    total = 0.0 + 0.0j
+    for perm in perms:
+        prod = np.eye(x.shape[0], dtype=complex)
+        for idx in perm:
+            prod = prod @ args[idx]
+        total += np.trace(prod)
+    return total / len(perms)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_symmetrization_matches_permutation_sum(k):
+    rng = trial_rng(7, "symmetrization", k)
+    x = sample_disc(rng, k, k)
+    y = sample_disc(rng, k, k)
+    for m in range(1, k + 1):
+        ref = _symmetrized_by_permutations(x, y, m)
+        assert abs(symmetrized_form_value(x, y, m) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("norm", [1e-4, 1.0])
+def test_exp_transport_matches_frechet(norm, left):
+    # e^s and e^(-s) L(s, a) (right chart) or L(s, a) e^(-s) (left chart)
+    rng = trial_rng(8, "transport", int(left))
+    for k in (1, 2, 3, 5):
+        s = sample_disc(rng, k, k)
+        s *= norm / np.linalg.norm(s, 2)
+        dirs = (sample_disc(rng, k, k), sample_disc(rng, k, k))
+        es, moved = verify._exp_transport(s, dirs, left=left)
+        assert np.max(np.abs(es - expm(s))) < 1e-13
+        for a, t in zip(dirs, moved):
+            frechet = expm_frechet(s, a, compute_expm=False)
+            ref = frechet @ expm(-s) if left else expm(-s) @ frechet
+            assert np.max(np.abs(t - ref)) < 1e-13
 
 
 class TestRunSuite:
