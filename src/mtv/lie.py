@@ -29,21 +29,23 @@ def as_matrix(entries) -> Matrix:
     x = np.asarray(entries, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {x.shape}")
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    if not np.isfinite(x).all():
         raise ValidationError("matrix entries must be finite")
     return x
 
 
 def check_same_size(x: Matrix, y: Matrix) -> int:
-    if x.shape != y.shape:
+    if x.shape != y.shape[-2:]:
         raise DimensionMismatchError(f"size mismatch: {x.shape} vs {y.shape}")
     return x.shape[0]
 
 
-def pairing(x: Matrix, y: Matrix) -> complex:
-    """Invariant bilinear form <X, Y> = trace(XY); symmetric and ad-invariant."""
+def pairing(x: Matrix, y: Matrix) -> complex | np.ndarray:
+    """Invariant bilinear form <X, Y> = trace(XY); symmetric and ad-invariant.
+    Y may be a stack of shape (n, k, k); the n values come back as an array."""
     check_same_size(x, y)
-    return complex(np.trace(x @ y))
+    values = np.trace(x @ y, axis1=-2, axis2=-1)
+    return complex(values) if y.ndim == 2 else values
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:

@@ -53,17 +53,20 @@ def _f_powers(k: int) -> tuple[Matrix, ...]:
 
 
 @lru_cache(maxsize=None)
+def _f_power_entries(k: int) -> tuple[np.ndarray, ...]:
+    """Rows, columns, powers j and values of the nonzero entries of the f^j;
+    f^j lives on the j-th superdiagonal, so no two supports meet."""
+    rows, cols = np.triu_indices(k)
+    powers = cols - rows
+    return rows, cols, powers, np.array(_f_powers(k))[powers, rows, cols]
+
+
+@lru_cache(maxsize=None)
 def _trace_pivots(k: int) -> tuple[float, ...]:
-    """Pivots beta_m = m * trace(f^(m-1) e^(m-1)): the coefficient of
-    c_(m-1) in trace(S(c)^m).  Nonzero for every m <= k."""
-    triple = principal_triple(k)
-    fp = _f_powers(k)
-    ep = np.eye(k, dtype=complex)
-    pivots = []
-    for m in range(1, k + 1):
-        pivots.append(float((m * np.trace(fp[m - 1] @ ep)).real))
-        ep = ep @ triple.e
-    return tuple(pivots)
+    """Pivots beta_m = m * trace(f^(m-1) e^(m-1)), the coefficient of c_(m-1) in
+    trace(S(c)^m), nonzero for m <= k; e^(m-1) is the unit (m-1)-th subdiagonal."""
+    _, _, powers, values = _f_power_entries(k)
+    return tuple(float((m * values[powers == m - 1].sum()).real) for m in range(1, k + 1))
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class SlicePoint:
             raise ValidationError(
                 f"need {self.k} coefficients, got shape {c.shape}"
             )
-        if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
+        if not np.isfinite(c).all():
             raise ValidationError("slice coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -92,13 +95,20 @@ def slice_point(coeffs) -> SlicePoint:
     return SlicePoint(k=c.shape[0], coeffs=c)
 
 
+def _add_f_powers(out: Matrix, coeffs) -> Matrix:
+    """Add sum_j coeffs_j f^j, coeffs of length k, to the k x k `out` in place."""
+    k = out.shape[0]
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (k,):
+        raise ValidationError(f"need {k} coefficients, got shape {c.shape}")
+    rows, cols, powers, values = _f_power_entries(k)
+    out[rows, cols] += c[powers] * values
+    return out
+
+
 def slice_embed(s: SlicePoint) -> Matrix:
     """e + sum_j c_j f^j as a dense matrix."""
-    fp = _f_powers(s.k)
-    x = principal_triple(s.k).e.copy()
-    for j, c in enumerate(s.coeffs):
-        x = x + c * fp[j]
-    return x
+    return _add_f_powers(principal_triple(s.k).e.copy(), s.coeffs)
 
 
 def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:

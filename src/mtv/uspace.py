@@ -35,15 +35,14 @@ from .wspace import (
     INCOMING,
     OUTGOING,
     WPoint,
-    WTangent,
     _Signature,
     _absorb,
     _act,
+    _canonical_form,
     _group_element,
     _moment,
     _reverse,
-    w_symplectic,
-    slice_direction,
+    _slice_matrices,
 )
 
 # Tolerances fixed by the module contract.
@@ -197,20 +196,16 @@ def perm_action(
     return replace(m, gs=tuple(gs_in + gs_out))
 
 
-def _factor_wpoint(m: UClass, i: int) -> WPoint:
-    return WPoint(g=m.gs[i], X=m.X, orientation=m.orientation(i))
-
-
 def u_symplectic(m: UClass, u: UTangent, v: UTangent) -> complex:
     """The quotient symplectic form: per-factor canonical forms sharing the
     single slice velocity."""
     if len(u.a_list) != m.n_factors or len(v.a_list) != m.n_factors:
         raise ValidationError("tangent factor count mismatch")
+    slice_mats = _slice_matrices(m.X, u.dc, v.dc)
     total = 0.0 + 0.0j
     for i in range(m.n_factors):
-        p = _factor_wpoint(m, i)
-        total += w_symplectic(
-            p, WTangent(a=u.a_list[i], dc=u.dc), WTangent(a=v.a_list[i], dc=v.dc)
+        total += _canonical_form(
+            m.gs[i], m.orientation(i), slice_mats, u.a_list[i], v.a_list[i]
         )
     return total
 
@@ -219,9 +214,7 @@ def u_symplectic_single_slice_form(m: UClass, u: UTangent, v: UTangent) -> compl
     """The same form coded the other way round: one dX-pairing against the
     summed logarithmic directions plus per-factor curvature terms.  Used as
     an algebraic cross-check against `u_symplectic`."""
-    x = slice_embed(m.X)
-    dxu = slice_direction(m.X, u.dc)
-    dxv = slice_direction(m.X, v.dc)
+    x, dxu, dxv = _slice_matrices(m.X, u.dc, v.dc)
     sum_in_u = np.zeros_like(x)
     sum_in_v = np.zeros_like(x)
     sum_out_u = np.zeros_like(x)

@@ -175,10 +175,10 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 def sample_disc(rng: np.random.Generator, *shape, radius: float = 1.0) -> np.ndarray:
-    """Uniform samples from the complex disc of the given radius."""
-    r = radius * np.sqrt(rng.uniform(size=shape))
-    phi = rng.uniform(0.0, 2 * np.pi, size=shape)
-    return r * np.exp(1j * phi)
+    """Uniform samples from the complex disc of the given radius: one draw u of
+    2 * prod(shape) doubles gives radii radius * sqrt(u[0]) and angles 2 pi u[1]."""
+    u = rng.random((2,) + shape)
+    return radius * np.sqrt(u[0]) * np.exp(1j * (2 * np.pi * u[1]))
 
 
 def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
@@ -476,18 +476,20 @@ def fd_moment_condition_a(
 # the multilinear symmetrization oracle (independent of the closed form)
 
 
-def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex:
+def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.ndarray:
     """p(X, ..., X, Y) for the invariant symmetric form p with
     p(X, ..., X) = trace(X^m): the average of trace products over all m!
     argument orders.  With one Y among m - 1 X's, the orders give only the m
     distinct words X^j Y X^(m-1-j), each (m-1)! times, so the average over
     all orders is the average of those m traces.  No cyclicity is used, so
-    the oracle stays independent of the closed form m X^(m-1)."""
+    the oracle stays independent of the closed form m X^(m-1).  Y may be a
+    stack of shape (n, k, k); the n values come back as an array."""
     powers = [np.eye(x.shape[0], dtype=complex)]
     for _ in range(degree - 1):
         powers.append(powers[-1] @ x)
-    words = (np.trace(powers[j] @ y @ powers[degree - 1 - j]) for j in range(degree))
-    return sum(words) / degree
+    words = (powers[j] @ y @ powers[degree - 1 - j] for j in range(degree))
+    values = sum(np.trace(w, axis1=-2, axis2=-1) for w in words) / degree
+    return complex(values) if y.ndim == 2 else values
 
 
 # ----------------------------------------------------------------------
@@ -523,12 +525,9 @@ class _Suite:
 _FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
 
 
-def _matrix_units(k: int) -> Iterator[Matrix]:
-    for a in range(k):
-        for b in range(k):
-            y = np.zeros((k, k), dtype=complex)
-            y[a, b] = 1.0
-            yield y
+def _matrix_units(k: int) -> np.ndarray:
+    """The k^2 matrix units E_ab, row-major in (a, b), as one (k^2, k, k) stack."""
+    return np.eye(k * k, dtype=complex).reshape(k * k, k, k)
 
 
 def _orientation(trial: int) -> str:
@@ -543,12 +542,11 @@ def _worst_incoming_k3(rng: np.random.Generator, residual) -> float:
 
 def _check_polarization(cfg, rng, k, trial) -> _Residuals:
     x = sample_disc(rng, k, k)
+    units = _matrix_units(k)
     for m in range(1, k + 1):
         c = polarized_gradient(InvariantPolynomial(m), x)
-        for y in _matrix_units(k):
-            lhs = pairing(c, y)
-            rhs = m * symmetrized_form_value(x, y, m)
-            yield "identity_residual", abs(lhs - rhs)
+        gaps = pairing(c, units) - m * symmetrized_form_value(x, units, m)
+        yield "identity_residual", float(np.max(np.abs(gaps)))
         yield "bracket_residual", float(np.max(np.abs(commutator(c, x))))
 
 
@@ -556,10 +554,9 @@ def _negative_polarization(rng) -> float:
     # a wrong gradient (coefficient off by 10%)
     x = sample_disc(rng, 3, 3)
     c_bad = 1.1 * polarized_gradient(InvariantPolynomial(2), x)
-    return max(
-        abs(pairing(c_bad, y) - 2 * symmetrized_form_value(x, y, 2))
-        for y in _matrix_units(3)
-    )
+    units = _matrix_units(3)
+    gaps = pairing(c_bad, units) - 2 * symmetrized_form_value(x, units, 2)
+    return float(np.max(np.abs(gaps)))
 
 
 def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:
@@ -905,22 +902,22 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
 def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     mistakes = 0
     schemes = _jordan_type_schemes(k, rng)
-    for d1 in schemes:
-        for d2 in schemes:
-            same_inv = orbit_invariant_equal(orbit_invariant(d1), orbit_invariant(d2))
-            conj = adjoint_orbits_match(f_moment(d1), f_moment(d2))
-            if same_inv != conj:
+    moments = [f_moment(d) for d in schemes]
+    invariants = [orbit_invariant(d) for d in schemes]
+    for inv1, mu1 in zip(invariants, moments):
+        for inv2, mu2 in zip(invariants, moments):
+            if orbit_invariant_equal(inv1, inv2) != adjoint_orbits_match(mu1, mu2):
                 mistakes += 1
     # a second sample of the same Jordan type must give conjugate moments
     schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
-    for d1, d2 in zip(schemes, schemes2):
-        if not adjoint_orbits_match(f_moment(d1), f_moment(d2)):
+    for mu1, d2 in zip(moments, schemes2):
+        if not adjoint_orbits_match(mu1, f_moment(d2)):
             mistakes += 1
     # group action fixes the invariant
     g0 = sample_group(k, rng)
-    for d in schemes:
+    for d, inv in zip(schemes, invariants):
         acted = act_on_scheme(d, [g0])
-        if not orbit_invariant_equal(orbit_invariant(d), orbit_invariant(acted)):
+        if not orbit_invariant_equal(inv, orbit_invariant(acted)):
             mistakes += 1
     # kernel dichotomy on constructed examples
     rng2 = trial_rng(cfg.seed, "fitting_orbits-kernel", k)

@@ -34,7 +34,7 @@ from .lie import (
     pairing,
     power_traces,
 )
-from .slodowy import SlicePoint, _f_powers, slice_embed
+from .slodowy import SlicePoint, _add_f_powers, slice_embed
 
 INCOMING: Literal["in"] = "in"
 OUTGOING: Literal["out"] = "out"
@@ -115,12 +115,13 @@ class WTangent:
 
 
 def slice_direction(x: SlicePoint, dc: np.ndarray) -> Matrix:
-    """dX = sum_j dc_j f^j, the embedded slice velocity."""
-    fp = _f_powers(x.k)
-    out = np.zeros((x.k, x.k), dtype=complex)
-    for j, d in enumerate(np.asarray(dc, dtype=complex)):
-        out = out + d * fp[j]
-    return out
+    """dX = sum_j dc_j f^j, the embedded slice velocity; dc has length k."""
+    return _add_f_powers(np.zeros((x.k, x.k), dtype=complex), dc)
+
+
+def _slice_matrices(x: SlicePoint, dc_u, dc_v) -> tuple[Matrix, Matrix, Matrix]:
+    """The slice matrix X and the two slice velocities dX_u, dX_v."""
+    return slice_embed(x), slice_direction(x, dc_u), slice_direction(x, dc_v)
 
 
 def _moment(g: Matrix, x: Matrix, orientation: str) -> Matrix:
@@ -137,24 +138,24 @@ def w_moment(p: WPoint) -> Matrix:
 
 
 def _form_directions(
-    p: WPoint, u: WTangent, v: WTangent
+    g: Matrix, orientation: str, a_u: Matrix, a_v: Matrix
 ) -> tuple[Matrix, Matrix, int]:
     """The group directions the canonical form pairs, with the sign of its
-    curvature term: (a_u, a_v, +1) on an incoming point.  An outgoing point
-    uses the right-logarithmic (Ad(g) a_u, Ad(g) a_v, -1), so that the right
-    action g -> g g0^{-1} has moment -Ad(g^{-1}) X."""
-    if p.orientation == INCOMING:
-        return u.a, v.a, 1
-    ginv = np.linalg.inv(p.g)
-    return p.g @ u.a @ ginv, p.g @ v.a @ ginv, -1
+    curvature term: (a_u, a_v, +1) on an incoming factor g.  An outgoing
+    factor uses the right-logarithmic (Ad(g) a_u, Ad(g) a_v, -1), so that the
+    right action g -> g g0^{-1} has moment -Ad(g^{-1}) X."""
+    a_u, a_v = np.asarray(a_u, dtype=complex), np.asarray(a_v, dtype=complex)
+    if orientation == INCOMING:
+        return a_u, a_v, 1
+    ginv = np.linalg.inv(g)
+    return g @ a_u @ ginv, g @ a_v @ ginv, -1
 
 
-def w_symplectic(p: WPoint, u: WTangent, v: WTangent) -> complex:
-    """The canonical symplectic form evaluated on two tangents at p."""
-    x = slice_embed(p.X)
-    dxu = slice_direction(p.X, u.dc)
-    dxv = slice_direction(p.X, v.dc)
-    au, av, sign = _form_directions(p, u, v)
+def _canonical_form(g: Matrix, orientation: str, slice_mats, a_u: Matrix, a_v: Matrix) -> complex:
+    """The canonical form on one factor g, given the logarithmic directions
+    a_u, a_v and the `_slice_matrices` (X, dX_u, dX_v)."""
+    x, dxu, dxv = slice_mats
+    au, av, sign = _form_directions(g, orientation, a_u, a_v)
     return (
         pairing(au, dxv)
         - pairing(av, dxu)
@@ -162,14 +163,17 @@ def w_symplectic(p: WPoint, u: WTangent, v: WTangent) -> complex:
     )
 
 
+def w_symplectic(p: WPoint, u: WTangent, v: WTangent) -> complex:
+    """The canonical symplectic form evaluated on two tangents at p."""
+    return _canonical_form(p.g, p.orientation, _slice_matrices(p.X, u.dc, v.dc), u.a, v.a)
+
+
 def w_symplectic_bracket_form(p: WPoint, u: WTangent, v: WTangent) -> complex:
     """-<dX ^ g^{-1}dg> + <X, (g^{-1}dg ^ g^{-1}dg)> with the matrix-product
     wedge (alpha ^ alpha)(u, v) = [alpha(u), alpha(v)].  Agrees with
     `w_symplectic` identically; kept as an independent coding of the same
     convention for the cross-check suite."""
-    x = slice_embed(p.X)
-    dxu = slice_direction(p.X, u.dc)
-    dxv = slice_direction(p.X, v.dc)
+    x, dxu, dxv = _slice_matrices(p.X, u.dc, v.dc)
     if p.orientation == INCOMING:
         au, av = u.a, v.a
         term_dx = pairing(dxu, av) - pairing(dxv, au)
@@ -185,9 +189,7 @@ def w_symplectic_moment_wedge(p: WPoint, u: WTangent, v: WTangent) -> complex:
     """<dg g^{-1} ^ d mu> (incoming) / <g^{-1}dg ^ d mu'>-style (outgoing)
     taken literally with the alternating-sum wedge.  Differs from the
     canonical form by the Maurer-Cartan term; see `maurer_cartan_term`."""
-    x = slice_embed(p.X)
-    dxu = slice_direction(p.X, u.dc)
-    dxv = slice_direction(p.X, v.dc)
+    x, dxu, dxv = _slice_matrices(p.X, u.dc, v.dc)
     if p.orientation == INCOMING:
         au, av = u.a, v.a
         dmu_u = dxu + commutator(au, x)
@@ -204,7 +206,7 @@ def w_symplectic_moment_wedge(p: WPoint, u: WTangent, v: WTangent) -> complex:
 def maurer_cartan_term(p: WPoint, u: WTangent, v: WTangent) -> complex:
     """The exact discrepancy w_symplectic_moment_wedge - w_symplectic."""
     x = slice_embed(p.X)
-    au, av, sign = _form_directions(p, u, v)
+    au, av, sign = _form_directions(p.g, p.orientation, u.a, v.a)
     return sign * pairing(x, commutator(au, av))
 
 

@@ -41,6 +41,17 @@ class TestPairing:
         with pytest.raises(DimensionMismatchError):
             pairing(np.eye(2), np.eye(3))
 
+    def test_stack(self, rng):
+        x = rand_complex(rng, 3, 3)
+        ys = rand_complex(rng, 4, 3, 3)
+        values = pairing(x, ys)
+        assert values.shape == (4,)
+        for value, y in zip(values, ys):
+            assert value == pytest.approx(pairing(x, y), rel=1e-14)
+        for bad in (np.zeros((4, 2, 2)), np.zeros((4, 3, 2))):
+            with pytest.raises(DimensionMismatchError):
+                pairing(x, bad)
+
     def test_invariance(self, rng):
         # <[Z,X],Y> + <X,[Z,Y]> = 0
         for _ in range(20):

@@ -270,6 +270,25 @@ class TestUSymplectic:
             rhs = u_symplectic_single_slice_form(m, u, v)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    def test_refuses_wrong_length_velocity(self, rng):
+        m = sample_uclass(3, 1, 1, rng)
+        u = sample_utangent(m, rng)
+        for dc in (u.dc[:2], np.append(u.dc, 0.0)):
+            bad = UTangent(a_list=u.a_list, dc=dc)
+            with pytest.raises(ValidationError):
+                u_symplectic(m, bad, u)
+            with pytest.raises(ValidationError):
+                u_symplectic(m, u, bad)
+
+    def test_takes_nested_lists(self, rng):
+        # like WTangent, the directions may be given as nested lists
+        for b, bp in [(1, 0), (0, 1), (1, 2)]:
+            m = sample_uclass(3, b, bp, rng)
+            u = sample_utangent(m, rng)
+            v = sample_utangent(m, rng)
+            listed = UTangent(a_list=tuple(a.tolist() for a in u.a_list), dc=u.dc.tolist())
+            assert u_symplectic(m, listed, v) == u_symplectic(m, u, v)
+
     def test_closed(self, rng):
         m = sample_uclass(2, 1, 1, rng)
         chart = UChart(m)

@@ -139,6 +139,15 @@ class TestWSymplectic:
             fd_exterior_derivative(w_symplectic_moment_wedge, chart, *tans, 1e-4)
         ) > 1e-2
 
+    @pytest.mark.parametrize("dc", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 1.0])
+    def test_slice_direction_refuses_wrong_length(self, dc):
+        # a short velocity was once read as zero-padded, a long one raised
+        # IndexError
+        from mtv.wspace import slice_direction
+
+        with pytest.raises(ValidationError):
+            slice_direction(slice_point([0.1, 0.2, 0.3]), dc)
+
 
 class TestAbelianAction:
     def test_zero_polynomial_is_identity(self, rng):
