@@ -116,15 +116,21 @@ def _cmd_hilb(args) -> int:
 def _cmd_sample(args) -> int:
     if args.k < 1 or args.seed < 0:
         raise ValidationError("k must be positive and seed non-negative")
+    unused = ("b", "bprime") if args.kind == "wpoint" else ("orientation",)
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name} does not apply to --kind {args.kind}")
     rng = trial_rng(args.seed, f"sample-{args.kind}", 0)
+    b = 1 if args.b is None else args.b
+    bprime = args.bprime or 0
     if args.kind == "wpoint":
-        p = sample_wpoint(args.k, args.orientation, rng)
+        p = sample_wpoint(args.k, args.orientation or "in", rng)
         _dump_json(wpoint_to_json(p), args.out)
     elif args.kind == "uclass":
-        m = sample_uclass(args.k, args.b, args.bprime, rng)
+        m = sample_uclass(args.k, b, bprime, rng)
         _dump_json(uclass_to_json(m), args.out)
     else:
-        d = sample_jetscheme(args.k, args.b, args.bprime, rng)
+        d = sample_jetscheme(args.k, b, bprime, rng)
         _dump_json(jetscheme_to_json(d), args.out)
     return 0
 
@@ -165,9 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="generate sample data files")
     p_sample.add_argument("--kind", choices=["wpoint", "uclass", "jetscheme"], required=True)
     p_sample.add_argument("--k", type=int, default=3)
-    p_sample.add_argument("--b", type=int, default=1)
-    p_sample.add_argument("--bprime", type=int, default=0)
-    p_sample.add_argument("--orientation", choices=["in", "out"], default="in")
+    # uclass and jetscheme read --b (default 1) and --bprime (default 0),
+    # wpoint reads --orientation (default in); a flag its kind ignores exits 2
+    p_sample.add_argument("--b", type=int)
+    p_sample.add_argument("--bprime", type=int)
+    p_sample.add_argument("--orientation", choices=["in", "out"])
     p_sample.add_argument("--seed", type=int, default=42)
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=_cmd_sample)

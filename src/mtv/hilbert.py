@@ -33,7 +33,7 @@ from .errors import (
     SignatureError,
     ValidationError,
 )
-from .lie import Matrix, _krylov_frame, as_matrix, commutator, pairing, power_traces
+from .lie import Matrix, _krylov_frame, _rank, as_matrix, commutator, pairing, power_traces
 from .slodowy import (
     SlicePoint,
     _slice_frame,
@@ -147,17 +147,22 @@ def sort_pieces(d: JetScheme) -> JetScheme:
     )
 
 
+def _blocks(d: JetScheme) -> list[range]:
+    """Each piece's block of consecutive coordinates of C^k, in piece order."""
+    blocks, start = [], 0
+    for p in d.pieces:
+        blocks.append(range(start, start + p.length))
+        start += p.length
+    return blocks
+
+
 def jordan_of(d: JetScheme) -> Matrix:
     """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
     above the diagonal)."""
-    j = np.zeros((d.k, d.k), dtype=complex)
-    offset = 0
-    for p in d.pieces:
-        for a in range(p.length):
-            j[offset + a, offset + a] = p.z
-            if a + 1 < p.length:
-                j[offset + a, offset + a + 1] = 1.0
-        offset += p.length
+    j = _eigen_shift(d, [p.z for p in d.pieces])
+    for blk in _blocks(d):
+        for a in blk[1:]:
+            j[a - 1, a] = 1.0
     return j
 
 
@@ -165,28 +170,21 @@ def block_reversal(d: JetScheme) -> Matrix:
     """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
     symmetric involution."""
     q = np.zeros((d.k, d.k), dtype=complex)
-    offset = 0
-    for p in d.pieces:
-        for a in range(p.length):
-            q[offset + a, offset + p.length - 1 - a] = 1.0
-        offset += p.length
+    for blk in _blocks(d):
+        for a, b in zip(blk, reversed(blk)):
+            q[a, b] = 1.0
     return q
 
 
 def g_matrix(d: JetScheme, factor: int) -> Matrix:
     """The k x k matrix whose columns are the factor's jet coefficient
     vectors, in piece order (consistent with `jordan_of`)."""
-    cols = []
-    for p in d.pieces:
-        jet = p.jets[factor]
-        for a in range(p.length):
-            cols.append(jet[a])
-    return np.stack(cols, axis=1)
+    return np.vstack([p.jets[factor] for p in d.pieces]).T.copy()
 
 
 def _invertible(m: Matrix) -> bool:
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > NONDEGENERACY_TOL * max(s[0], 1.0))
+    return _rank(s, NONDEGENERACY_TOL) == s.size
 
 
 def locally_nondegenerate(d: JetScheme) -> bool:
@@ -335,10 +333,7 @@ def slice_conjugator(d: JetScheme) -> Matrix:
     # points are pairwise distinct.
     bx = _slice_frame(scheme_slice_point(d))
     v = np.zeros(d.k, dtype=complex)
-    offset = 0
-    for p in d.pieces:
-        offset += p.length
-        v[offset - 1] = 1.0
+    v[[blk[-1] for blk in _blocks(d)]] = 1.0
     bj = _krylov_frame(jordan_of(d), v)
     return bx @ np.linalg.inv(bj)
 
@@ -445,15 +440,11 @@ def u_to_hilb(m: UClass) -> JetScheme:
         else:
             factor_mats.append((q @ conj_inv @ m.gs[j]).T)
 
-    pieces = []
-    offset = 0
-    for z, l in clusters:
-        jets = tuple(
-            factor_mats[j][:, offset : offset + l].T.copy() for j in range(n)
-        )
-        pieces.append(LocalPiece(z=z, length=l, jets=jets))
-        offset += l
-    scheme = JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=tuple(pieces))
+    pieces = tuple(
+        LocalPiece(z=z, length=l, jets=tuple(f[:, blk].T.copy() for f in factor_mats))
+        for (z, l), blk in zip(clusters, _blocks(skeleton))
+    )
+    scheme = JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=pieces)
     return normalize_scheme(scheme)
 
 
@@ -481,11 +472,9 @@ def f_moment(d: JetScheme) -> Matrix:
 def _eigen_shift(d: JetScheme, dz: np.ndarray) -> Matrix:
     """dJ for per-piece base-point velocities: dz_i on block i's diagonal."""
     out = np.zeros((d.k, d.k), dtype=complex)
-    offset = 0
-    for i, p in enumerate(d.pieces):
-        for a in range(p.length):
-            out[offset + a, offset + a] = dz[i]
-        offset += p.length
+    for i, blk in enumerate(_blocks(d)):
+        for a in blk:
+            out[a, a] = dz[i]
     return out
 
 
@@ -559,10 +548,8 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
 def f_kernel_dimension(d: JetScheme) -> int:
     """Dimension of the kernel of the presymplectic form at D on the
     (group, per-piece eigenvalue) tangent space."""
-    gram = f_gram_matrix(d)
-    sing = np.linalg.svd(gram, compute_uv=False)
-    cutoff = 1e-8 * max(sing[0], 1.0)
-    return int(np.sum(sing <= cutoff))
+    sing = np.linalg.svd(f_gram_matrix(d), compute_uv=False)
+    return sing.size - _rank(sing, 1e-8)
 
 
 def orbit_invariant(d: JetScheme) -> tuple[tuple[complex, int], ...]:

@@ -113,31 +113,24 @@ def ad_operator(x: Matrix) -> Matrix:
     return np.kron(x, eye) - np.kron(eye, x.T)
 
 
-def nullspace(a: Matrix) -> Matrix:
-    """Orthonormal basis (as rows) of the kernel of `a`, by SVD.  The right
-    singular vectors are the conjugated rows of Vh."""
-    _, s, vh = np.linalg.svd(a)
-    if s.size == 0:
-        return vh
-    cutoff = RANK_TOL * max(s[0], 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank: the count of singular values s above tol * max(s_0, 1)."""
+    return int(np.sum(s > tol * max(s[0], 1.0)))
 
 
 def centralizer_basis(x: Matrix) -> list[Matrix]:
-    """Orthonormal basis of Z(X) = ker(ad_X), via a rank-revealing SVD."""
+    """Orthonormal basis of Z(X) = ker(ad_X), via a rank-revealing SVD: the
+    conjugated rows of Vh past the rank."""
     x = as_matrix(x)
     k = x.shape[0]
-    vecs = nullspace(ad_operator(x))
-    return [v.reshape(k, k) for v in vecs]
+    _, s, vh = np.linalg.svd(ad_operator(x))
+    return [v.reshape(k, k) for v in vh[_rank(s, RANK_TOL) :].conj()]
 
 
 def centralizer_dimension(x: Matrix) -> int:
     x = as_matrix(x)
-    k = x.shape[0]
     s = np.linalg.svd(ad_operator(x), compute_uv=False)
-    cutoff = RANK_TOL * max(s[0], 1.0)
-    return int(k * k - np.sum(s > cutoff))
+    return x.shape[0] ** 2 - _rank(s, RANK_TOL)
 
 
 def is_regular(x: Matrix) -> bool:

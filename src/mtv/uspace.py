@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
+    DimensionMismatchError,
     GluingError,
     LevelSetError,
     SignatureError,
@@ -25,6 +26,7 @@ from .lie import (
     Matrix,
     _krylov_frame,
     as_matrix,
+    check_same_size,
     commutator,
     gradient_of_combination,
     pairing,
@@ -92,7 +94,9 @@ class W00Point:
 
     def __post_init__(self):
         g = as_matrix(self.g)
-        if _centralizer_residual(g, slice_embed(self.X)) > 1e-10:
+        x = slice_embed(self.X)
+        check_same_size(x, g)
+        if _centralizer_residual(g, x) > 1e-10:
             raise ValidationError("group part must centralize the slice point")
         object.__setattr__(self, "g", g)
 
@@ -129,6 +133,8 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     roundoff) iff the representatives define the same class."""
     if (m1.b, m1.bprime) != (m2.b, m2.bprime):
         raise SignatureError("signatures differ")
+    if m1.X.k != m2.X.k:
+        raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
     residual = float(np.max(np.abs(m1.X.coeffs - m2.X.coeffs)))
     x = slice_embed(m1.X)
     prod = np.eye(m1.X.k, dtype=complex)
@@ -314,25 +320,19 @@ def u11_to_tstar(m: UClass) -> tuple[Matrix, Matrix]:
     return g1 @ g2, _moment(g1, slice_embed(m.X), INCOMING)
 
 
-def find_cyclic_vector(x: Matrix) -> np.ndarray:
-    """A deterministic cyclic vector for a regular matrix: try standard
-    basis vectors, then seeded random vectors, maximizing Krylov conditioning."""
+def _cyclic_frame(x: Matrix) -> Matrix:
+    """The Krylov frame (v, Xv, ..., X^(k-1) v) of a regular matrix with the largest
+    smallest singular value over e_1..e_k and four seeded random v (first wins ties)."""
     k = x.shape[0]
-    best = None
-    best_sigma = -1.0
-    candidates = [np.eye(k, dtype=complex)[i] for i in range(k)]
     rng = np.random.default_rng(12345)
-    for _ in range(4):
-        candidates.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    for v in candidates:
-        krylov = _krylov_frame(x, v)
-        sigma = np.linalg.svd(krylov, compute_uv=False)[-1]
-        if sigma > best_sigma:
-            best_sigma = sigma
-            best = krylov
-    if best_sigma <= 1e-13:
+    candidates = list(np.eye(k, dtype=complex))
+    candidates += [rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(4)]
+    frames = np.stack([_krylov_frame(x, v) for v in candidates])
+    sigma = np.linalg.svd(frames, compute_uv=False)[:, -1]
+    best = int(np.argmax(sigma))
+    if sigma[best] <= 1e-13:
         raise SingularMatrixError("no usable cyclic vector: matrix not regular?")
-    return best
+    return frames[best]
 
 
 def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
@@ -341,7 +341,7 @@ def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
     x = slice_representative(y)
     # both frames satisfy  M b = b K  with the same companion K, so
     # g1 = b_y b_x^{-1} conjugates slice_embed(x) to y
-    g1 = find_cyclic_vector(y) @ np.linalg.inv(_slice_frame(x))
+    g1 = _cyclic_frame(y) @ np.linalg.inv(_slice_frame(x))
     g2 = np.linalg.inv(g1) @ g
     return UClass(b=1, bprime=1, gs=(g1, g2), X=x)
 

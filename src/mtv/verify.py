@@ -48,6 +48,7 @@ from .hilbert import (
 from .lie import (
     InvariantPolynomial,
     Matrix,
+    check_same_size,
     commutator,
     gradient_of_combination,
     inv_poly_eval,
@@ -484,7 +485,7 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
     all orders is the average of those m traces.  No cyclicity is used, so
     the oracle stays independent of the closed form m X^(m-1).  Y may be a
     stack of shape (n, k, k); the n values come back as an array."""
-    powers = [np.eye(x.shape[0], dtype=complex)]
+    powers = [np.eye(check_same_size(x, y), dtype=complex)]
     for _ in range(degree - 1):
         powers.append(powers[-1] @ x)
     words = (powers[j] @ y @ powers[degree - 1 - j] for j in range(degree))

@@ -29,6 +29,7 @@ from .lie import (
     InvariantPolynomial,
     Matrix,
     as_matrix,
+    check_same_size,
     commutator,
     gradient_of_combination,
     pairing,
@@ -54,6 +55,7 @@ def _group_element(g) -> Matrix:
 def _act(g: Matrix, h: Matrix, orientation: str) -> Matrix:
     """h acting on the factor g: h g if incoming, g h^{-1} if outgoing."""
     h = _group_element(h)
+    check_same_size(g, h)
     if orientation == INCOMING:
         return h @ g
     return g @ np.linalg.inv(h)

@@ -70,6 +70,20 @@ def test_invalid_seed_or_size_exit_2(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "wpoint", "--b", "1"],
+        ["--kind", "wpoint", "--bprime", "1"],
+        ["--kind", "uclass", "--orientation", "in"],
+        ["--kind", "jetscheme", "--orientation", "out"],
+    ],
+)
+def test_sample_rejects_flags_its_kind_ignores(argv, capsys):
+    assert main(["sample", *argv]) == 2
+    assert "does not apply" in capsys.readouterr().err
+
+
 def test_glue_round_trip(tmp_path, capsys):
     m1, m2 = matched_pair()
     f1 = tmp_path / "m1.json"

@@ -2,20 +2,47 @@
 
 Each reference below is the earlier coding of a kernel, kept verbatim so the
 rewrite is pinned to it: the two-draw disc sampler, the per-power slice
-embeddings, the matmul trace pivots and the per-unit pairings of the
-symmetrization oracle.
+embeddings, the matmul trace pivots, the per-unit pairings of the
+symmetrization oracle, the offset loops over a scheme's Jordan blocks, the
+four written-out rank cutoffs and the per-candidate cyclic-frame search.
 """
+import itertools
+
 import numpy as np
 import pytest
 
-from mtv.lie import pairing
+from mtv.errors import SingularMatrixError
+from mtv.hilbert import (
+    NONDEGENERACY_TOL,
+    JetScheme,
+    LocalPiece,
+    _eigen_shift,
+    _invertible,
+    block_reversal,
+    f_gram_matrix,
+    f_kernel_dimension,
+    g_matrix,
+    jordan_of,
+    scheme_slice_point,
+    slice_conjugator,
+)
+from mtv.lie import (
+    RANK_TOL,
+    _krylov_frame,
+    ad_operator,
+    centralizer_basis,
+    centralizer_dimension,
+    pairing,
+)
 from mtv.slodowy import (
     SlicePoint,
     _f_powers,
+    _slice_frame,
     _trace_pivots,
     principal_triple,
     slice_embed,
 )
+from mtv.uspace import _cyclic_frame
 from mtv.verify import (
     _matrix_units,
     sample_disc,
@@ -111,3 +138,204 @@ def test_stacked_oracle_matches_per_unit_calls(k):
 def test_matrix_units_row_major():
     for i, y in enumerate(_matrix_units(3)):
         assert y[divmod(i, 3)] == 1.0 and np.count_nonzero(y) == 1
+
+
+def _jordan_of_loop(d):
+    j = np.zeros((d.k, d.k), dtype=complex)
+    offset = 0
+    for p in d.pieces:
+        for a in range(p.length):
+            j[offset + a, offset + a] = p.z
+            if a + 1 < p.length:
+                j[offset + a, offset + a + 1] = 1.0
+        offset += p.length
+    return j
+
+
+def _block_reversal_loop(d):
+    q = np.zeros((d.k, d.k), dtype=complex)
+    offset = 0
+    for p in d.pieces:
+        for a in range(p.length):
+            q[offset + a, offset + p.length - 1 - a] = 1.0
+        offset += p.length
+    return q
+
+
+def _g_matrix_loop(d, factor):
+    cols = []
+    for p in d.pieces:
+        jet = p.jets[factor]
+        for a in range(p.length):
+            cols.append(jet[a])
+    return np.stack(cols, axis=1)
+
+
+def _eigen_shift_loop(d, dz):
+    out = np.zeros((d.k, d.k), dtype=complex)
+    offset = 0
+    for i, p in enumerate(d.pieces):
+        for a in range(p.length):
+            out[offset + a, offset + a] = dz[i]
+        offset += p.length
+    return out
+
+
+def _slice_conjugator_loop(d):
+    bx = _slice_frame(scheme_slice_point(d))
+    v = np.zeros(d.k, dtype=complex)
+    offset = 0
+    for p in d.pieces:
+        offset += p.length
+        v[offset - 1] = 1.0
+    bj = _krylov_frame(_jordan_of_loop(d), v)
+    return bx @ np.linalg.inv(bj)
+
+
+def _compositions(k):
+    """Every ordered list of positive piece lengths summing to k."""
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        lengths, run = [], 1
+        for cut in cuts:
+            if cut:
+                lengths.append(run)
+                run = 0
+            run += 1
+        yield lengths + [run]
+
+
+def _scheme(rng, lengths, b, bprime, zs=None):
+    k = sum(lengths)
+    if zs is None:
+        zs = 2 * sample_disc(rng, len(lengths))
+    pieces = tuple(
+        LocalPiece(z=z, length=l, jets=tuple(sample_disc(rng, l, k) for _ in range(b + bprime)))
+        for z, l in zip(zs, lengths)
+    )
+    return JetScheme(k=k, b=b, bprime=bprime, pieces=pieces)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_block_layout_matches_offset_loops(k):
+    rng = trial_rng(14, "blocks", k)
+    layouts = list(_compositions(k))
+    assert len({tuple(c) for c in layouts}) == 2 ** (k - 1)
+    for lengths in layouts:
+        for _ in range(3):
+            d = _scheme(rng, lengths, 1, 1)
+            np.testing.assert_array_equal(jordan_of(d), _jordan_of_loop(d))
+            np.testing.assert_array_equal(block_reversal(d), _block_reversal_loop(d))
+            for factor in (0, 1):
+                g = g_matrix(d, factor)
+                assert g.flags.c_contiguous
+                np.testing.assert_array_equal(g, _g_matrix_loop(d, factor))
+            dz = sample_disc(rng, len(lengths))
+            np.testing.assert_array_equal(_eigen_shift(d, dz), _eigen_shift_loop(d, dz))
+            unit = np.eye(len(lengths))[-1]
+            np.testing.assert_array_equal(_eigen_shift(d, unit), _eigen_shift_loop(d, unit))
+            np.testing.assert_array_equal(slice_conjugator(d), _slice_conjugator_loop(d))
+
+
+def _nullspace(a):
+    _, s, vh = np.linalg.svd(a)
+    if s.size == 0:
+        return vh
+    cutoff = RANK_TOL * max(s[0], 1.0)
+    rank = int(np.sum(s > cutoff))
+    return vh[rank:].conj()
+
+
+def _centralizer_dimension_written_out(x):
+    k = x.shape[0]
+    s = np.linalg.svd(ad_operator(x), compute_uv=False)
+    cutoff = RANK_TOL * max(s[0], 1.0)
+    return int(k * k - np.sum(s > cutoff))
+
+
+def _invertible_written_out(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    return bool(s[-1] > NONDEGENERACY_TOL * max(s[0], 1.0))
+
+
+def _f_kernel_dimension_written_out(d):
+    gram = f_gram_matrix(d)
+    sing = np.linalg.svd(gram, compute_uv=False)
+    cutoff = 1e-8 * max(sing[0], 1.0)
+    return int(np.sum(sing <= cutoff))
+
+
+def _rank_test_matrices(rng, k):
+    """Random, diagonal (with repeated, tiny and zero entries), Jordan and
+    zero matrices."""
+    yield sample_disc(rng, k, k)
+    yield 1e4 * sample_disc(rng, k, k)
+    yield np.diag(sample_disc(rng, k))
+    yield np.diag(np.resize([0.5, 0.5j, 1e-12, 0.0], k)).astype(complex)
+    # singular values of the matrix (k >= 2) and of ad_X (k >= 3) exactly
+    # at the 1e-9 cutoff, where > and >= disagree
+    yield np.diag(np.resize([1.0, 1e-9, 0.0], k)).astype(complex)
+    yield np.diag(np.full(k, 0.3 + 0.1j))
+    yield 0.7 * np.eye(k) + np.eye(k, k=1) + 0j
+    yield np.eye(k, k=1) + 0j
+    yield np.zeros((k, k), dtype=complex)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_rank_cutoff_matches_written_out_rules(k):
+    rng = trial_rng(15, "rank", k)
+    for x in _rank_test_matrices(rng, k):
+        basis = centralizer_basis(x)
+        ref = [v.reshape(k, k) for v in _nullspace(ad_operator(x))]
+        assert len(basis) == len(ref)
+        for z, z_ref in zip(basis, ref):
+            np.testing.assert_array_equal(z, z_ref)
+        assert centralizer_dimension(x) == _centralizer_dimension_written_out(x)
+        assert _invertible(x) == _invertible_written_out(x)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_f_kernel_dimension_matches_written_out_rule(k):
+    rng = trial_rng(16, "f-kernel", k)
+    for lengths in _compositions(k):
+        d = _scheme(rng, lengths, 1, 0)
+        assert f_kernel_dimension(d) == _f_kernel_dimension_written_out(d)
+        collided = _scheme(rng, lengths, 1, 0, zs=np.full(len(lengths), 0.4 + 0j))
+        assert f_kernel_dimension(collided) == _f_kernel_dimension_written_out(collided)
+
+
+def _find_cyclic_vector_loop(x):
+    k = x.shape[0]
+    best = None
+    best_sigma = -1.0
+    candidates = [np.eye(k, dtype=complex)[i] for i in range(k)]
+    rng = np.random.default_rng(12345)
+    for _ in range(4):
+        candidates.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    for v in candidates:
+        krylov = _krylov_frame(x, v)
+        sigma = np.linalg.svd(krylov, compute_uv=False)[-1]
+        if sigma > best_sigma:
+            best_sigma = sigma
+            best = krylov
+    if best_sigma <= 1e-13:
+        raise SingularMatrixError("no usable cyclic vector: matrix not regular?")
+    return best
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cyclic_frame_matches_per_candidate_loop(k):
+    rng = trial_rng(17, "cyclic", k)
+    for _ in range(30):
+        y = sample_disc(rng, k, k)
+        np.testing.assert_array_equal(_cyclic_frame(y), _find_cyclic_vector_loop(y))
+    # a Jordan block: e_k alone is cyclic, so the pick is not the first candidate
+    j = np.eye(k, k=1) + 0j
+    np.testing.assert_array_equal(_cyclic_frame(j), _find_cyclic_vector_loop(j))
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_cyclic_frame_refuses_zero_matrix(k):
+    zero = np.zeros((k, k), dtype=complex)
+    for search in (_cyclic_frame, _find_cyclic_vector_loop):
+        with pytest.raises(SingularMatrixError):
+            search(zero)

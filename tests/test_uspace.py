@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtv.errors import (
+    DimensionMismatchError,
     GluingError,
     LevelSetError,
     SignatureError,
@@ -24,6 +25,7 @@ from mtv.uspace import (
     u11_from_tstar,
     u11_to_tstar,
     u_build,
+    u_equivalence_residual,
     u_equivalent,
     u_moment,
     u_symplectic,
@@ -244,6 +246,27 @@ def test_singular_group_element_refused(use, rng):
     p = sample_wpoint(2, OUTGOING, rng)
     with pytest.raises(SingularMatrixError):
         use(m, p)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda m3, m2, p: u_equivalence_residual(m3, m2),
+        lambda m3, m2, p: u_equivalent(m2, m3),
+        lambda m3, m2, p: g_action(m3, 0, np.eye(2)),
+        lambda m3, m2, p: g_action(m3, 1, np.eye(2)),
+        lambda m3, m2, p: g_act_w(p, np.eye(2)),
+        lambda m3, m2, p: W00Point(g=np.eye(2), X=slice_point([0.1, 0.2, 0.3])),
+    ],
+    ids=["u_equivalence_residual", "u_equivalent", "g_action_in", "g_action_out",
+         "g_act_w", "W00Point"],
+)
+def test_size_mismatch_refused(use, rng):
+    m3 = sample_uclass(3, 1, 1, rng)
+    m2 = sample_uclass(2, 1, 1, rng)
+    p = sample_wpoint(3, INCOMING, rng)
+    with pytest.raises(DimensionMismatchError):
+        use(m3, m2, p)
 
 
 class TestUSymplectic:

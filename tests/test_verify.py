@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm, expm_frechet
 
 from mtv import uspace, verify
-from mtv.errors import ValidationError
+from mtv.errors import DimensionMismatchError, ValidationError
 from mtv.lie import as_matrix
 from mtv.slodowy import slice_embed
 from mtv.verify import (
@@ -149,6 +149,14 @@ def test_symmetrization_matches_permutation_sum(k):
     for m in range(1, k + 1):
         ref = _symmetrized_by_permutations(x, y, m)
         assert abs(symmetrized_form_value(x, y, m) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "x, y", [(np.eye(2), np.eye(3)), (np.eye(3), np.ones((4, 3, 2)))], ids=["matrix", "stack"]
+)
+def test_symmetrization_refuses_size_mismatch(x, y):
+    with pytest.raises(DimensionMismatchError):
+        symmetrized_form_value(x, y, 2)
 
 
 @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
