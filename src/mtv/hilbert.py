@@ -41,7 +41,7 @@ from .slodowy import (
     slice_embed,
 )
 from .uspace import UClass
-from .wspace import INCOMING, _Signature, _moment
+from .wspace import INCOMING, _Signature
 
 # Pieces closer than this in z are treated as sharing a base point.
 Z_MATCH_TOL = 1e-8
@@ -127,24 +127,24 @@ class JetScheme(_Signature):
         object.__setattr__(self, "pieces", pieces)
 
 
+def _clusters(points: Sequence[complex], radius: float) -> list[list[int]]:
+    """Single-linkage groups of points: i and j share a group when a chain of
+    points at most `radius` apart joins them.  Each group lists its indices
+    in increasing order, and the groups are ordered by their first index."""
+    groups: list[list[int]] = []
+    for i, z in enumerate(points):
+        near = [g for g in groups if any(abs(z - points[j]) <= radius for j in g)]
+        groups = [g for g in groups if g not in near] + [sorted(sum(near, [i]))]
+    return sorted(groups)
+
+
 def has_distinct_base_points(d: JetScheme) -> bool:
-    zs = [p.z for p in d.pieces]
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if abs(zs[i] - zs[j]) <= Z_MATCH_TOL:
-                return False
-    return True
+    return len(_clusters([p.z for p in d.pieces], Z_MATCH_TOL)) == len(d.pieces)
 
 
-def sort_pieces(d: JetScheme) -> JetScheme:
+def _piece_key(p: LocalPiece) -> tuple[float, float, int]:
     """Canonical piece order: lexicographic (Re z, Im z, length)."""
-    order = sorted(
-        range(len(d.pieces)),
-        key=lambda i: (d.pieces[i].z.real, d.pieces[i].z.imag, d.pieces[i].length),
-    )
-    return JetScheme(
-        k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(d.pieces[i] for i in order)
-    )
+    return (p.z.real, p.z.imag, p.length)
 
 
 def _blocks(d: JetScheme) -> list[range]:
@@ -296,12 +296,12 @@ def jet_normalize(piece: LocalPiece) -> LocalPiece:
 
 def normalize_scheme(d: JetScheme) -> JetScheme:
     """Sort pieces canonically and normalize every piece's jets."""
-    d = sort_pieces(d)
+    pieces = sorted(d.pieces, key=_piece_key)
     return JetScheme(
         k=d.k,
         b=d.b,
         bprime=d.bprime,
-        pieces=tuple(jet_normalize(p) for p in d.pieces),
+        pieces=tuple(jet_normalize(p) for p in pieces),
     )
 
 
@@ -353,9 +353,9 @@ def hilb_to_u(d: JetScheme) -> UClass:
     moment is -(G_j J G_j^{-1})^T, and the jet-group ambiguity lands exactly
     in the centralizer equivalence of the class.
     """
-    if not has_distinct_base_points(d):
-        raise DegenerateSchemeError("correspondence requires distinct base points")
-    if not nondegenerate(d):
+    # slice_conjugator refuses colliding base points, and between distinct
+    # ones no piece swap can stabilize D, so finite stabilizers suffice
+    if not locally_nondegenerate(d):
         raise DegenerateSchemeError("correspondence requires a nondegenerate scheme")
     conj = slice_conjugator(d)
     conj_inv = np.linalg.inv(conj)
@@ -375,23 +375,7 @@ def _cluster_roots(
     roots: np.ndarray, radius: float
 ) -> list[tuple[complex, int]]:
     """Single-linkage clustering of eigenvalues; returns (center, size)."""
-    n = roots.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    return [(complex(np.mean(g)), len(g)) for g in groups.values()]
+    return [(complex(np.mean(roots[g])), len(g)) for g in _clusters(roots, radius)]
 
 
 def u_to_hilb(m: UClass) -> JetScheme:
@@ -407,10 +391,8 @@ def u_to_hilb(m: UClass) -> JetScheme:
     roots = np.linalg.eigvals(x_mat)
     clusters = _cluster_roots(roots, ROOT_CLUSTER_RADIUS)
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            if abs(clusters[i][0] - clusters[j][0]) < max(2 * ROOT_CLUSTER_RADIUS, 1e-8):
-                raise ConditioningError("cluster centers too close to resolve")
+    if len(_clusters([z for z, _ in clusters], 2 * ROOT_CLUSTER_RADIUS)) < len(clusters):
+        raise ConditioningError("cluster centers too close to resolve")
     centers = np.concatenate([[z] * l for z, l in clusters])
     recon = np.array([np.sum(centers**p) for p in range(1, k + 1)])
     actual = power_traces(x_mat)
@@ -461,12 +443,19 @@ class FTangent:
         object.__setattr__(self, "dz", np.asarray(self.dz, dtype=complex))
 
 
-def f_moment(d: JetScheme) -> Matrix:
-    """mu(D) = G(D) J(D) G(D)^{-1} for the first factor."""
+def _fitting_frame(d: JetScheme) -> tuple[Matrix, Matrix, Matrix]:
+    """The first factor matrix G, its inverse and mu = G J(D) G^{-1};
+    refuses a singular G."""
     g = g_matrix(d, 0)
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
-    return _moment(g, jordan_of(d), INCOMING)
+    ginv = np.linalg.inv(g)
+    return g, ginv, g @ jordan_of(d) @ ginv
+
+
+def f_moment(d: JetScheme) -> Matrix:
+    """mu(D) = G(D) J(D) G(D)^{-1} for the first factor."""
+    return _fitting_frame(d)[2]
 
 
 def _eigen_shift(d: JetScheme, dz: np.ndarray) -> Matrix:
@@ -488,30 +477,24 @@ def f_presymplectic(d: JetScheme, u: FTangent, v: FTangent) -> complex:
     the group action is Hamiltonian for mu with the same sign convention as
     the canonical form on group x slice.
     """
-    if (d.b, d.bprime) != (1, 0):
-        raise SignatureError("the presymplectic form is defined for (1,0)")
-    g = g_matrix(d, 0)
-    if not _invertible(g):
-        raise DegenerateSchemeError("factor matrix is singular")
-    if len(u.dz) != len(d.pieces) or len(v.dz) != len(d.pieces):
-        raise ValidationError("need one dz per piece")
-    mu, wedge = _f_moment_wedge(d, g, u, v)
+    mu, wedge = _f_moment_wedge(d, u, v)
     return wedge - pairing(mu, commutator(u.rho, v.rho))
 
 
 def f_presymplectic_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> complex:
     """The literal pairing-wedge <rho, dmu(v)> - <rho', dmu(u)>; differs from
     the closed form by the recorded term <mu, [rho_u, rho_v]>."""
-    return _f_moment_wedge(d, g_matrix(d, 0), u, v)[1]
+    return _f_moment_wedge(d, u, v)[1]
 
 
-def _f_moment_wedge(
-    d: JetScheme, g: Matrix, u: FTangent, v: FTangent
-) -> tuple[Matrix, complex]:
-    """mu = G J G^{-1} for the factor matrix G, and the pairing-wedge
-    <rho_u, dmu(v)> - <rho_v, dmu(u)>."""
-    ginv = np.linalg.inv(g)
-    mu = _moment(g, jordan_of(d), INCOMING)
+def _f_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> tuple[Matrix, complex]:
+    """mu = G J G^{-1} for the first factor matrix G, and the pairing-wedge
+    <rho_u, dmu(v)> - <rho_v, dmu(u)>; refuses what both forms refuse."""
+    if (d.b, d.bprime) != (1, 0):
+        raise SignatureError("the presymplectic form is defined for (1,0)")
+    g, ginv, mu = _fitting_frame(d)
+    if len(u.dz) != len(d.pieces) or len(v.dz) != len(d.pieces):
+        raise ValidationError("need one dz per piece")
     dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(d, u.dz) @ ginv
     dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(d, v.dz) @ ginv
     return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
@@ -528,11 +511,9 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
     """
     if (d.b, d.bprime) != (1, 0):
         raise SignatureError("the presymplectic form is defined for (1,0)")
-    mu = f_moment(d)  # refuses a singular factor matrix
+    g, ginv, mu = _fitting_frame(d)
     k = d.k
     s = len(d.pieces)
-    g = g_matrix(d, 0)
-    ginv = np.linalg.inv(g)
     eye = np.eye(k)
     rho_rho = np.einsum("bc,da->abcd", eye, mu) - np.einsum("da,bc->abcd", eye, mu)
     # column i holds (Q_i)_ba at row a k + b; P_i is the shift of piece i alone
@@ -555,9 +536,7 @@ def f_kernel_dimension(d: JetScheme) -> int:
 def orbit_invariant(d: JetScheme) -> tuple[tuple[complex, int], ...]:
     """Unordered Jordan data of J(D): the multiset of (base point, length)
     pairs, canonically sorted."""
-    data = [(complex(p.z), p.length) for p in d.pieces]
-    data.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    return tuple(data)
+    return tuple((p.z, p.length) for p in sorted(d.pieces, key=_piece_key))
 
 
 def orbit_invariant_equal(

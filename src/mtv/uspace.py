@@ -251,6 +251,8 @@ def u_symplectic_single_slice_form(m: UClass, u: UTangent, v: UTangent) -> compl
 def _match_moments(m1: UClass, p_out: int, m2: UClass, q_in: int) -> None:
     """Raise GluingError unless the moment of factor p_out of m1 is minus
     that of factor q_in of m2."""
+    if m1.X.k != m2.X.k:
+        raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
     mu1 = u_moment(m1, p_out)
     mu2 = u_moment(m2, q_in)
     if np.max(np.abs(mu1 + mu2)) > GLUE_TOL * max(1.0, float(np.max(np.abs(mu1)))):
@@ -272,8 +274,6 @@ def glue(m1: UClass, p_out: int, m2: UClass, q_in: int, receiver: int = 0) -> UC
         raise SignatureError("p_out must index an outgoing factor of m1")
     if not (0 <= q_in < m2.b):
         raise SignatureError("q_in must index an incoming factor of m2")
-    if m1.X.k != m2.X.k:
-        raise SignatureError("sizes differ")
     _match_moments(m1, p_out, m2, q_in)
     if np.max(np.abs(m1.X.coeffs - m2.X.coeffs)) > GLUE_TOL:
         raise GluingError("slice parts differ despite matched moments")

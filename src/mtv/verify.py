@@ -414,17 +414,12 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     if step <= 0 or step**2 <= np.finfo(float).eps:
         raise ValidationError("fd step underflow")
 
-    def omega_at(coords, t1, t2):
-        return form(*chart.frame_at(coords, t1, t2))
-
-    total = 0.0 + 0.0j
-    dirs = (u, v, w)
-    for idx, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
-        rest = [dirs[i] for i in range(3) if i != idx]
-        total += sign * _central_difference(
-            lambda c: omega_at(c, rest[0], rest[1]), chart, dirs[idx], step
+    def d_along(t, t1, t2):  # D_t omega(t1, t2)
+        return _central_difference(
+            lambda c: form(*chart.frame_at(c, t1, t2)), chart, t, step
         )
-    return total
+
+    return d_along(u, v, w) - d_along(v, u, w) + d_along(w, u, v)
 
 
 def _moment_condition(
@@ -541,23 +536,26 @@ def _worst_incoming_k3(rng: np.random.Generator, residual) -> float:
     return max(abs(residual(sample_wpoint(3, INCOMING, rng), rng)) for _ in range(4))
 
 
+def _polarization_gap(c: Matrix, x: Matrix, m: int) -> float:
+    """Largest |<c, E_ab> - m p(X, ..., X, E_ab)| over the matrix units: zero
+    when c is the polarized gradient of trace(X^m)."""
+    units = _matrix_units(x.shape[0])
+    gaps = pairing(c, units) - m * symmetrized_form_value(x, units, m)
+    return float(np.max(np.abs(gaps)))
+
+
 def _check_polarization(cfg, rng, k, trial) -> _Residuals:
     x = sample_disc(rng, k, k)
-    units = _matrix_units(k)
     for m in range(1, k + 1):
         c = polarized_gradient(InvariantPolynomial(m), x)
-        gaps = pairing(c, units) - m * symmetrized_form_value(x, units, m)
-        yield "identity_residual", float(np.max(np.abs(gaps)))
+        yield "identity_residual", _polarization_gap(c, x, m)
         yield "bracket_residual", float(np.max(np.abs(commutator(c, x))))
 
 
 def _negative_polarization(rng) -> float:
     # a wrong gradient (coefficient off by 10%)
     x = sample_disc(rng, 3, 3)
-    c_bad = 1.1 * polarized_gradient(InvariantPolynomial(2), x)
-    units = _matrix_units(3)
-    gaps = pairing(c_bad, units) - 2 * symmetrized_form_value(x, units, 2)
-    return float(np.max(np.abs(gaps)))
+    return _polarization_gap(1.1 * polarized_gradient(InvariantPolynomial(2), x), x, 2)
 
 
 def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtv.cli import main
-from mtv.serialize import uclass_from_json, uclass_to_json
+from mtv.serialize import uclass_from_json, uclass_to_json, wpoint_from_json
 from mtv.uspace import UClass, glue, u_equivalent
 from mtv.verify import (
     sample_centralizer_element,
@@ -132,6 +132,24 @@ def test_sample_deterministic(tmp_path):
                      "--bprime", "1", "--seed", "12",
                      "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "x.json").read_text() == (tmp_path / "y.json").read_text()
+
+
+def test_sample_wpoint(tmp_path):
+    for name in ("x.json", "y.json"):
+        assert main(["sample", "--kind", "wpoint", "--k", "3", "--orientation", "out",
+                     "--seed", "12", "--out", str(tmp_path / name)]) == 0
+    text = (tmp_path / "x.json").read_text()
+    assert text == (tmp_path / "y.json").read_text()
+    p = wpoint_from_json(json.loads(text))
+    assert (p.X.k, p.orientation) == (3, "out")
+
+
+def test_verify_at_k_1(capsys):
+    # every draw suite degrades to k = 1
+    code = main(["verify", "--k", "1", "--trials", "2", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["pass"] is True
+    assert len(report["suites"]) == 11
 
 
 def test_bad_input_file(tmp_path):

@@ -583,6 +583,29 @@ class TestFPresymplectic:
         d = sample_jetscheme(3, 1, 0, rng, lengths=[3])
         assert f_kernel_dimension(d) == 2
 
+    @pytest.mark.parametrize(
+        "form", [f_presymplectic, f_presymplectic_moment_wedge],
+        ids=["closed", "moment_wedge"],
+    )
+    @pytest.mark.parametrize(
+        "case, error",
+        [("signature", SignatureError), ("singular", DegenerateSchemeError),
+         ("long_dz", ValidationError)],
+    )
+    def test_both_forms_refuse_alike(self, rng, form, case, error):
+        # the literal wedge shares the closed form's refusals: a (1,1) scheme,
+        # a singular factor matrix and one dz too many
+        if case == "signature":
+            d = sample_jetscheme(3, 1, 1, rng)
+        elif case == "singular":
+            d = simple_scheme(2, vectors=[np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+        else:
+            d = sample_jetscheme(3, 1, 0, rng)
+        s = len(d.pieces) + (case == "long_dz")
+        u = FTangent(rho=rand_complex(rng, d.k, d.k), dz=rand_complex(rng, s))
+        with pytest.raises(error):
+            form(d, u, u)
+
 
 class TestOrbitInvariant:
     def test_simple_points(self):

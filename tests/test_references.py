@@ -4,27 +4,40 @@ Each reference below is the earlier coding of a kernel, kept verbatim so the
 rewrite is pinned to it: the two-draw disc sampler, the per-power slice
 embeddings, the matmul trace pivots, the per-unit pairings of the
 symmetrization oracle, the offset loops over a scheme's Jordan blocks, the
-four written-out rank cutoffs and the per-candidate cyclic-frame search.
+four written-out rank cutoffs, the per-candidate cyclic-frame search, the
+union-find and pairwise codings of the clustering rule, the sort_pieces
+piece order and the index loop of the exterior derivative.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from mtv.errors import SingularMatrixError
+from mtv.errors import ConditioningError, SingularMatrixError
 from mtv.hilbert import (
     NONDEGENERACY_TOL,
+    ROOT_CLUSTER_RADIUS,
+    Z_MATCH_TOL,
+    FTangent,
     JetScheme,
     LocalPiece,
+    _cluster_roots,
     _eigen_shift,
     _invertible,
     block_reversal,
     f_gram_matrix,
     f_kernel_dimension,
+    f_moment,
+    f_presymplectic,
     g_matrix,
+    has_distinct_base_points,
+    jet_normalize,
     jordan_of,
+    normalize_scheme,
+    orbit_invariant,
     scheme_slice_point,
     slice_conjugator,
+    u_to_hilb,
 )
 from mtv.lie import (
     RANK_TOL,
@@ -40,16 +53,28 @@ from mtv.slodowy import (
     _slice_frame,
     _trace_pivots,
     principal_triple,
+    slice_coefficients_from_roots,
     slice_embed,
 )
-from mtv.uspace import _cyclic_frame
+from mtv.uspace import UClass, _cyclic_frame, u_symplectic
 from mtv.verify import (
+    FD_STEP,
+    FChart,
+    UChart,
+    WChart,
+    _central_difference,
     _matrix_units,
+    fd_exterior_derivative,
     sample_disc,
+    sample_group,
+    sample_uclass,
+    sample_utangent,
+    sample_wpoint,
+    sample_wtangent,
     symmetrized_form_value,
     trial_rng,
 )
-from mtv.wspace import slice_direction
+from mtv.wspace import INCOMING, OUTGOING, _moment, slice_direction, w_symplectic
 
 
 def _sample_disc_two_draws(rng, *shape, radius=1.0):
@@ -339,3 +364,181 @@ def test_cyclic_frame_refuses_zero_matrix(k):
     for search in (_cyclic_frame, _find_cyclic_vector_loop):
         with pytest.raises(SingularMatrixError):
             search(zero)
+
+
+def _cluster_roots_union_find(roots, radius):
+    n = roots.shape[0]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(roots[i] - roots[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(roots[i])
+    return [(complex(np.mean(g)), len(g)) for g in groups.values()]
+
+
+def _has_distinct_base_points_pairwise(d):
+    zs = [p.z for p in d.pieces]
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            if abs(zs[i] - zs[j]) <= Z_MATCH_TOL:
+                return False
+    return True
+
+
+def _cluster_test_points(rng, radius):
+    """Chains whose ends are farther apart than the radius, points exactly
+    one radius apart (dyadic, so the gaps are exact), grid points with gaps
+    at the radius up to roundoff, and random scatters, each also permuted."""
+    sets = [
+        np.array([0.0, 0.8, 1.6]) * radius,
+        np.array([0.0, 1.0, 2.0, 2.0 + 1.0j]) * radius,
+        np.array([0.0, 1.0, 3.0, 4.0]) * radius,
+        np.array([0.0, 1.0, 2.0]) * 0.0625,
+        radius * rng.integers(0, 4, size=5) + 1j * radius * rng.integers(0, 2, size=5),
+    ]
+    for n in range(1, 7):
+        sets.append(3 * radius * sample_disc(rng, n))
+    for pts in sets:
+        pts = pts.astype(complex)
+        yield pts
+        yield pts[rng.permutation(pts.size)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustering_matches_union_find(seed):
+    rng = trial_rng(18, "clusters", seed)
+    for radius in (ROOT_CLUSTER_RADIUS, 0.0625):
+        for pts in _cluster_test_points(rng, radius):
+            assert _cluster_roots(pts, radius) == _cluster_roots_union_find(pts, radius)
+    chain = np.array([0.0, 0.04, 0.08, 2.0], dtype=complex)
+    assert [n for _, n in _cluster_roots(chain, ROOT_CLUSTER_RADIUS)] == [3, 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_base_points_match_pairwise_rule(seed):
+    rng = trial_rng(19, "distinct", seed)
+    # gaps of exactly Z_MATCH_TOL (0 and 1e-8) count as a collision
+    offsets = [0.0, 1e-8, 2e-8, 5e-9, 1.0, 1.0 + 1e-8j]
+    for n in range(1, 5):
+        for _ in range(8):
+            zs = rng.choice(offsets, size=n, replace=False) + 0j
+            d = _scheme(rng, [1] * n, 1, 0, zs=zs)
+            assert has_distinct_base_points(d) == _has_distinct_base_points_pairwise(d)
+    assert not has_distinct_base_points(_scheme(rng, [1, 1], 1, 0, zs=[0.0, 1e-8]))
+
+
+def _sort_pieces(d):
+    order = sorted(
+        range(len(d.pieces)),
+        key=lambda i: (d.pieces[i].z.real, d.pieces[i].z.imag, d.pieces[i].length),
+    )
+    return JetScheme(
+        k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(d.pieces[i] for i in order)
+    )
+
+
+def _normalize_scheme_sorted(d):
+    d = _sort_pieces(d)
+    return JetScheme(
+        k=d.k,
+        b=d.b,
+        bprime=d.bprime,
+        pieces=tuple(jet_normalize(p) for p in d.pieces),
+    )
+
+
+def _orbit_invariant_sorted(d):
+    data = [(complex(p.z), p.length) for p in d.pieces]
+    data.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
+    return tuple(data)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_piece_order_matches_sort_pieces(k):
+    rng = trial_rng(20, "order", k)
+    # few base points, so pieces tie in z, and in z and length
+    base = np.array([0.0, 1.0, 1.0j, -1.0 + 0.5j])
+    for lengths in _compositions(k):
+        for _ in range(3):
+            zs = rng.choice(base, size=len(lengths))
+            d = _scheme(rng, lengths, 2, 1, zs=zs)
+            assert orbit_invariant(d) == _orbit_invariant_sorted(d)
+            got, ref = normalize_scheme(d), _normalize_scheme_sorted(d)
+            assert [(p.z, p.length) for p in got.pieces] == [
+                (p.z, p.length) for p in ref.pieces
+            ]
+            for p, q in zip(got.pieces, ref.pieces):
+                for a, b in zip(p.jets, q.jets):
+                    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_fitting_moment_is_the_moment_map(k):
+    # the Fitting frame computes mu exactly as the one moment formula does
+    rng = trial_rng(23, "f-moment", k)
+    for lengths in _compositions(k):
+        d = _scheme(rng, lengths, 1, 0)
+        mu = _moment(g_matrix(d, 0), jordan_of(d), INCOMING)
+        np.testing.assert_array_equal(f_moment(d), mu)
+
+
+def _fd_exterior_derivative_loop(form, chart, u, v, w, step):
+    def omega_at(coords, t1, t2):
+        return form(*chart.frame_at(coords, t1, t2))
+
+    total = 0.0 + 0.0j
+    dirs = (u, v, w)
+    for idx, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
+        rest = [dirs[i] for i in range(3) if i != idx]
+        total += sign * _central_difference(
+            lambda c: omega_at(c, rest[0], rest[1]), chart, dirs[idx], step
+        )
+    return total
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_exterior_derivative_matches_index_loop(k):
+    rng = trial_rng(21, "d-omega", k)
+    cases = []
+    for orientation in (INCOMING, OUTGOING):
+        p = sample_wpoint(k, orientation, rng)
+        cases.append((w_symplectic, WChart(p), [sample_wtangent(k, rng) for _ in range(3)]))
+    m = sample_uclass(k, 2, 1, rng)
+    cases.append((u_symplectic, UChart(m), [sample_utangent(m, rng) for _ in range(3)]))
+    for lengths in _compositions(k):
+        d = _scheme(rng, lengths, 1, 0)
+        tans = [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
+                for _ in range(3)]
+        cases.append((f_presymplectic, FChart(d), tans))
+    for form, chart, tans in cases:
+        got = fd_exterior_derivative(form, chart, *tans, FD_STEP)
+        assert got == _fd_exterior_derivative_loop(form, chart, *tans, FD_STEP)
+
+
+@pytest.mark.parametrize(
+    "s, refusal",
+    [(0.03, "failed validation"), (0.07, "cluster centers too close"), (0.2, None)],
+)
+def test_u_to_hilb_on_close_roots(s, refusal):
+    # roots {0, s, 2}: s inside the cluster radius merges a simple pair that
+    # the power traces then refuse; s inside twice the radius leaves centers
+    # too close to resolve; s = 0.2 resolves into three simple pieces
+    x = slice_coefficients_from_roots(np.array([0.0, s, 2.0]), 3)
+    m = UClass(b=1, bprime=0, gs=(sample_group(3, trial_rng(22, "roots", 0)),), X=x)
+    if refusal is not None:
+        with pytest.raises(ConditioningError, match=refusal):
+            u_to_hilb(m)
+        return
+    d = u_to_hilb(m)
+    assert [p.length for p in d.pieces] == [1, 1, 1]
+    np.testing.assert_allclose([p.z for p in d.pieces], [0.0, s, 2.0], atol=1e-9)

@@ -269,6 +269,20 @@ def test_size_mismatch_refused(use, rng):
         use(m3, m2, p)
 
 
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda rng: glue(sample_uclass(3, 1, 1, rng), 1, sample_uclass(2, 1, 1, rng), 0),
+        lambda rng: w00_from_glue(sample_uclass(3, 0, 1, rng), sample_uclass(2, 1, 0, rng)),
+    ],
+    ids=["glue", "w00_from_glue"],
+)
+def test_gluing_size_mismatch_refused(use, rng):
+    # both gluings match moments through one size check
+    with pytest.raises(DimensionMismatchError):
+        use(rng)
+
+
 class TestUSymplectic:
     def test_antisymmetry(self, rng):
         m = sample_uclass(2, 2, 1, rng)
