@@ -1,6 +1,12 @@
 """Numerical engine for holomorphic symplectic varieties glued from
 Slodowy slices, their moment-map axioms, and the transverse Hilbert scheme
 correspondence for GL(k, C) / SL(k, C)."""
+import os
+
+# One BLAS thread unless the user set one, before numpy loads: at most 15 x 15
+# matrices, extra threads only oversubscribe a busy host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .errors import (
     ConditioningError,

@@ -33,7 +33,8 @@ from .errors import (
     SignatureError,
     ValidationError,
 )
-from .lie import Matrix, _krylov_frame, _rank, as_matrix, commutator, pairing, power_traces
+from .lie import (Matrix, _krylov_frame, _rank, as_matrix, check_same_size, commutator,
+                  pairing, power_traces)
 from .slodowy import (
     SlicePoint,
     _slice_frame,
@@ -41,7 +42,7 @@ from .slodowy import (
     slice_embed,
 )
 from .uspace import UClass
-from .wspace import INCOMING, _Signature
+from .wspace import INCOMING, _group_element, _Signature
 
 # Pieces closer than this in z are treated as sharing a base point.
 Z_MATCH_TOL = 1e-8
@@ -57,8 +58,8 @@ NONDEGENERACY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LocalPiece:
-    """One transverse piece: base point, length, and per-factor jets of
-    shape (length, k)."""
+    """One transverse piece: base point, length, and per-factor jets of shape
+    (length, k); a stack of n pieces of one length has z (n,), jets (n, length, k)."""
 
     z: complex
     length: int
@@ -67,32 +68,35 @@ class LocalPiece:
     def __post_init__(self):
         if self.length < 1:
             raise ValidationError("piece length must be >= 1")
+        if not self.jets:
+            raise ValidationError("a piece needs one jet per factor, got none")
         jets = []
         k = None
         for jet in self.jets:
             arr = np.asarray(jet, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != self.length:
+            if arr.ndim not in (2, 3) or arr.shape[-2] != self.length:
                 raise ValidationError(
                     f"jet must have shape (length, k), got {arr.shape}"
                 )
             if not np.isfinite(arr).all():
                 raise ValidationError("jet entries must be finite")
             if k is None:
-                k = arr.shape[1]
-            elif arr.shape[1] != k:
+                k = arr.shape[-1]
+            elif arr.shape[-1] != k:
                 raise ValidationError("jets disagree on the ambient dimension")
-            if not arr[0].any():
+            if not (arr[0].any() if arr.ndim == 2 else arr[:, 0].any(axis=-1).all()):
                 raise DegenerateSchemeError("leading jet vector vanishes")
             jets.append(arr)
-        z = complex(self.z)
-        if not cmath.isfinite(z):
+        z = self.z
+        z = z.astype(complex) if isinstance(z, np.ndarray) and z.ndim else complex(z)
+        if not (cmath.isfinite(z) if isinstance(z, complex) else np.isfinite(z).all()):
             raise ValidationError("base point must be finite")
         object.__setattr__(self, "jets", tuple(jets))
         object.__setattr__(self, "z", z)
 
     @property
     def k(self) -> int:
-        return self.jets[0].shape[1]
+        return self.jets[0].shape[-1]
 
     @property
     def n_factors(self) -> int:
@@ -159,10 +163,10 @@ def _blocks(d: JetScheme) -> list[range]:
 def jordan_of(d: JetScheme) -> Matrix:
     """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
     above the diagonal)."""
-    j = _eigen_shift(d, [p.z for p in d.pieces])
+    j = _eigen_shift(d, np.array([p.z for p in d.pieces]).T)
     for blk in _blocks(d):
         for a in blk[1:]:
-            j[a - 1, a] = 1.0
+            j[..., a - 1, a] = 1.0
     return j
 
 
@@ -179,7 +183,7 @@ def block_reversal(d: JetScheme) -> Matrix:
 def g_matrix(d: JetScheme, factor: int) -> Matrix:
     """The k x k matrix whose columns are the factor's jet coefficient
     vectors, in piece order (consistent with `jordan_of`)."""
-    return np.vstack([p.jets[factor] for p in d.pieces]).T.copy()
+    return np.concatenate([p.jets[factor] for p in d.pieces], axis=-2).swapaxes(-1, -2).copy()
 
 
 def _invertible(m: Matrix) -> bool:
@@ -312,11 +316,12 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
         raise ValidationError("need one group element per factor")
     mats = []
     for j, g in enumerate(gs):
-        g = as_matrix(g)
-        mats.append(g if d.orientation(j) == INCOMING else np.linalg.inv(g).T)
+        g = _group_element(g, stacked=True)
+        mats.append(g if d.orientation(j) == INCOMING else np.linalg.inv(g).swapaxes(-1, -2))
     new_pieces = []
     for p in d.pieces:
-        jets = tuple((mats[j] @ p.jets[j].T).T for j in range(d.n_factors))
+        jets = tuple((mats[j] @ p.jets[j].swapaxes(-1, -2)).swapaxes(-1, -2)
+                     for j in range(d.n_factors))
         new_pieces.append(LocalPiece(z=p.z, length=p.length, jets=jets))
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(new_pieces))
 
@@ -459,11 +464,11 @@ def f_moment(d: JetScheme) -> Matrix:
 
 
 def _eigen_shift(d: JetScheme, dz: np.ndarray) -> Matrix:
-    """dJ for per-piece base-point velocities: dz_i on block i's diagonal."""
-    out = np.zeros((d.k, d.k), dtype=complex)
+    """dJ for base-point velocities dz (..., pieces): dz_i on block i's diagonal."""
+    out = np.zeros(np.shape(dz)[:-1] + (d.k, d.k), dtype=complex)
     for i, blk in enumerate(_blocks(d)):
         for a in blk:
-            out[a, a] = dz[i]
+            out[..., a, a] = dz[..., i]
     return out
 
 
@@ -493,8 +498,10 @@ def _f_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> tuple[Matrix, com
     if (d.b, d.bprime) != (1, 0):
         raise SignatureError("the presymplectic form is defined for (1,0)")
     g, ginv, mu = _fitting_frame(d)
-    if len(u.dz) != len(d.pieces) or len(v.dz) != len(d.pieces):
-        raise ValidationError("need one dz per piece")
+    for t in (u, v):
+        if t.dz.shape[-1:] != (len(d.pieces),):
+            raise ValidationError("need one dz per piece")
+        check_same_size(mu, t.rho)
     dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(d, u.dz) @ ginv
     dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(d, v.dz) @ ginv
     return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)

@@ -24,10 +24,11 @@ RANK_TOL = 1e-9
 Matrix = np.ndarray
 
 
-def as_matrix(entries) -> Matrix:
-    """Coerce to a square complex matrix and validate finiteness."""
+def as_matrix(entries, stacked: bool = False) -> Matrix:
+    """Coerce to a square complex matrix, or with `stacked` also to a stack of
+    them along one leading axis, and validate finiteness."""
     x = np.asarray(entries, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
+    if not 2 <= x.ndim <= 2 + stacked or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValidationError("matrix entries must be finite")
@@ -35,17 +36,17 @@ def as_matrix(entries) -> Matrix:
 
 
 def check_same_size(x: Matrix, y: Matrix) -> int:
-    if x.shape != y.shape[-2:]:
+    if x.shape[-2:] != y.shape[-2:]:
         raise DimensionMismatchError(f"size mismatch: {x.shape} vs {y.shape}")
-    return x.shape[0]
+    return x.shape[-1]
 
 
 def pairing(x: Matrix, y: Matrix) -> complex | np.ndarray:
     """Invariant bilinear form <X, Y> = trace(XY); symmetric and ad-invariant.
-    Y may be a stack of shape (n, k, k); the n values come back as an array."""
+    Either may be a stack (n, k, k), giving the n values as an array."""
     check_same_size(x, y)
     values = np.trace(x @ y, axis1=-2, axis2=-1)
-    return complex(values) if y.ndim == 2 else values
+    return complex(values) if values.ndim == 0 else values
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -114,8 +115,10 @@ def ad_operator(x: Matrix) -> Matrix:
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
-    """Numerical rank: the count of singular values s above tol * max(s_0, 1)."""
-    return int(np.sum(s > tol * max(s[0], 1.0)))
+    """Numerical rank: the count of singular values s above tol * max(s_0, 1),
+    summed over a stack (..., k) of spectra."""
+    s0 = max(s[0], 1.0) if s.ndim == 1 else np.maximum(s[..., :1], 1.0)
+    return int(np.sum(s > tol * s0))
 
 
 def centralizer_basis(x: Matrix) -> list[Matrix]:

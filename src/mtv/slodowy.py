@@ -71,14 +71,14 @@ def _trace_pivots(k: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SlicePoint:
-    """Coefficients (c_0, ..., c_(k-1)) of e + sum_j c_j f^j in the slice."""
+    """Coefficients (c_0, ..., c_(k-1)) of e + sum_j c_j f^j in the slice, or a stack (n, k)."""
 
     k: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.k,):
+        if c.shape[-1:] != (self.k,) or c.ndim > 2:
             raise ValidationError(
                 f"need {self.k} coefficients, got shape {c.shape}"
             )
@@ -96,19 +96,17 @@ def slice_point(coeffs) -> SlicePoint:
 
 
 def _add_f_powers(out: Matrix, coeffs) -> Matrix:
-    """Add sum_j coeffs_j f^j, coeffs of length k, to the k x k `out` in place."""
-    k = out.shape[0]
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (k,):
-        raise ValidationError(f"need {k} coefficients, got shape {c.shape}")
-    rows, cols, powers, values = _f_power_entries(k)
-    out[rows, cols] += c[powers] * values
+    """Add sum_j coeffs_j f^j, coeffs (..., k), to `out` (..., k, k) in place."""
+    rows, cols, powers, values = _f_power_entries(out.shape[-1])
+    out.T[cols, rows] += (coeffs.T[powers].T * values).T  # transposed, a stack axis trails
     return out
 
 
 def slice_embed(s: SlicePoint) -> Matrix:
-    """e + sum_j c_j f^j as a dense matrix."""
-    return _add_f_powers(principal_triple(s.k).e.copy(), s.coeffs)
+    """e + sum_j c_j f^j as a dense matrix, one per point of a stack."""
+    e = principal_triple(s.k).e
+    out = e.copy() if s.coeffs.ndim == 1 else np.repeat(e[np.newaxis], len(s.coeffs), axis=0)
+    return _add_f_powers(out, s.coeffs)
 
 
 def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:

@@ -62,11 +62,11 @@ class UClass(_Signature):
 
     def __post_init__(self):
         super().__post_init__()
-        gs = tuple(_group_element(g) for g in self.gs)
+        gs = tuple(_group_element(g, stacked=True) for g in self.gs)
         if len(gs) != self.b + self.bprime:
             raise ValidationError("factor count does not match signature")
         for g in gs:
-            if g.shape[0] != self.X.k:
+            if g.shape[-1] != self.X.k:
                 raise ValidationError("factor size does not match slice point")
         object.__setattr__(self, "gs", gs)
 
@@ -128,9 +128,10 @@ def u_build(points: Sequence[WPoint]) -> UClass:
 def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     """Numeric violation of the equivalence relation between two
     representatives: the max of the slice-part difference, the scaled
-    commutators [u_i, X], and |prod u_i - 1|, where u_i = h_i^{-1} g_i for
-    incoming factors and g_i h_i^{-1} for outgoing ones.  Zero (up to
-    roundoff) iff the representatives define the same class."""
+    commutators [u_i, X], and |prod u_i - 1| scaled by prod max(1, |u_i|)
+    (largest entries), where u_i = h_i^{-1} g_i for incoming factors and
+    g_i h_i^{-1} for outgoing ones.  Zero (up to roundoff) iff the
+    representatives define the same class."""
     if (m1.b, m1.bprime) != (m2.b, m2.bprime):
         raise SignatureError("signatures differ")
     if m1.X.k != m2.X.k:
@@ -138,6 +139,7 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     residual = float(np.max(np.abs(m1.X.coeffs - m2.X.coeffs)))
     x = slice_embed(m1.X)
     prod = np.eye(m1.X.k, dtype=complex)
+    scale = 1.0
     for i in range(m1.n_factors):
         if m1.orientation(i) == INCOMING:
             u = np.linalg.inv(m2.gs[i]) @ m1.gs[i]
@@ -145,8 +147,8 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
             u = m1.gs[i] @ np.linalg.inv(m2.gs[i])
         residual = max(residual, _centralizer_residual(u, x))
         prod = prod @ u
-    residual = max(residual, float(np.max(np.abs(prod - np.eye(m1.X.k)))))
-    return residual
+        scale *= max(1.0, float(np.max(np.abs(u))))
+    return max(residual, float(np.max(np.abs(prod - np.eye(m1.X.k)))) / scale)
 
 
 def u_equivalent(m1: UClass, m2: UClass) -> bool:
@@ -204,16 +206,14 @@ def perm_action(
 
 def u_symplectic(m: UClass, u: UTangent, v: UTangent) -> complex:
     """The quotient symplectic form: per-factor canonical forms sharing the
-    single slice velocity."""
+    single slice velocity, summed factor by factor (over a stack, pointwise)."""
     if len(u.a_list) != m.n_factors or len(v.a_list) != m.n_factors:
         raise ValidationError("tangent factor count mismatch")
     slice_mats = _slice_matrices(m.X, u.dc, v.dc)
-    total = 0.0 + 0.0j
-    for i in range(m.n_factors):
-        total += _canonical_form(
-            m.gs[i], m.orientation(i), slice_mats, u.a_list[i], v.a_list[i]
-        )
-    return total
+    return sum(
+        _canonical_form(m.gs[i], m.orientation(i), slice_mats, u.a_list[i], v.a_list[i])
+        for i in range(m.n_factors)
+    )
 
 
 def u_symplectic_single_slice_form(m: UClass, u: UTangent, v: UTangent) -> complex:

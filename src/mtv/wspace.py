@@ -44,10 +44,12 @@ OUTGOING: Literal["out"] = "out"
 DET_TOL = 1e-12
 
 
-def _group_element(g) -> Matrix:
-    """g as a matrix; raises SingularMatrixError when |det g| < DET_TOL."""
-    g = as_matrix(g)
-    if abs(np.linalg.det(g)) < DET_TOL:
+def _group_element(g, stacked: bool = False) -> Matrix:
+    """g as a matrix, or with `stacked` also as a stack of them along one
+    leading axis; raises SingularMatrixError when some |det g| < DET_TOL."""
+    g = as_matrix(g, stacked)
+    det = abs(np.linalg.det(g))
+    if (det.min() if det.ndim else det) < DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
     return g
 
@@ -94,15 +96,16 @@ class WPoint:
     def __post_init__(self):
         if self.orientation not in (INCOMING, OUTGOING):
             raise ValidationError("orientation must be 'in' or 'out'")
-        g = _group_element(self.g)
-        if g.shape[0] != self.X.k:
+        g = _group_element(self.g, stacked=True)
+        if g.shape[-1] != self.X.k:
             raise ValidationError("group element and slice point sizes differ")
         object.__setattr__(self, "g", g)
 
 
 @dataclass(frozen=True)
 class WTangent:
-    """Left-logarithmic direction a = g^{-1} dg and slice velocity dc."""
+    """Left-logarithmic direction a = g^{-1} dg and slice velocity dc, or a
+    stack of them: a (n, k, k) and dc (n, k)."""
 
     a: Matrix
     dc: np.ndarray
@@ -110,15 +113,19 @@ class WTangent:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
         dc = np.asarray(self.dc, dtype=complex)
-        if dc.shape != (a.shape[0],):
+        if a.ndim not in (2, 3) or dc.shape != a.shape[:-1]:
             raise ValidationError("dc must have length k")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "dc", dc)
 
 
 def slice_direction(x: SlicePoint, dc: np.ndarray) -> Matrix:
-    """dX = sum_j dc_j f^j, the embedded slice velocity; dc has length k."""
-    return _add_f_powers(np.zeros((x.k, x.k), dtype=complex), dc)
+    """dX = sum_j dc_j f^j, the embedded slice velocity; dc is shaped like the
+    coefficients of x, (k,) or (n, k) for a stack of n points."""
+    dc = np.asarray(dc, dtype=complex)
+    if dc.shape != x.coeffs.shape:
+        raise ValidationError(f"need velocities of shape {x.coeffs.shape}, got {dc.shape}")
+    return _add_f_powers(np.zeros(x.coeffs.shape[:-1] + (x.k, x.k), dtype=complex), dc)
 
 
 def _slice_matrices(x: SlicePoint, dc_u, dc_v) -> tuple[Matrix, Matrix, Matrix]:
@@ -155,7 +162,7 @@ def _form_directions(
 
 def _canonical_form(g: Matrix, orientation: str, slice_mats, a_u: Matrix, a_v: Matrix) -> complex:
     """The canonical form on one factor g, given the logarithmic directions
-    a_u, a_v and the `_slice_matrices` (X, dX_u, dX_v)."""
+    a_u, a_v and the `_slice_matrices` (X, dX_u, dX_v); pointwise on stacks."""
     x, dxu, dxv = slice_mats
     au, av, sign = _form_directions(g, orientation, a_u, a_v)
     return (

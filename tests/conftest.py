@@ -1,4 +1,10 @@
-import numpy as np
+import os
+
+# One BLAS thread, as the package sets it, before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 

@@ -6,14 +6,17 @@ embeddings, the matmul trace pivots, the per-unit pairings of the
 symmetrization oracle, the offset loops over a scheme's Jordan blocks, the
 four written-out rank cutoffs, the per-candidate cyclic-frame search, the
 union-find and pairwise codings of the clustering rule, the sort_pieces
-piece order and the index loop of the exterior derivative.
+piece order, the index loop of the exterior derivative and its per-point
+coding, which the stacked evaluation of the six chart points replaced.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from mtv.errors import ConditioningError, SingularMatrixError
+from scipy.linalg import expm
+
+from mtv.errors import ConditioningError, SingularMatrixError, ValidationError
 from mtv.hilbert import (
     NONDEGENERACY_TOL,
     ROOT_CLUSTER_RADIUS,
@@ -24,6 +27,7 @@ from mtv.hilbert import (
     _cluster_roots,
     _eigen_shift,
     _invertible,
+    act_on_scheme,
     block_reversal,
     f_gram_matrix,
     f_kernel_dimension,
@@ -56,13 +60,13 @@ from mtv.slodowy import (
     slice_coefficients_from_roots,
     slice_embed,
 )
-from mtv.uspace import UClass, _cyclic_frame, u_symplectic
+from mtv.uspace import UClass, UTangent, _cyclic_frame, u_symplectic
 from mtv.verify import (
     FD_STEP,
     FChart,
     UChart,
     WChart,
-    _central_difference,
+    _SIGNATURES,
     _matrix_units,
     fd_exterior_derivative,
     sample_disc,
@@ -74,7 +78,19 @@ from mtv.verify import (
     symmetrized_form_value,
     trial_rng,
 )
-from mtv.wspace import INCOMING, OUTGOING, _moment, slice_direction, w_symplectic
+from mtv.wspace import (
+    DET_TOL,
+    INCOMING,
+    OUTGOING,
+    WPoint,
+    WTangent,
+    _canonical_form,
+    _moment,
+    _slice_matrices,
+    slice_direction,
+    w_symplectic,
+    w_symplectic_moment_wedge,
+)
 
 
 def _sample_disc_two_draws(rng, *shape, radius=1.0):
@@ -492,6 +508,85 @@ def test_fitting_moment_is_the_moment_map(k):
         np.testing.assert_array_equal(f_moment(d), mu)
 
 
+# The per-point coding of the exterior derivative that the stacked one
+# replaced, kept verbatim: one block exponential, one placement and one form
+# call per displaced point, each on a single (unstacked) chart point.
+
+
+def _exp_transport_per_point(s, directions, left=False):
+    if left:  # L(s, a) e^(-s) is the transpose of the right form at (s^T, a^T)
+        es, moved = _exp_transport_per_point(s.T, tuple(a.T for a in directions))
+        return es.T, [t.T for t in moved]
+    k = s.shape[0]
+    n = len(directions)
+    block = np.zeros(((n + 1) * k, (n + 1) * k), dtype=complex)
+    for i in range(n + 1):
+        block[i * k:(i + 1) * k, i * k:(i + 1) * k] = s
+    for i, a in enumerate(directions, 1):
+        block[:k, i * k:(i + 1) * k] = a
+    e = expm(block)
+    es = e[:k, :k]
+    moved = np.linalg.solve(es, e[:k, k:])
+    return es, [moved[:, i * k:(i + 1) * k] for i in range(n)]
+
+
+class _PerPointWChart(WChart):
+    def frame_at(self, coords, u, v):
+        s, dc = coords
+        es, (au, av) = _exp_transport_per_point(s, (u.a, v.a))
+        return self._place(es, dc), WTangent(a=au, dc=u.dc), WTangent(a=av, dc=v.dc)
+
+
+class _PerPointUChart(UChart):
+    def frame_at(self, coords, u, v):
+        s_list, dc = coords
+        moved = [_exp_transport_per_point(s, (a, b))
+                 for s, a, b in zip(s_list, u.a_list, v.a_list)]
+        point = UClass(
+            b=self.m.b,
+            bprime=self.m.bprime,
+            gs=tuple(g @ es for g, (es, _) in zip(self.m.gs, moved)),
+            X=SlicePoint(self.k, self.m.X.coeffs + dc),
+        )
+        au, av = zip(*(pair for _, pair in moved))
+        return point, UTangent(a_list=au, dc=u.dc), UTangent(a_list=av, dc=v.dc)
+
+
+class _PerPointFChart(FChart):
+    def frame_at(self, coords, u, v):
+        s, dz = coords
+        # the group displacement acts on the left
+        es, (ru, rv) = _exp_transport_per_point(s, (u.rho, v.rho), left=True)
+        moved = act_on_scheme(self.d, [es])
+        pieces = tuple(
+            LocalPiece(z=p.z + dz[i], length=p.length, jets=p.jets)
+            for i, p in enumerate(moved.pieces)
+        )
+        point = JetScheme(k=self.d.k, b=self.d.b, bprime=self.d.bprime, pieces=pieces)
+        return point, FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
+
+
+_PER_POINT_CHARTS = {WChart: _PerPointWChart, UChart: _PerPointUChart, FChart: _PerPointFChart}
+
+
+def _central_difference_per_point(f, chart, direction, step):
+    plus = f(chart.displace(direction, step))
+    minus = f(chart.displace(direction, -step))
+    return (plus - minus) / (2 * step)
+
+
+def _fd_exterior_derivative_per_point(form, chart, u, v, w, step):
+    if step <= 0 or step**2 <= np.finfo(float).eps:
+        raise ValidationError("fd step underflow")
+
+    def d_along(t, t1, t2):  # D_t omega(t1, t2)
+        return _central_difference_per_point(
+            lambda c: form(*chart.frame_at(c, t1, t2)), chart, t, step
+        )
+
+    return d_along(u, v, w) - d_along(v, u, w) + d_along(w, u, v)
+
+
 def _fd_exterior_derivative_loop(form, chart, u, v, w, step):
     def omega_at(coords, t1, t2):
         return form(*chart.frame_at(coords, t1, t2))
@@ -500,7 +595,7 @@ def _fd_exterior_derivative_loop(form, chart, u, v, w, step):
     dirs = (u, v, w)
     for idx, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
         rest = [dirs[i] for i in range(3) if i != idx]
-        total += sign * _central_difference(
+        total += sign * _central_difference_per_point(
             lambda c: omega_at(c, rest[0], rest[1]), chart, dirs[idx], step
         )
     return total
@@ -512,17 +607,79 @@ def test_exterior_derivative_matches_index_loop(k):
     cases = []
     for orientation in (INCOMING, OUTGOING):
         p = sample_wpoint(k, orientation, rng)
-        cases.append((w_symplectic, WChart(p), [sample_wtangent(k, rng) for _ in range(3)]))
+        cases.append((w_symplectic, WChart, p, [sample_wtangent(k, rng) for _ in range(3)]))
     m = sample_uclass(k, 2, 1, rng)
-    cases.append((u_symplectic, UChart(m), [sample_utangent(m, rng) for _ in range(3)]))
+    cases.append((u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]))
     for lengths in _compositions(k):
         d = _scheme(rng, lengths, 1, 0)
         tans = [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
                 for _ in range(3)]
-        cases.append((f_presymplectic, FChart(d), tans))
-    for form, chart, tans in cases:
-        got = fd_exterior_derivative(form, chart, *tans, FD_STEP)
-        assert got == _fd_exterior_derivative_loop(form, chart, *tans, FD_STEP)
+        cases.append((f_presymplectic, FChart, d, tans))
+    for form, chart, point, tans in cases:
+        got = fd_exterior_derivative(form, chart(point), *tans, FD_STEP)
+        ref = _fd_exterior_derivative_loop(form, _PER_POINT_CHARTS[chart](point), *tans, FD_STEP)
+        assert got == ref
+
+
+def _derivative_cases(k, rng):
+    """(form, chart class, base point, tangents) for W in both orientations
+    with both W forms, U at every signature with b + b' <= 4, and F (1,0) at
+    every piece pattern."""
+    for orientation in (INCOMING, OUTGOING):
+        for form in (w_symplectic, w_symplectic_moment_wedge):
+            p = sample_wpoint(k, orientation, rng)
+            yield form, WChart, p, [sample_wtangent(k, rng) for _ in range(3)]
+    for b, bprime in _SIGNATURES:
+        m = sample_uclass(k, b, bprime, rng)
+        yield u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]
+    for lengths in _compositions(k):
+        d = _scheme(rng, lengths, 1, 0)
+        tans = [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
+                for _ in range(3)]
+        yield f_presymplectic, FChart, d, tans
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_stacked_exterior_derivative_matches_per_point_coding(k):
+    rng = trial_rng(24, "d-omega-stacked", k)
+    for form, chart, point, tans in _derivative_cases(k, rng):
+        got = fd_exterior_derivative(form, chart(point), *tans, FD_STEP)
+        per_point = _PER_POINT_CHARTS[chart](point)
+        assert got == _fd_exterior_derivative_per_point(form, per_point, *tans, FD_STEP)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_stacked_pairing_and_canonical_form_match_per_slice_calls(k):
+    rng = trial_rng(25, "stacked-forms", k)
+    x, y, g, a_u, a_v = (sample_disc(rng, 6, k, k) for _ in range(5))
+    coeffs, dc_u, dc_v = (sample_disc(rng, 6, k) for _ in range(3))
+    got = pairing(x, y)
+    assert got.shape == (6,)
+    for i in range(6):
+        assert got[i] == pairing(x[i], y[i])
+        assert pairing(x, y[i])[i] == pairing(x[i], y[i])
+    for orientation in (INCOMING, OUTGOING):
+        stack = SlicePoint(k, coeffs)
+        got = _canonical_form(g, orientation, _slice_matrices(stack, dc_u, dc_v), a_u, a_v)
+        for i in range(6):
+            point = SlicePoint(k, coeffs[i])
+            mats = _slice_matrices(point, dc_u[i], dc_v[i])
+            assert got[i] == _canonical_form(g[i], orientation, mats, a_u[i], a_v[i])
+
+
+def test_displaced_point_below_det_tol_refused_by_both_codings():
+    # det g sits 5e-5 above DET_TOL and the direction u has trace 1, so the
+    # point displaced by -FD_STEP along u has det g e^(-FD_STEP) < DET_TOL
+    g = np.diag([1.00005 * DET_TOL, 1.0, 1.0]).astype(complex)
+    p = WPoint(g=g, X=SlicePoint(3, np.zeros(3)), orientation=INCOMING)
+    u = WTangent(a=np.diag([1.0, 0.0, 0.0]), dc=np.zeros(3))
+    rng = trial_rng(26, "det-tol", 0)
+    v, w = (sample_wtangent(3, rng) for _ in range(2))
+    v, w = (WTangent(a=t.a - np.trace(t.a) / 3 * np.eye(3), dc=t.dc) for t in (v, w))
+    with pytest.raises(SingularMatrixError):
+        fd_exterior_derivative(w_symplectic, WChart(p), u, v, w, FD_STEP)
+    with pytest.raises(SingularMatrixError):
+        _fd_exterior_derivative_per_point(w_symplectic, _PerPointWChart(p), u, v, w, FD_STEP)
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,20 @@ import pytest
 
 from mtv.errors import (
     DegenerateSchemeError,
+    DimensionMismatchError,
     GluingError,
     SignatureError,
+    SingularMatrixError,
     ValidationError,
 )
-from mtv.hilbert import JetScheme, LocalPiece, act_on_scheme, jet_scalar_inverse
+from mtv.hilbert import (
+    FTangent,
+    JetScheme,
+    LocalPiece,
+    act_on_scheme,
+    f_presymplectic,
+    jet_scalar_inverse,
+)
 from mtv.lie import AElement, InvariantPolynomial, as_matrix
 from mtv.serialize import wpoint_from_json, wpoint_to_json
 from mtv.slodowy import (
@@ -31,9 +40,12 @@ X2 = slice_point([0.3 + 0.1j, -0.2])
 JET = np.array([[1.0, 0.0]])
 
 
-def _scheme():
+def _scheme(b=1, bprime=0):
     piece = LocalPiece(z=0.5, length=2, jets=(np.array([[1.0, 0.0], [0.0, 1.0]]),))
-    return JetScheme(k=2, b=1, bprime=0, pieces=(piece,))
+    return JetScheme(k=2, b=b, bprime=bprime, pieces=(piece,))
+
+
+SINGULAR2 = np.diag([1.0, 0.0])
 
 
 def _class(b, bprime):
@@ -87,6 +99,18 @@ REFUSALS = [
      DegenerateSchemeError, "constant term"),
     ("act_on_scheme_factor_count", lambda: act_on_scheme(_scheme(), [I2, I2]),
      ValidationError, "one group element per factor"),
+    ("piece_without_jets", lambda: LocalPiece(z=0.0, length=1, jets=()),
+     ValidationError, "one jet per factor"),
+    ("act_on_scheme_singular_incoming", lambda: act_on_scheme(_scheme(), [SINGULAR2]),
+     SingularMatrixError, "singular"),
+    ("act_on_scheme_singular_outgoing", lambda: act_on_scheme(_scheme(0, 1), [SINGULAR2]),
+     SingularMatrixError, "singular"),
+    ("act_on_scheme_singular_in_stack",
+     lambda: act_on_scheme(_scheme(), [np.stack([I2, SINGULAR2])]),
+     SingularMatrixError, "singular"),
+    ("f_tangent_size",
+     lambda: f_presymplectic(_scheme(), *[FTangent(rho=I3, dz=np.zeros(1))] * 2),
+     DimensionMismatchError, "size mismatch"),
     ("as_matrix_not_finite", lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
      ValidationError, "finite"),
     ("degree_exceeds_k",
