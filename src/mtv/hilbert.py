@@ -326,9 +326,10 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(new_pieces))
 
 
-def slice_conjugator(d: JetScheme) -> Matrix:
+def slice_conjugator(d: JetScheme, x: SlicePoint | None = None) -> Matrix:
     """A deterministic invertible C with slice_embed(X) = C J(D) C^{-1},
-    where X is the slice point with the scheme's characteristic polynomial.
+    where X = scheme_slice_point(d), the slice point with the scheme's
+    characteristic polynomial; a caller that has it passes it as x.
     Built from Krylov frames of both sides (same companion matrix)."""
     if not has_distinct_base_points(d):
         raise DegenerateSchemeError(
@@ -336,7 +337,7 @@ def slice_conjugator(d: JetScheme) -> Matrix:
         )
     # The sum of the block-end basis vectors is cyclic for J(D) when base
     # points are pairwise distinct.
-    bx = _slice_frame(scheme_slice_point(d))
+    bx = _slice_frame(scheme_slice_point(d) if x is None else x)
     v = np.zeros(d.k, dtype=complex)
     v[[blk[-1] for blk in _blocks(d)]] = 1.0
     bj = _krylov_frame(jordan_of(d), v)
@@ -362,10 +363,10 @@ def hilb_to_u(d: JetScheme) -> UClass:
     # ones no piece swap can stabilize D, so finite stabilizers suffice
     if not locally_nondegenerate(d):
         raise DegenerateSchemeError("correspondence requires a nondegenerate scheme")
-    conj = slice_conjugator(d)
+    x = scheme_slice_point(d)
+    conj = slice_conjugator(d, x)
     conj_inv = np.linalg.inv(conj)
     q = block_reversal(d)
-    x = scheme_slice_point(d)
     gs = []
     for j in range(d.n_factors):
         gj = g_matrix(d, j)
@@ -558,27 +559,27 @@ def orbit_invariant_equal(
     )
 
 
-def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool:
+def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool | np.ndarray:
     """Independent conjugacy test: equal power traces and equal rank
-    sequences of (M - z)^p for every candidate eigenvalue z."""
-    m1 = as_matrix(m1)
-    m2 = as_matrix(m2)
-    k = m1.shape[0]
-    if np.max(np.abs(power_traces(m1) - power_traces(m2))) > 1e-6:
-        return False
-    eigs = np.linalg.eigvals(m1)
-    centers = _cluster_roots(eigs, ROOT_CLUSTER_RADIUS)
-    eye = np.eye(k)
-    for z, _ in centers:
-        a1 = m1 - z * eye
-        a2 = m2 - z * eye
-        p1 = np.eye(k, dtype=complex)
-        p2 = np.eye(k, dtype=complex)
-        for _ in range(k):
-            p1 = p1 @ a1
-            p2 = p2 @ a2
-            if np.linalg.matrix_rank(p1, tol=1e-7) != np.linalg.matrix_rank(
-                p2, tol=1e-7
-            ):
-                return False
-    return True
+    sequences of (M - z)^p for every candidate eigenvalue z of m1.  Either
+    argument may be a stack (..., k, k); the two broadcast like numpy
+    operands, giving one answer per pair (a bool for two matrices)."""
+    m1, m2 = (as_matrix(m, stacked=np.ndim(m) - 2) for m in (m1, m2))
+    k = check_same_size(m1, m2)
+    shape = np.broadcast_shapes(m1.shape, m2.shape)[:-2]
+    match = ~(np.max(np.abs(power_traces(m1) - power_traces(m2)), axis=-1) > 1e-6)
+    match = np.broadcast_to(match, shape).copy()
+    # the cluster centers of each matrix of m1, padded by repeating the first
+    centers = [[z for z, _ in _cluster_roots(e, ROOT_CLUSTER_RADIUS)]
+               for e in np.linalg.eigvals(m1).reshape(-1, k)]
+    width = max(map(len, centers), default=0)
+    z = np.array([c + c[:1] * (width - len(c)) for c in centers]).reshape(m1.shape[:-2] + (width,))
+    z, a1, a2 = (np.broadcast_to(a, shape + a.shape[-2:])[match] for a in (z[..., None], m1, m2))
+    # M - z I for both matrices of each pair still matching, at each center
+    shifts = np.stack([a1, a2])[:, :, None] - z[..., None] * np.eye(k)
+    powers = [np.eye(k, dtype=complex)]
+    for _ in range(k):
+        powers.append(powers[-1] @ shifts)
+    ranks = np.linalg.matrix_rank(np.stack(powers[1:]), tol=1e-7)
+    match[match] = (ranks[:, 0] == ranks[:, 1]).all(axis=(0, 2))
+    return bool(match) if match.ndim == 0 else match

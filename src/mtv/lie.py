@@ -24,9 +24,9 @@ RANK_TOL = 1e-9
 Matrix = np.ndarray
 
 
-def as_matrix(entries, stacked: bool = False) -> Matrix:
-    """Coerce to a square complex matrix, or with `stacked` also to a stack of
-    them along one leading axis, and validate finiteness."""
+def as_matrix(entries, stacked: int = 0) -> Matrix:
+    """Coerce to a square complex matrix, or also to a stack of them along up
+    to `stacked` leading axes, and validate finiteness."""
     x = np.asarray(entries, dtype=complex)
     if not 2 <= x.ndim <= 2 + stacked or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {x.shape}")
@@ -86,13 +86,14 @@ def polarized_gradient(p: InvariantPolynomial, x: Matrix) -> Matrix:
 
 
 def power_traces(x: Matrix) -> np.ndarray:
-    """(trace X, trace X^2, ..., trace X^k)."""
-    k = x.shape[0]
-    out = np.empty(k, dtype=complex)
+    """(trace X, trace X^2, ..., trace X^k); of a stack (..., k, k), one such
+    row per matrix."""
+    k = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (k,), dtype=complex)
     acc = np.eye(k, dtype=complex)
     for m in range(k):
         acc = acc @ x
-        out[m] = np.trace(acc)
+        out[..., m] = np.trace(acc, axis1=-2, axis2=-1)
     return out
 
 

@@ -178,7 +178,7 @@ def _signed_moments(m: UClass) -> list[Matrix]:
 def _invariant_spread(moments: Sequence[Matrix]) -> float:
     """Largest difference of the power traces of any moment from those of
     the first."""
-    arr = np.array([power_traces(mu) for mu in moments])
+    arr = power_traces(np.array(moments))
     return float(np.max(np.abs(arr - arr[0])))
 
 

@@ -891,19 +891,14 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
 
 
 def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
-    mistakes = 0
     schemes = _jordan_type_schemes(k, rng)
-    moments = [f_moment(d) for d in schemes]
+    moments = np.array([f_moment(d) for d in schemes])
     invariants = [orbit_invariant(d) for d in schemes]
-    for inv1, mu1 in zip(invariants, moments):
-        for inv2, mu2 in zip(invariants, moments):
-            if orbit_invariant_equal(inv1, inv2) != adjoint_orbits_match(mu1, mu2):
-                mistakes += 1
+    same_type = [[orbit_invariant_equal(a, b) for b in invariants] for a in invariants]
+    mistakes = int(np.sum(same_type != adjoint_orbits_match(moments[:, None], moments[None])))
     # a second sample of the same Jordan type must give conjugate moments
     schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
-    for mu1, d2 in zip(moments, schemes2):
-        if not adjoint_orbits_match(mu1, f_moment(d2)):
-            mistakes += 1
+    mistakes += int(np.sum(~adjoint_orbits_match(moments, [f_moment(d2) for d2 in schemes2])))
     # group action fixes the invariant
     g0 = sample_group(k, rng)
     for d, inv in zip(schemes, invariants):

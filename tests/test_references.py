@@ -7,7 +7,8 @@ symmetrization oracle, the offset loops over a scheme's Jordan blocks, the
 four written-out rank cutoffs, the per-candidate cyclic-frame search, the
 union-find and pairwise codings of the clustering rule, the sort_pieces
 piece order, the index loop of the exterior derivative and its per-point
-coding, which the stacked evaluation of the six chart points replaced.
+coding, which the stacked evaluation of the six chart points replaced, and
+the per-pair adjoint-orbit test, which the broadcast one replaced.
 """
 import itertools
 
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from scipy.linalg import expm
+
+from conftest import jordan_configurations, jordan_matrix
 
 from mtv.errors import ConditioningError, SingularMatrixError, ValidationError
 from mtv.hilbert import (
@@ -28,6 +31,7 @@ from mtv.hilbert import (
     _eigen_shift,
     _invertible,
     act_on_scheme,
+    adjoint_orbits_match,
     block_reversal,
     f_gram_matrix,
     f_kernel_dimension,
@@ -47,9 +51,11 @@ from mtv.lie import (
     RANK_TOL,
     _krylov_frame,
     ad_operator,
+    as_matrix,
     centralizer_basis,
     centralizer_dimension,
     pairing,
+    power_traces,
 )
 from mtv.slodowy import (
     SlicePoint,
@@ -699,3 +705,87 @@ def test_u_to_hilb_on_close_roots(s, refusal):
     d = u_to_hilb(m)
     assert [p.length for p in d.pieces] == [1, 1, 1]
     np.testing.assert_allclose([p.z for p in d.pieces], [0.0, s, 2.0], atol=1e-9)
+
+
+def _adjoint_orbits_match_per_pair(m1, m2):
+    """Independent conjugacy test: equal power traces and equal rank
+    sequences of (M - z)^p for every candidate eigenvalue z."""
+    m1 = as_matrix(m1)
+    m2 = as_matrix(m2)
+    k = m1.shape[0]
+    if np.max(np.abs(power_traces(m1) - power_traces(m2))) > 1e-6:
+        return False
+    eigs = np.linalg.eigvals(m1)
+    centers = _cluster_roots(eigs, ROOT_CLUSTER_RADIUS)
+    eye = np.eye(k)
+    for z, _ in centers:
+        a1 = m1 - z * eye
+        a2 = m2 - z * eye
+        p1 = np.eye(k, dtype=complex)
+        p2 = np.eye(k, dtype=complex)
+        for _ in range(k):
+            p1 = p1 @ a1
+            p2 = p2 @ a2
+            if np.linalg.matrix_rank(p1, tol=1e-7) != np.linalg.matrix_rank(
+                p2, tol=1e-7
+            ):
+                return False
+    return True
+
+
+def _broken_chain(j):
+    """j with its first superdiagonal 1 zeroed: one Jordan chain split in two,
+    with the same eigenvalues and so the same power traces."""
+    a = np.flatnonzero(np.diagonal(j, 1))[0]
+    out = j.copy()
+    out[a, a + 1] = 0.0
+    return out
+
+
+def _orbit_test_matrices(k):
+    """The Jordan matrices of every configuration of size k and their
+    conjugates g J g^-1; then near misses: shifts of 1e-7, 1e-3 and 0.3 along
+    the identity and broken Jordan chains."""
+    js = [jordan_matrix(c) for c in jordan_configurations(k)]
+    g = sample_group(k, trial_rng(17, "orbits", k))
+    types = np.array(js + [g @ j @ np.linalg.inv(g) for j in js])
+    shifted = [j + s * np.eye(k) for j in js for s in (1e-7, 1e-3, 0.3)]
+    near = np.array(shifted + [_broken_chain(j) for j in js if np.diagonal(j, 1).any()])
+    return types, near
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_broadcast_orbit_test_matches_per_pair_test(k):
+    types, near = _orbit_test_matrices(k)
+    n = len(types) // 2
+    js, conj = types[:n], types[n:]
+    for m1, m2 in ((js, conj), (conj, js), (near, conj), (conj, near)):
+        got = adjoint_orbits_match(m1[:, None], m2[None])
+        assert got.shape == (len(m1), len(m2))
+        want = [[_adjoint_orbits_match_per_pair(a, b) for b in m2] for a in m1]
+        np.testing.assert_array_equal(got, want)
+        if len(m1) == len(m2) == n:  # conjugate iff the same Jordan configuration
+            np.testing.assert_array_equal(got, np.eye(n, dtype=bool))
+
+
+def test_orbit_test_shapes():
+    types, near = _orbit_test_matrices(3)
+    a, b = types[:6], np.concatenate([types[6:9], near[:3]])
+    assert type(adjoint_orbits_match(a[0], b[0])) is bool
+    assert type(adjoint_orbits_match(a[0], b[3])) is bool
+    got = adjoint_orbits_match(a, b)
+    np.testing.assert_array_equal(got, [True] * 3 + [False] * 3)
+    want = [_adjoint_orbits_match_per_pair(x, y) for x, y in zip(a, b)]
+    np.testing.assert_array_equal(got, want)
+    assert adjoint_orbits_match(a[:, None], b[None]).shape == (6, 6)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_stacked_power_traces_match_per_slice(k):
+    types, near = _orbit_test_matrices(k)
+    stack = np.concatenate([types, near])
+    got = power_traces(stack)
+    assert got.shape == (len(stack), k)
+    for i, x in enumerate(stack):
+        assert np.array_equal(got[i], power_traces(x))
+    assert np.array_equal(power_traces(stack.reshape(-1, 1, k, k))[:, 0], got)

@@ -19,6 +19,7 @@ from mtv.hilbert import (
     JetScheme,
     LocalPiece,
     act_on_scheme,
+    adjoint_orbits_match,
     f_presymplectic,
     jet_scalar_inverse,
 )
@@ -110,6 +111,8 @@ REFUSALS = [
      SingularMatrixError, "singular"),
     ("f_tangent_size",
      lambda: f_presymplectic(_scheme(), *[FTangent(rho=I3, dz=np.zeros(1))] * 2),
+     DimensionMismatchError, "size mismatch"),
+    ("orbit_test_size", lambda: adjoint_orbits_match(I2, I3),
      DimensionMismatchError, "size mismatch"),
     ("as_matrix_not_finite", lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
      ValidationError, "finite"),
