@@ -569,6 +569,8 @@ def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool | np.ndarray:
     shape = np.broadcast_shapes(m1.shape, m2.shape)[:-2]
     match = ~(np.max(np.abs(power_traces(m1) - power_traces(m2)), axis=-1) > 1e-6)
     match = np.broadcast_to(match, shape).copy()
+    if not match.any():  # no pair passes the trace test: no eigenvalue or rank stage
+        return bool(match) if match.ndim == 0 else match
     # the cluster centers of each matrix of m1, padded by repeating the first
     centers = [[z for z, _ in _cluster_roots(e, ROOT_CLUSTER_RADIUS)]
                for e in np.linalg.eigvals(m1).reshape(-1, k)]

@@ -98,21 +98,23 @@ def power_traces(x: Matrix) -> np.ndarray:
 
 
 def _krylov_frame(x: Matrix, v: np.ndarray) -> Matrix:
-    """The k x k matrix with columns v, Xv, ..., X^(k-1) v."""
+    """The k x k matrix with columns v, Xv, ..., X^(k-1) v; of a stack (..., k) of
+    vectors, one frame each, by one mat-vec per vector (a gemm X @ W rounds differently)."""
     k = x.shape[0]
-    frame = np.empty((k, k), dtype=complex)
+    frame = np.empty(v.shape + (k,), dtype=complex)
     w = v
     for j in range(k):
-        frame[:, j] = w
-        w = x @ w
+        frame[..., j] = w
+        w = (x @ w[..., None])[..., 0]
     return frame
 
 
 def ad_operator(x: Matrix) -> Matrix:
-    """The k^2 x k^2 matrix of Y -> XY - YX acting on row-major vec(Y)."""
+    """The k^2 x k^2 matrix kron(X, I) - kron(I, X^T) of Y -> XY - YX on row-major vec(Y)."""
     k = x.shape[0]
     eye = np.eye(k, dtype=complex)
-    return np.kron(x, eye) - np.kron(eye, x.T)
+    return (x[:, None, :, None] * eye[None, :, None, :]
+            - eye[:, None, :, None] * x.T[None, :, None, :]).reshape(k * k, k * k)
 
 
 def _rank(s: np.ndarray, tol: float) -> int:

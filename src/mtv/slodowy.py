@@ -116,9 +116,10 @@ def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
     system solved by forward substitution.
     """
     pivots = _trace_pivots(k)
+    e = principal_triple(k).e
     coeffs = np.zeros(k, dtype=complex)
     for m in range(1, k + 1):
-        partial = slice_embed(SlicePoint(k, coeffs))
+        partial = _add_f_powers(e.copy(), coeffs)
         t_m = np.trace(np.linalg.matrix_power(partial, m))
         coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
     return SlicePoint(k=k, coeffs=coeffs)

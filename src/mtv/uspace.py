@@ -9,6 +9,7 @@ is abelian and the relation is a cheap solve), never by canonicalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -320,14 +321,19 @@ def u11_to_tstar(m: UClass) -> tuple[Matrix, Matrix]:
     return g1 @ g2, _moment(g1, slice_embed(m.X), INCOMING)
 
 
-def _cyclic_frame(x: Matrix) -> Matrix:
-    """The Krylov frame (v, Xv, ..., X^(k-1) v) of a regular matrix with the largest
-    smallest singular value over e_1..e_k and four seeded random v (first wins ties)."""
-    k = x.shape[0]
+@lru_cache(maxsize=None)
+def _cyclic_candidates(k: int) -> np.ndarray:
+    """The k + 4 candidate vectors of `_cyclic_frame`: e_1..e_k, then four seeded random v."""
     rng = np.random.default_rng(12345)
     candidates = list(np.eye(k, dtype=complex))
     candidates += [rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(4)]
-    frames = np.stack([_krylov_frame(x, v) for v in candidates])
+    return np.array(candidates)
+
+
+def _cyclic_frame(x: Matrix) -> Matrix:
+    """The Krylov frame (v, Xv, ..., X^(k-1) v) of a regular matrix with the largest smallest
+    singular value over the k + 4 candidates, built as one stack (first wins ties)."""
+    frames = _krylov_frame(x, _cyclic_candidates(x.shape[0]))
     sigma = np.linalg.svd(frames, compute_uv=False)[:, -1]
     best = int(np.argmax(sigma))
     if sigma[best] <= 1e-13:

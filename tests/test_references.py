@@ -8,7 +8,9 @@ four written-out rank cutoffs, the per-candidate cyclic-frame search, the
 union-find and pairwise codings of the clustering rule, the sort_pieces
 piece order, the index loop of the exterior derivative and its per-point
 coding, which the stacked evaluation of the six chart points replaced, and
-the per-pair adjoint-orbit test, which the broadcast one replaced.
+the per-pair adjoint-orbit test, which the broadcast one replaced, and the
+regular-slice kernels: the two-kron ad operator, the per-vector Krylov frame
+and the power-sum solve that embedded a validated slice point at each step.
 """
 import itertools
 
@@ -60,13 +62,14 @@ from mtv.lie import (
 from mtv.slodowy import (
     SlicePoint,
     _f_powers,
+    _slice_from_power_sums,
     _slice_frame,
     _trace_pivots,
     principal_triple,
     slice_coefficients_from_roots,
     slice_embed,
 )
-from mtv.uspace import UClass, UTangent, _cyclic_frame, u_symplectic
+from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_symplectic
 from mtv.verify import (
     FD_STEP,
     FChart,
@@ -386,6 +389,63 @@ def test_cyclic_frame_refuses_zero_matrix(k):
     for search in (_cyclic_frame, _find_cyclic_vector_loop):
         with pytest.raises(SingularMatrixError):
             search(zero)
+
+
+def _ad_operator_kron(x):
+    k = x.shape[0]
+    eye = np.eye(k, dtype=complex)
+    return np.kron(x, eye) - np.kron(eye, x.T)
+
+
+def _krylov_frame_per_vector(x, v):
+    k = x.shape[0]
+    frame = np.empty((k, k), dtype=complex)
+    w = v
+    for j in range(k):
+        frame[:, j] = w
+        w = x @ w
+    return frame
+
+
+def _slice_from_power_sums_per_point(target, k):
+    pivots = _trace_pivots(k)
+    coeffs = np.zeros(k, dtype=complex)
+    for m in range(1, k + 1):
+        partial = slice_embed(SlicePoint(k, coeffs))
+        t_m = np.trace(np.linalg.matrix_power(partial, m))
+        coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
+    return SlicePoint(k=k, coeffs=coeffs)
+
+
+def _slice_kernel_matrices(rng, k):
+    """The rank-test matrices, more samples, the zero matrix with negative
+    zeros, and a non-regular diagonalizable matrix g diag(a, a, ...) g^-1."""
+    yield from _rank_test_matrices(rng, k)
+    for _ in range(20):
+        yield sample_disc(rng, k, k)
+    yield -np.zeros((k, k), dtype=complex)
+    eig = sample_disc(rng, k)
+    eig[1:2] = eig[0]
+    g = sample_group(k, rng)
+    yield g @ np.diag(eig) @ np.linalg.inv(g)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_regular_slice_kernels_match_parent_codings(k):
+    rng = trial_rng(23, "slice-kernels", k)
+    for x in _slice_kernel_matrices(rng, k):
+        assert ad_operator(x).tobytes() == _ad_operator_kron(x).tobytes()
+        vs = np.concatenate([np.eye(k, dtype=complex), sample_disc(rng, 3, k), _cyclic_candidates(k)])
+        frames = _krylov_frame(x, vs)
+        assert frames.shape == (len(vs), k, k)
+        for v, frame in zip(vs, frames):
+            want = _krylov_frame_per_vector(x, v).tobytes()
+            assert frame.tobytes() == want
+            assert _krylov_frame(x, v).tobytes() == want
+        assert _krylov_frame(x, vs.reshape(-1, 1, k))[:, 0].tobytes() == frames.tobytes()
+        target = power_traces(x)
+        got = _slice_from_power_sums(target, k).coeffs
+        assert got.tobytes() == _slice_from_power_sums_per_point(target, k).coeffs.tobytes()
 
 
 def _cluster_roots_union_find(roots, radius):
@@ -778,6 +838,14 @@ def test_orbit_test_shapes():
     want = [_adjoint_orbits_match_per_pair(x, y) for x, y in zip(a, b)]
     np.testing.assert_array_equal(got, want)
     assert adjoint_orbits_match(a[:, None], b[None]).shape == (6, 6)
+    # every pair fails the power-trace test: same answers at every shape
+    shifted = a + 0.3 * np.eye(3)
+    assert adjoint_orbits_match(a[0], shifted[0]) is False
+    np.testing.assert_array_equal(adjoint_orbits_match(a, shifted), [False] * 6)
+    got = adjoint_orbits_match(a[:, None], shifted[None])
+    want = [[_adjoint_orbits_match_per_pair(x, y) for y in shifted] for x in a]
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == (6, 6) and not got.any()
 
 
 @pytest.mark.parametrize("k", range(1, 6))
