@@ -23,24 +23,16 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DegenerateSchemeError,
-    SignatureError,
-    ValidationError,
-)
+from .errors import ConditioningError, DegenerateSchemeError, SignatureError, ValidationError
 from .lie import (Matrix, _krylov_frame, _rank, as_matrix, check_same_size, commutator,
                   pairing, power_traces)
-from .slodowy import (
-    SlicePoint,
-    _slice_frame,
-    slice_coefficients_from_roots,
-    slice_embed,
-)
+from .slodowy import (SlicePoint, _slice_frame, _slice_from_power_sums,
+                      slice_coefficients_from_roots, slice_embed)
 from .uspace import UClass
 from .wspace import INCOMING, _group_element, _Signature
 
@@ -75,9 +67,7 @@ class LocalPiece:
         for jet in self.jets:
             arr = np.asarray(jet, dtype=complex)
             if arr.ndim not in (2, 3) or arr.shape[-2] != self.length:
-                raise ValidationError(
-                    f"jet must have shape (length, k), got {arr.shape}"
-                )
+                raise ValidationError(f"jet must have shape (length, k), got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError("jet entries must be finite")
             if k is None:
@@ -151,42 +141,59 @@ def _piece_key(p: LocalPiece) -> tuple[float, float, int]:
     return (p.z.real, p.z.imag, p.length)
 
 
-def _blocks(d: JetScheme) -> list[range]:
+def _blocks(lengths: Sequence[int]) -> list[range]:
     """Each piece's block of consecutive coordinates of C^k, in piece order."""
     blocks, start = [], 0
-    for p in d.pieces:
-        blocks.append(range(start, start + p.length))
-        start += p.length
+    for length in lengths:
+        blocks.append(range(start, start + length))
+        start += length
     return blocks
 
 
-def jordan_of(d: JetScheme) -> Matrix:
-    """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
-    above the diagonal)."""
-    j = _eigen_shift(d, np.array([p.z for p in d.pieces]).T)
-    for blk in _blocks(d):
+def _jordan(zs: np.ndarray, lengths: Sequence[int]) -> Matrix:
+    """The direct sum of the Jordan blocks J_{z_i, l_i} of pieces with base
+    points zs (..., pieces) and these lengths (ones above the diagonal)."""
+    j = _eigen_shift(lengths, zs)
+    for blk in _blocks(lengths):
         for a in blk[1:]:
             j[..., a - 1, a] = 1.0
     return j
 
 
-def block_reversal(d: JetScheme) -> Matrix:
-    """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
-    symmetric involution."""
-    q = np.zeros((d.k, d.k), dtype=complex)
-    for blk in _blocks(d):
+def _reversal(lengths: Sequence[int]) -> Matrix:
+    """The block-diagonal reversal Q of blocks of these lengths: Q J Q = J^T per block."""
+    q = np.zeros((sum(lengths),) * 2, dtype=complex)
+    for blk in _blocks(lengths):
         for a, b in zip(blk, reversed(blk)):
             q[a, b] = 1.0
     return q
 
 
+def jordan_of(d: JetScheme) -> Matrix:
+    """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
+    above the diagonal)."""
+    return _jordan(np.array([p.z for p in d.pieces]).T, [p.length for p in d.pieces])
+
+
+def block_reversal(d: JetScheme) -> Matrix:
+    """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
+    symmetric involution."""
+    return _reversal([p.length for p in d.pieces])
+
+
+def g_matrices(d: JetScheme) -> Matrix:
+    """The factor matrices as one stack (factors, ..., k, k); the columns of each
+    are its factor's jet coefficient vectors, in piece order (as in `jordan_of`)."""
+    return np.concatenate([p.jets for p in d.pieces], axis=-2).swapaxes(-1, -2).copy()
+
+
 def g_matrix(d: JetScheme, factor: int) -> Matrix:
-    """The k x k matrix whose columns are the factor's jet coefficient
-    vectors, in piece order (consistent with `jordan_of`)."""
-    return np.concatenate([p.jets[factor] for p in d.pieces], axis=-2).swapaxes(-1, -2).copy()
+    """The k x k matrix of one factor (see `g_matrices`)."""
+    return g_matrices(d)[factor]
 
 
 def _invertible(m: Matrix) -> bool:
+    """Whether m, or every matrix of a stack, is numerically invertible."""
     s = np.linalg.svd(m, compute_uv=False)
     return _rank(s, NONDEGENERACY_TOL) == s.size
 
@@ -195,16 +202,17 @@ def locally_nondegenerate(d: JetScheme) -> bool:
     """Finite stabilizer in each factor: the connected stabilizer of D in
     factor j is {g : g fixes all of factor j's coefficient vectors}, which is
     trivial iff the assembled matrix is invertible."""
-    return all(_invertible(g_matrix(d, j)) for j in range(d.n_factors))
+    return _invertible(g_matrices(d))
 
 
 def jet_scalar_multiply(jet: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Multiply a vector jet by a scalar jet (truncated convolution)."""
-    length = jet.shape[0]
+    """Multiply a vector jet (..., length, k) by a scalar jet (..., length), with
+    the same leading axes, by truncated convolution; each coefficient sums its
+    products in order.  (A scalar jet broadcast over a stack rounds differently.)"""
+    length = jet.shape[-2]
     out = np.zeros_like(jet)
-    for m in range(length):
-        for i in range(m + 1):
-            out[m] += jet[i] * s[m - i]
+    for i in range(length):
+        out[..., i:, :] += jet[..., i, None, :] * s[..., : length - i, None]
     return out
 
 
@@ -220,9 +228,7 @@ def jet_scalar_inverse(s: np.ndarray) -> np.ndarray:
     return inv
 
 
-def jet_proportional(
-    jet_a: np.ndarray, jet_b: np.ndarray
-) -> tuple[bool, np.ndarray | None]:
+def jet_proportional(jet_a: np.ndarray, jet_b: np.ndarray) -> tuple[bool, np.ndarray | None]:
     """Whether jet_b(eps) = c(eps) * jet_a(eps) for a scalar jet c; returns
     the witness when it exists."""
     length = jet_a.shape[0]
@@ -246,27 +252,37 @@ def _swap_stabilizer_exists(d: JetScheme, i: int, j: int) -> bool:
     pi, pj = d.pieces[i], d.pieces[j]
     if pi.length != pj.length or abs(pi.z - pj.z) > Z_MATCH_TOL:
         return False
-    mismatched = 0
-    for m in range(d.n_factors):
-        ok_fwd, _ = jet_proportional(pi.jets[m], pj.jets[m])
-        ok_bwd, _ = jet_proportional(pj.jets[m], pi.jets[m])
-        if not (ok_fwd and ok_bwd):
-            mismatched += 1
     # the swapping element lives in one factor; all others must already match
-    return mismatched <= 1
+    return sum(not (jet_proportional(a, b)[0] and jet_proportional(b, a)[0])
+               for a, b in zip(pi.jets, pj.jets)) <= 1
 
 
 def nondegenerate(d: JetScheme) -> bool:
     """Trivial stabilizer of D in each factor: finite stabilizers plus no
     piece-swapping elements."""
-    if not locally_nondegenerate(d):
-        return False
-    n = len(d.pieces)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _swap_stabilizer_exists(d, i, j):
-                return False
-    return True
+    pairs = combinations(range(len(d.pieces)), 2)
+    return locally_nondegenerate(d) and not any(_swap_stabilizer_exists(d, *ij) for ij in pairs)
+
+
+def _normal_jets(jets: np.ndarray) -> np.ndarray:
+    """The jets (factors, length, k) of one piece, normalized as in `jet_normalize`."""
+    if len(jets) == 1:
+        return jets
+    heads = jets[:-1]
+    lead = np.abs(heads[:, 0])
+    above = lead > 1e-12 * np.maximum(1.0, lead.max(axis=-1, keepdims=True))
+    if not above.any(axis=-1).all():
+        raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
+    # s with (jet * s)[j][r] = delta_{j,0}: the inverse of the pivot jet, taken
+    # per factor (a stacked inverse would round differently)
+    pivots = heads[np.arange(len(heads)), :, above.argmax(axis=-1)]
+    s = np.array([jet_scalar_inverse(p) for p in pivots])
+    product = np.eye(jets.shape[1], 1, dtype=complex)
+    for s_m in s:
+        product = jet_scalar_multiply(product, s_m)
+    absorber = jet_scalar_inverse(product[:, 0])
+    return np.concatenate([jet_scalar_multiply(heads, s),
+                           jet_scalar_multiply(jets[-1], absorber)[None]])
 
 
 def jet_normalize(piece: LocalPiece) -> LocalPiece:
@@ -274,39 +290,19 @@ def jet_normalize(piece: LocalPiece) -> LocalPiece:
     product).  Factors before the last are scaled so the first nonzero entry
     of the leading vector is 1 and stays 0 in all higher coefficients; the
     last factor absorbs the inverse product.  A single-factor jet group is
-    trivial, so (b, b') = (1, 0) pieces are returned unchanged."""
-    n = piece.n_factors
-    if n == 1:
+    trivial, so (b, b') = (1, 0) pieces are returned unchanged.  A stack of
+    pieces is refused: it has one normal form per piece."""
+    if np.ndim(piece.z) or any(jet.ndim != 2 for jet in piece.jets):
+        raise ValidationError("jet normalization takes one piece, not a stack")
+    if piece.n_factors == 1:
         return piece
-    length = piece.length
-    new_jets: list[np.ndarray] = []
-    product = np.zeros(length, dtype=complex)
-    product[0] = 1.0
-    for m in range(n - 1):
-        jet = piece.jets[m]
-        lead = jet[0]
-        nz = np.nonzero(np.abs(lead) > 1e-12 * max(1.0, float(np.max(np.abs(lead)))))[0]
-        if nz.size == 0:
-            raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
-        r = int(nz[0])
-        # s with (jet * s)[j][r] = delta_{j,0}: the inverse of the pivot jet
-        s = jet_scalar_inverse(jet[:, r])
-        new_jets.append(jet_scalar_multiply(jet, s))
-        product = jet_scalar_multiply(product[:, None], s).ravel()
-    absorber = jet_scalar_inverse(product)
-    new_jets.append(jet_scalar_multiply(piece.jets[n - 1], absorber))
-    return LocalPiece(z=piece.z, length=length, jets=tuple(new_jets))
+    return LocalPiece(piece.z, piece.length, tuple(_normal_jets(np.array(piece.jets))))
 
 
 def normalize_scheme(d: JetScheme) -> JetScheme:
     """Sort pieces canonically and normalize every piece's jets."""
-    pieces = sorted(d.pieces, key=_piece_key)
-    return JetScheme(
-        k=d.k,
-        b=d.b,
-        bprime=d.bprime,
-        pieces=tuple(jet_normalize(p) for p in pieces),
-    )
+    pieces = sorted((jet_normalize(p) for p in d.pieces), key=_piece_key)
+    return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(pieces))
 
 
 def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
@@ -316,7 +312,7 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
         raise ValidationError("need one group element per factor")
     mats = []
     for j, g in enumerate(gs):
-        g = _group_element(g, stacked=True)
+        g = _group_element(g, stacked=1)
         mats.append(g if d.orientation(j) == INCOMING else np.linalg.inv(g).swapaxes(-1, -2))
     new_pieces = []
     for p in d.pieces:
@@ -326,22 +322,29 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(new_pieces))
 
 
+def _conjugator(x: SlicePoint, zs: np.ndarray, lengths: Sequence[int]) -> tuple[Matrix, Matrix]:
+    """The conjugator C with slice_embed(x) = C J C^{-1} (Krylov frames of both sides)
+    and the block reversal Q, for distinct base points zs, these lengths and their x."""
+    # the sum of the block-end basis vectors is cyclic for J at distinct base points
+    v = np.zeros(sum(lengths), dtype=complex)
+    v[[blk[-1] for blk in _blocks(lengths)]] = 1.0
+    bj = _krylov_frame(_jordan(zs, lengths), v)
+    return _slice_frame(x) @ np.linalg.inv(bj), _reversal(lengths)
+
+
+def _scheme_conjugator(d: JetScheme, x: SlicePoint) -> tuple[Matrix, Matrix]:
+    """`slice_conjugator` with x given, and the block reversal Q of d."""
+    if not has_distinct_base_points(d):
+        raise DegenerateSchemeError(
+            "base points collide: no slice conjugator (scheme not transverse)")
+    return _conjugator(x, np.array([p.z for p in d.pieces]), [p.length for p in d.pieces])
+
+
 def slice_conjugator(d: JetScheme, x: SlicePoint | None = None) -> Matrix:
     """A deterministic invertible C with slice_embed(X) = C J(D) C^{-1},
     where X = scheme_slice_point(d), the slice point with the scheme's
-    characteristic polynomial; a caller that has it passes it as x.
-    Built from Krylov frames of both sides (same companion matrix)."""
-    if not has_distinct_base_points(d):
-        raise DegenerateSchemeError(
-            "base points collide: no slice conjugator (scheme not transverse)"
-        )
-    # The sum of the block-end basis vectors is cyclic for J(D) when base
-    # points are pairwise distinct.
-    bx = _slice_frame(scheme_slice_point(d) if x is None else x)
-    v = np.zeros(d.k, dtype=complex)
-    v[[blk[-1] for blk in _blocks(d)]] = 1.0
-    bj = _krylov_frame(jordan_of(d), v)
-    return bx @ np.linalg.inv(bj)
+    characteristic polynomial; a caller that has it passes it as x."""
+    return _scheme_conjugator(d, scheme_slice_point(d) if x is None else x)[0]
 
 
 def scheme_slice_point(d: JetScheme) -> SlicePoint:
@@ -359,34 +362,27 @@ def hilb_to_u(d: JetScheme) -> UClass:
     moment is -(G_j J G_j^{-1})^T, and the jet-group ambiguity lands exactly
     in the centralizer equivalence of the class.
     """
-    # slice_conjugator refuses colliding base points, and between distinct
+    # the conjugator refuses colliding base points, and between distinct
     # ones no piece swap can stabilize D, so finite stabilizers suffice
-    if not locally_nondegenerate(d):
+    gs = g_matrices(d)
+    if not _invertible(gs):
         raise DegenerateSchemeError("correspondence requires a nondegenerate scheme")
     x = scheme_slice_point(d)
-    conj = slice_conjugator(d, x)
-    conj_inv = np.linalg.inv(conj)
-    q = block_reversal(d)
-    gs = []
-    for j in range(d.n_factors):
-        gj = g_matrix(d, j)
-        if d.orientation(j) == INCOMING:
-            gs.append(gj @ conj_inv)
-        else:
-            gs.append(conj @ q @ gj.T)
+    conj, q = _scheme_conjugator(d, x)
+    gs[: d.b] = gs[: d.b] @ np.linalg.inv(conj)
+    gs[d.b :] = conj @ q @ gs[d.b :].swapaxes(-1, -2)
     return UClass(b=d.b, bprime=d.bprime, gs=tuple(gs), X=x)
 
 
-def _cluster_roots(
-    roots: np.ndarray, radius: float
-) -> list[tuple[complex, int]]:
+def _cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
     """Single-linkage clustering of eigenvalues; returns (center, size)."""
     return [(complex(np.mean(roots[g])), len(g)) for g in _clusters(roots, radius)]
 
 
 def u_to_hilb(m: UClass) -> JetScheme:
-    """Inverse correspondence: read pieces off the spectral data of X and
-    jets off the factor matrices transported through the Jordan conjugation.
+    """Inverse correspondence, in one pass: read pieces off the spectral data
+    of X, solve for the slice point of the cluster centers, and read jets off
+    the factor matrices transported through the Jordan conjugation.
 
     Eigenvalue clusters are validated by reconstructing the power traces; a
     failed reconstruction (or colliding cluster centers) raises
@@ -394,12 +390,12 @@ def u_to_hilb(m: UClass) -> JetScheme:
     """
     x_mat = slice_embed(m.X)
     k = m.X.k
-    roots = np.linalg.eigvals(x_mat)
-    clusters = _cluster_roots(roots, ROOT_CLUSTER_RADIUS)
-    clusters.sort(key=lambda t: (t[0].real, t[0].imag))
+    clusters = sorted(_cluster_roots(np.linalg.eigvals(x_mat), ROOT_CLUSTER_RADIUS),
+                      key=lambda t: (t[0].real, t[0].imag))
     if len(_clusters([z for z, _ in clusters], 2 * ROOT_CLUSTER_RADIUS)) < len(clusters):
         raise ConditioningError("cluster centers too close to resolve")
-    centers = np.concatenate([[z] * l for z, l in clusters])
+    zs, lengths = np.array([z for z, _ in clusters]), [l for _, l in clusters]
+    centers = np.repeat(zs, lengths)
     recon = np.array([np.sum(centers**p) for p in range(1, k + 1)])
     actual = power_traces(x_mat)
     scale = max(1.0, float(np.max(np.abs(actual))))
@@ -410,30 +406,20 @@ def u_to_hilb(m: UClass) -> JetScheme:
     if np.max(np.abs(recon - actual)) > 3e-10 * scale:
         raise ConditioningError("spectral clustering failed validation")
 
-    # Assemble a piece skeleton to build the Jordan data and conjugator.
-    skeleton_pieces = []
-    n = m.n_factors
-    for z, l in clusters:
-        jets = tuple(np.eye(l, k, dtype=complex) for _ in range(n))
-        skeleton_pieces.append(LocalPiece(z=z, length=l, jets=jets))
-    skeleton = JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=tuple(skeleton_pieces))
-    conj = slice_conjugator(skeleton)
-    conj_inv = np.linalg.inv(conj)
-    q = block_reversal(skeleton)
-
-    factor_mats = []
-    for j in range(n):
-        if m.orientation(j) == INCOMING:
-            factor_mats.append(m.gs[j] @ conj)
-        else:
-            factor_mats.append((q @ conj_inv @ m.gs[j]).T)
-
+    # centers more than 2 ROOT_CLUSTER_RADIUS apart are distinct base points
+    conj, q = _conjugator(_slice_from_power_sums(recon, k), zs, lengths)
+    # row a of rows[j] is the jet vector a of factor j, over all pieces
+    gs = np.array(m.gs)
+    rows = np.empty_like(gs)
+    rows[: m.b] = (gs[: m.b] @ conj).swapaxes(-1, -2)
+    rows[m.b :] = q @ np.linalg.inv(conj) @ gs[m.b :]
+    if not np.isfinite(rows).all():
+        raise ValidationError("jet entries must be finite")
     pieces = tuple(
-        LocalPiece(z=z, length=l, jets=tuple(f[:, blk].T.copy() for f in factor_mats))
-        for (z, l), blk in zip(clusters, _blocks(skeleton))
+        LocalPiece(z=z, length=l, jets=tuple(_normal_jets(rows[:, end - l : end])))
+        for z, l, end in zip(zs, lengths, accumulate(lengths))
     )
-    scheme = JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=pieces)
-    return normalize_scheme(scheme)
+    return JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -464,10 +450,11 @@ def f_moment(d: JetScheme) -> Matrix:
     return _fitting_frame(d)[2]
 
 
-def _eigen_shift(d: JetScheme, dz: np.ndarray) -> Matrix:
-    """dJ for base-point velocities dz (..., pieces): dz_i on block i's diagonal."""
-    out = np.zeros(np.shape(dz)[:-1] + (d.k, d.k), dtype=complex)
-    for i, blk in enumerate(_blocks(d)):
+def _eigen_shift(lengths: Sequence[int], dz: np.ndarray) -> Matrix:
+    """dJ for base-point velocities dz (..., pieces): dz_i on the diagonal of block i."""
+    k = sum(lengths)
+    out = np.zeros(np.shape(dz)[:-1] + (k, k), dtype=complex)
+    for i, blk in enumerate(_blocks(lengths)):
         for a in blk:
             out[..., a, a] = dz[..., i]
     return out
@@ -503,8 +490,9 @@ def _f_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> tuple[Matrix, com
         if t.dz.shape[-1:] != (len(d.pieces),):
             raise ValidationError("need one dz per piece")
         check_same_size(mu, t.rho)
-    dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(d, u.dz) @ ginv
-    dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(d, v.dz) @ ginv
+    lengths = [p.length for p in d.pieces]
+    dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(lengths, u.dz) @ ginv
+    dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(lengths, v.dz) @ ginv
     return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
 
 
@@ -525,7 +513,8 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
     eye = np.eye(k)
     rho_rho = np.einsum("bc,da->abcd", eye, mu) - np.einsum("da,bc->abcd", eye, mu)
     # column i holds (Q_i)_ba at row a k + b; P_i is the shift of piece i alone
-    q = [g @ _eigen_shift(d, e) @ ginv for e in np.eye(s)]
+    lengths = [p.length for p in d.pieces]
+    q = [g @ _eigen_shift(lengths, e) @ ginv for e in np.eye(s)]
     rho_dz = np.stack([q_i.T.ravel() for q_i in q], axis=1)
     gram = np.zeros((k * k + s, k * k + s), dtype=complex)
     gram[: k * k, : k * k] = rho_rho.reshape(k * k, k * k)

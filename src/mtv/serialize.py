@@ -18,14 +18,14 @@ from .wspace import INCOMING, OUTGOING, WPoint
 
 
 def _parses_input(fn):
-    """Report structurally wrong JSON given to a `*_from_json` reader (a
-    missing key, a wrong type, an unparsable number) as ValidationError."""
+    """Report structurally wrong JSON given to a `*_from_json` reader (a missing
+    key, a wrong type, a number unparsable or too large for a double) as ValidationError."""
 
     @functools.wraps(fn)
     def reader(data):
         try:
             return fn(data)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             what = fn.__name__.removesuffix("_from_json")
             raise ValidationError(f"malformed {what}: {exc!r}") from exc
 

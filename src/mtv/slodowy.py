@@ -62,11 +62,16 @@ def _f_power_entries(k: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
+def _f_power_diagonals(k: int) -> tuple[np.ndarray, ...]:
+    """Per power j = 0..k-1, the k - j entries of f^j, which fill its j-th superdiagonal."""
+    return tuple(np.diagonal(fj, j).copy() for j, fj in enumerate(_f_powers(k)))
+
+
+@lru_cache(maxsize=None)
 def _trace_pivots(k: int) -> tuple[float, ...]:
     """Pivots beta_m = m * trace(f^(m-1) e^(m-1)), the coefficient of c_(m-1) in
     trace(S(c)^m), nonzero for m <= k; e^(m-1) is the unit (m-1)-th subdiagonal."""
-    _, _, powers, values = _f_power_entries(k)
-    return tuple(float((m * values[powers == m - 1].sum()).real) for m in range(1, k + 1))
+    return tuple(float((m * d.sum()).real) for m, d in enumerate(_f_power_diagonals(k), 1))
 
 
 @dataclass(frozen=True)
@@ -113,15 +118,16 @@ def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
     """The slice point whose power traces are `target` (length k).
 
     trace(S(c)^m) = beta_m * c_(m-1) + (terms in c_0..c_(m-2)), a triangular
-    system solved by forward substitution.
+    system solved by forward substitution; S gains c_j f^j once c_j is known.
     """
     pivots = _trace_pivots(k)
-    e = principal_triple(k).e
+    partial = principal_triple(k).e.copy()
     coeffs = np.zeros(k, dtype=complex)
-    for m in range(1, k + 1):
-        partial = _add_f_powers(e.copy(), coeffs)
+    for m, values in enumerate(_f_power_diagonals(k), 1):
         t_m = np.trace(np.linalg.matrix_power(partial, m))
         coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
+        # superdiagonal m - 1 of partial, a view of its flat entries
+        partial.reshape(-1)[m - 1 :: k + 1][: k - m + 1] += coeffs[m - 1] * values
     return SlicePoint(k=k, coeffs=coeffs)
 
 
@@ -153,9 +159,7 @@ def slice_coefficients_from_roots(roots: np.ndarray, k: int) -> SlicePoint:
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (k,):
         raise ValidationError("need k roots with multiplicity")
-    return _slice_from_power_sums(
-        np.array([np.sum(roots**m) for m in range(1, k + 1)]), k
-    )
+    return _slice_from_power_sums(np.array([np.sum(roots**m) for m in range(1, k + 1)]), k)
 
 
 def slice_project(x: Matrix) -> tuple[SlicePoint, float]:

@@ -63,13 +63,20 @@ class UClass(_Signature):
 
     def __post_init__(self):
         super().__post_init__()
-        gs = tuple(_group_element(g, stacked=True) for g in self.gs)
+        try:  # one check of all factors as a stack, which the class keeps as its own copy
+            gs = np.array(self.gs, dtype=complex)
+        except ValueError:
+            if len({np.shape(g) for g in self.gs}) > 1:
+                raise ValidationError("factors differ in shape") from None
+            raise
+        if gs.ndim < 3:
+            raise ValidationError(f"expected square factor matrices, got shape {gs.shape}")
+        gs = _group_element(gs, stacked=2)
         if len(gs) != self.b + self.bprime:
             raise ValidationError("factor count does not match signature")
-        for g in gs:
-            if g.shape[-1] != self.X.k:
-                raise ValidationError("factor size does not match slice point")
-        object.__setattr__(self, "gs", gs)
+        if gs.shape[-1] != self.X.k:
+            raise ValidationError("factor size does not match slice point")
+        object.__setattr__(self, "gs", tuple(gs))
 
 
 @dataclass(frozen=True)

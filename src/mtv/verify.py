@@ -36,7 +36,7 @@ from .hilbert import (
     f_kernel_dimension,
     f_moment,
     f_presymplectic,
-    g_matrix,
+    g_matrices,
     hilb_to_u,
     locally_nondegenerate,
     nondegenerate,
@@ -282,7 +282,7 @@ def sample_jetscheme(
             jets = tuple(_sample_jet(rng, l, k) for _ in range(n))
             pieces.append(LocalPiece(z=complex(z), length=l, jets=jets))
         d = JetScheme(k=k, b=b, bprime=bprime, pieces=tuple(pieces))
-        svs = np.linalg.svd([g_matrix(d, j) for j in range(n)], compute_uv=False)
+        svs = np.linalg.svd(g_matrices(d), compute_uv=False)
         if all(sv[-1] >= 0.08 * sv[0] for sv in svs):
             return d
     raise ValidationError("failed to sample a well-conditioned scheme")

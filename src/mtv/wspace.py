@@ -44,9 +44,9 @@ OUTGOING: Literal["out"] = "out"
 DET_TOL = 1e-12
 
 
-def _group_element(g, stacked: bool = False) -> Matrix:
-    """g as a matrix, or with `stacked` also as a stack of them along one
-    leading axis; raises SingularMatrixError when some |det g| < DET_TOL."""
+def _group_element(g, stacked: int = 0) -> Matrix:
+    """g as a matrix, or also as a stack of them along up to `stacked` leading
+    axes; raises SingularMatrixError when some |det g| < DET_TOL."""
     g = as_matrix(g, stacked)
     det = abs(np.linalg.det(g))
     if (det.min() if det.ndim else det) < DET_TOL:
@@ -96,7 +96,7 @@ class WPoint:
     def __post_init__(self):
         if self.orientation not in (INCOMING, OUTGOING):
             raise ValidationError("orientation must be 'in' or 'out'")
-        g = _group_element(self.g, stacked=True)
+        g = _group_element(self.g, stacked=1)
         if g.shape[-1] != self.X.k:
             raise ValidationError("group element and slice point sizes differ")
         object.__setattr__(self, "g", g)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mtv.cli import main
-from mtv.serialize import uclass_from_json, uclass_to_json, wpoint_from_json
+from mtv.hilbert import u_to_hilb
+from mtv.serialize import jetscheme_to_json, uclass_from_json, uclass_to_json, wpoint_from_json
 from mtv.uspace import UClass, glue, u_equivalent
 from mtv.verify import (
     sample_centralizer_element,
@@ -190,3 +191,30 @@ def test_empty_jetscheme_exit_2(tmp_path):
     f = tmp_path / "empty.json"
     f.write_text(json.dumps({"k": 0, "b": 1, "bprime": 0, "pieces": []}))
     assert main(["hilb", "to-u", "--in", str(f)]) == 2
+
+
+def _huge_entry(data):
+    """data with its first matrix or jet entry set to 1 followed by 400 zeros,
+    an integer too large for a double."""
+    entry = data["gs"][0][0][0] if "gs" in data else data["pieces"][0]["jets"][0][0][0]
+    entry[0] = 10**400
+    return data
+
+
+@pytest.mark.parametrize("command", ["from-u", "to-u", "glue"])
+def test_number_too_large_for_a_double_exit_2(tmp_path, command):
+    m1, m2 = matched_pair()
+    f = tmp_path / "bad.json"
+    if command == "to-u":
+        f.write_text(json.dumps(_huge_entry(jetscheme_to_json(u_to_hilb(m1)))))
+        argv = ["hilb", "to-u", "--in", str(f)]
+    elif command == "from-u":
+        f.write_text(json.dumps(_huge_entry(uclass_to_json(m1))))
+        argv = ["hilb", "from-u", "--in", str(f)]
+    else:
+        f.write_text(json.dumps(_huge_entry(uclass_to_json(m1))))
+        f2 = tmp_path / "m2.json"
+        f2.write_text(json.dumps(uclass_to_json(m2)))
+        argv = ["glue", "--in1", str(f), "--out-index", "1", "--in2", str(f2), "--in-index", "0"]
+    assert "1" + "0" * 400 in f.read_text()
+    assert main(argv) == 2

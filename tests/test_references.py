@@ -11,8 +11,12 @@ coding, which the stacked evaluation of the six chart points replaced, and
 the per-pair adjoint-orbit test, which the broadcast one replaced, and the
 regular-slice kernels: the two-kron ad operator, the per-vector Krylov frame
 and the power-sum solve that embedded a validated slice point at each step.
+The one-pass correspondence is pinned to the codings it replaced: `u_to_hilb`
+through a skeleton scheme, the per-entry jet product, the per-factor jet
+normalization, nondegeneracy test, `hilb_to_u` loop and class check.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +25,13 @@ from scipy.linalg import expm
 
 from conftest import jordan_configurations, jordan_matrix
 
-from mtv.errors import ConditioningError, SingularMatrixError, ValidationError
+from mtv.errors import (
+    ConditioningError,
+    DegenerateSchemeError,
+    MtvError,
+    SingularMatrixError,
+    ValidationError,
+)
 from mtv.hilbert import (
     NONDEGENERACY_TOL,
     ROOT_CLUSTER_RADIUS,
@@ -30,6 +40,7 @@ from mtv.hilbert import (
     JetScheme,
     LocalPiece,
     _cluster_roots,
+    _clusters,
     _eigen_shift,
     _invertible,
     act_on_scheme,
@@ -41,8 +52,12 @@ from mtv.hilbert import (
     f_presymplectic,
     g_matrix,
     has_distinct_base_points,
+    hilb_to_u,
     jet_normalize,
+    jet_scalar_inverse,
+    jet_scalar_multiply,
     jordan_of,
+    locally_nondegenerate,
     normalize_scheme,
     orbit_invariant,
     scheme_slice_point,
@@ -68,6 +83,7 @@ from mtv.slodowy import (
     principal_triple,
     slice_coefficients_from_roots,
     slice_embed,
+    slice_point,
 )
 from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_symplectic
 from mtv.verify import (
@@ -80,6 +96,8 @@ from mtv.verify import (
     fd_exterior_derivative,
     sample_disc,
     sample_group,
+    sample_jetscheme,
+    sample_slice_point,
     sample_uclass,
     sample_utangent,
     sample_wpoint,
@@ -94,6 +112,7 @@ from mtv.wspace import (
     WPoint,
     WTangent,
     _canonical_form,
+    _group_element,
     _moment,
     _slice_matrices,
     slice_direction,
@@ -232,7 +251,7 @@ def _eigen_shift_loop(d, dz):
 
 
 def _slice_conjugator_loop(d):
-    bx = _slice_frame(scheme_slice_point(d))
+    bx = _slice_frame(_scheme_slice_point_per_point(d))
     v = np.zeros(d.k, dtype=complex)
     offset = 0
     for p in d.pieces:
@@ -280,9 +299,9 @@ def test_block_layout_matches_offset_loops(k):
                 assert g.flags.c_contiguous
                 np.testing.assert_array_equal(g, _g_matrix_loop(d, factor))
             dz = sample_disc(rng, len(lengths))
-            np.testing.assert_array_equal(_eigen_shift(d, dz), _eigen_shift_loop(d, dz))
+            np.testing.assert_array_equal(_eigen_shift(lengths, dz), _eigen_shift_loop(d, dz))
             unit = np.eye(len(lengths))[-1]
-            np.testing.assert_array_equal(_eigen_shift(d, unit), _eigen_shift_loop(d, unit))
+            np.testing.assert_array_equal(_eigen_shift(lengths, unit), _eigen_shift_loop(d, unit))
             np.testing.assert_array_equal(slice_conjugator(d), _slice_conjugator_loop(d))
 
 
@@ -857,3 +876,217 @@ def test_stacked_power_traces_match_per_slice(k):
     for i, x in enumerate(stack):
         assert np.array_equal(got[i], power_traces(x))
     assert np.array_equal(power_traces(stack.reshape(-1, 1, k, k))[:, 0], got)
+
+
+def _jet_scalar_multiply_per_entry(jet, s):
+    length = jet.shape[0]
+    out = np.zeros_like(jet)
+    for m in range(length):
+        for i in range(m + 1):
+            out[m] += jet[i] * s[m - i]
+    return out
+
+
+def _jet_normalize_per_factor(piece):
+    n = piece.n_factors
+    if n == 1:
+        return piece
+    length = piece.length
+    new_jets = []
+    product = np.zeros(length, dtype=complex)
+    product[0] = 1.0
+    for m in range(n - 1):
+        jet = piece.jets[m]
+        lead = jet[0]
+        nz = np.nonzero(np.abs(lead) > 1e-12 * max(1.0, float(np.max(np.abs(lead)))))[0]
+        if nz.size == 0:
+            raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
+        s = jet_scalar_inverse(jet[:, int(nz[0])])
+        new_jets.append(_jet_scalar_multiply_per_entry(jet, s))
+        product = _jet_scalar_multiply_per_entry(product[:, None], s).ravel()
+    absorber = jet_scalar_inverse(product)
+    new_jets.append(_jet_scalar_multiply_per_entry(piece.jets[n - 1], absorber))
+    return LocalPiece(z=piece.z, length=length, jets=tuple(new_jets))
+
+
+I3 = np.eye(3, dtype=complex)
+
+
+def _normalize_scheme_per_factor(d):
+    d = _sort_pieces(d)
+    return replace(d, pieces=tuple(_jet_normalize_per_factor(p) for p in d.pieces))
+
+
+def _scheme_slice_point_per_point(d):
+    roots = np.concatenate([[p.z] * p.length for p in d.pieces])
+    return _slice_from_power_sums_per_point(np.array([np.sum(roots**m) for m in range(1, d.k + 1)]), d.k)
+
+
+def _locally_nondegenerate_per_factor(d):
+    return all(_invertible(_g_matrix_loop(d, j)) for j in range(d.n_factors))
+
+
+def _uclass_factors_per_factor(b, bprime, gs, x):
+    """The factors a class keeps after its per-factor check."""
+    gs = tuple(_group_element(g, stacked=True) for g in gs)
+    if len(gs) != b + bprime:
+        raise ValidationError("factor count does not match signature")
+    for g in gs:
+        if g.shape[-1] != x.k:
+            raise ValidationError("factor size does not match slice point")
+    return gs
+
+
+def _hilb_to_u_per_factor(d):
+    """(factors, slice point) of the class, from the factor loop."""
+    if not _locally_nondegenerate_per_factor(d):
+        raise DegenerateSchemeError("correspondence requires a nondegenerate scheme")
+    x = _scheme_slice_point_per_point(d)
+    conj = _slice_conjugator_loop(d)
+    conj_inv = np.linalg.inv(conj)
+    q = _block_reversal_loop(d)
+    gs = []
+    for j in range(d.n_factors):
+        gj = _g_matrix_loop(d, j)
+        gs.append(gj @ conj_inv if d.orientation(j) == INCOMING else conj @ q @ gj.T)
+    return _uclass_factors_per_factor(d.b, d.bprime, gs, x), x
+
+
+def _u_to_hilb_skeleton(m):
+    x_mat = slice_embed(m.X)
+    k = m.X.k
+    clusters = _cluster_roots(np.linalg.eigvals(x_mat), ROOT_CLUSTER_RADIUS)
+    clusters.sort(key=lambda t: (t[0].real, t[0].imag))
+    if len(_clusters([z for z, _ in clusters], 2 * ROOT_CLUSTER_RADIUS)) < len(clusters):
+        raise ConditioningError("cluster centers too close to resolve")
+    centers = np.concatenate([[z] * l for z, l in clusters])
+    recon = np.array([np.sum(centers**p) for p in range(1, k + 1)])
+    actual = power_traces(x_mat)
+    if np.max(np.abs(recon - actual)) > 3e-10 * max(1.0, float(np.max(np.abs(actual)))):
+        raise ConditioningError("spectral clustering failed validation")
+    n = m.n_factors
+    skeleton = JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=tuple(
+        LocalPiece(z=z, length=l, jets=tuple(np.eye(l, k, dtype=complex) for _ in range(n)))
+        for z, l in clusters))
+    assert has_distinct_base_points(skeleton)
+    conj = _slice_conjugator_loop(skeleton)
+    conj_inv = np.linalg.inv(conj)
+    q = _block_reversal_loop(skeleton)
+    factor_mats = [m.gs[j] @ conj if m.orientation(j) == INCOMING else (q @ conj_inv @ m.gs[j]).T
+                   for j in range(n)]
+    pieces, offset = [], 0
+    for z, l in clusters:
+        jets = tuple(f[:, offset : offset + l].T.copy() for f in factor_mats)
+        pieces.append(LocalPiece(z=z, length=l, jets=jets))
+        offset += l
+    return _normalize_scheme_per_factor(JetScheme(k=k, b=m.b, bprime=m.bprime, pieces=tuple(pieces)))
+
+
+def _outcome(f, *args):
+    """The bytes of what f returns (a scheme or class), or the type of what it raises."""
+    try:
+        out = f(*args)
+    except MtvError as exc:
+        return type(exc)
+    if isinstance(out, JetScheme):
+        return [(p.z, p.length, [jet.tobytes() for jet in p.jets]) for p in out.pieces]
+    gs, x = (out.gs, out.X) if isinstance(out, UClass) else out
+    return x.coeffs.tobytes(), [g.tobytes() for g in gs]
+
+
+def _collapsed(d, factor):
+    """d with the last jet vector of one factor replaced by its first: that
+    factor's matrix has rank k - 1."""
+    first = d.pieces[0].jets[factor][0]
+    last = d.pieces[-1]
+    jets = list(last.jets)
+    jets[factor] = np.concatenate([jets[factor][:-1], first[None]])
+    return replace(d, pieces=d.pieces[:-1] + (replace(last, jets=tuple(jets)),))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_correspondence_matches_parent_codings(k):
+    # every composition of k and every signature with up to four factors
+    rng = trial_rng(27, "correspondence", k)
+    for lengths in _compositions(k):
+        for b, bprime in _SIGNATURES:
+            d = sample_jetscheme(k, b, bprime, rng, lengths=lengths)
+            assert locally_nondegenerate(d) and _locally_nondegenerate_per_factor(d)
+            if k > 1:
+                bad = _collapsed(d, rng.integers(b + bprime))
+                assert not locally_nondegenerate(bad) and not _locally_nondegenerate_per_factor(bad)
+                assert _outcome(hilb_to_u, bad) is DegenerateSchemeError
+            assert _outcome(normalize_scheme, d) == _outcome(_normalize_scheme_per_factor, d)
+            assert _outcome(hilb_to_u, d) == _outcome(_hilb_to_u_per_factor, d)
+            m = hilb_to_u(d)
+            assert _outcome(u_to_hilb, m) == _outcome(_u_to_hilb_skeleton, m)
+            # a class hilb_to_u did not make: generic X, so pieces of length 1
+            # or refusals of close eigenvalues
+            m = sample_uclass(k, b, bprime, rng)
+            assert _outcome(u_to_hilb, m) == _outcome(_u_to_hilb_skeleton, m)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_jet_scalar_multiply_matches_per_entry_sums(k):
+    rng = trial_rng(28, "jet-multiply", k)
+    for length in range(1, 6):
+        for _ in range(4):
+            jets = sample_disc(rng, 3, length, k)
+            s = sample_disc(rng, 3, length)
+            want = np.array([_jet_scalar_multiply_per_entry(j, t) for j, t in zip(jets, s)])
+            assert jet_scalar_multiply(jets, s).tobytes() == want.tobytes()
+            for j, t, w in zip(jets, s, want):
+                assert jet_scalar_multiply(j, t).tobytes() == w.tobytes()
+            # the scalar product jet, as in the normalization
+            prod = _jet_scalar_multiply_per_entry(s[0][:, None], s[1])
+            assert jet_scalar_multiply(s[0][:, None], s[1]).tobytes() == prod.tobytes()
+
+
+def _factor_stacks(rng, k):
+    """Factor tuples of 1 to 4 group elements, unstacked and stacked (3, k, k)."""
+    for n in range(1, 5):
+        yield tuple(sample_group(k, rng) for _ in range(n))
+        yield tuple(np.array([sample_group(k, rng) for _ in range(3)]) for _ in range(n))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_uclass_check_matches_per_factor_check(k):
+    rng = trial_rng(29, "uclass-check", k)
+    x = sample_slice_point(k, rng)
+    for gs in _factor_stacks(rng, k):
+        n = len(gs)
+        m = UClass(b=n, bprime=0, gs=gs, X=x)
+        want = _uclass_factors_per_factor(n, 0, gs, x)
+        assert [g.tobytes() for g in m.gs] == [g.tobytes() for g in want]
+        assert all(g is not h and not np.shares_memory(g, h) for g, h in zip(m.gs, gs))
+        singular = gs[:-1] + (gs[-1] * (np.arange(k) > 0)[:, None],)  # first row zeroed
+        nan = gs[:-1] + (np.where(np.eye(k, dtype=bool), np.nan, gs[-1]),)
+        for bad, b, xb in ((singular, n, x), (nan, n, x), (gs, n + 1, x),
+                           (gs, n, sample_slice_point(k + 1, rng))):
+            got = _outcome(lambda: UClass(b=b, bprime=0, gs=bad, X=xb))
+            assert got is _outcome(lambda: (_uclass_factors_per_factor(b, 0, bad, xb), xb))
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        # roots {0, s, 2}: s = 0.03 merges a simple pair that the power traces
+        # refuse, s = 0.07 leaves cluster centers too close to resolve
+        (lambda: UClass(b=1, bprime=1, gs=(I3, I3),
+                        X=slice_coefficients_from_roots(np.array([0.0, 0.03, 2.0]), 3)),
+         ConditioningError),
+        (lambda: UClass(b=2, bprime=1, gs=(I3,) * 3,
+                        X=slice_coefficients_from_roots(np.array([0.0, 0.07, 2.0]), 3)),
+         ConditioningError),
+        # at k = 1 the conjugator is 1, so the head factor's leading jet vector
+        # is its 1e-12, at the pivot cutoff; |det| = 1e-12 passes DET_TOL
+        (lambda: UClass(b=2, bprime=0, gs=(np.array([[1e-12]]), np.eye(1)), X=slice_point([0.5])),
+         DegenerateSchemeError),
+        (lambda: UClass(b=1, bprime=1, gs=(np.array([[1e-12]]), np.eye(1)), X=slice_point([0.5])),
+         DegenerateSchemeError),
+    ],
+)
+def test_u_to_hilb_refusals_match_skeleton(make, error):
+    m = make()
+    assert _outcome(u_to_hilb, m) is error
+    assert _outcome(_u_to_hilb_skeleton, m) is error

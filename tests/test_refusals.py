@@ -21,10 +21,12 @@ from mtv.hilbert import (
     act_on_scheme,
     adjoint_orbits_match,
     f_presymplectic,
+    jet_normalize,
     jet_scalar_inverse,
+    normalize_scheme,
 )
 from mtv.lie import AElement, InvariantPolynomial, as_matrix
-from mtv.serialize import wpoint_from_json, wpoint_to_json
+from mtv.serialize import uclass_from_json, uclass_to_json, wpoint_from_json, wpoint_to_json
 from mtv.slodowy import (
     SlicePoint,
     principal_triple,
@@ -47,6 +49,22 @@ def _scheme(b=1, bprime=0):
 
 
 SINGULAR2 = np.diag([1.0, 0.0])
+
+
+def _stacked_scheme(n_pieces):
+    """A scheme of stacked pieces (z of shape (2,), jets of shape (2, length, k)),
+    a layout that LocalPiece accepts."""
+    length = 2 // n_pieces
+    jets = np.stack([np.eye(length, 2), np.eye(length, 2)])
+    piece = LocalPiece(z=np.array([0.5, 0.6]), length=length, jets=(jets, jets))
+    return JetScheme(k=2, b=1, bprime=1, pieces=(piece,) * n_pieces)
+
+
+def _class_with_huge_entry():
+    # 1 followed by 400 zeros: a JSON integer too large for a double
+    data = uclass_to_json(UClass(b=1, bprime=0, gs=(I2,), X=X2))
+    data["gs"][0][0][0][0] = 10**400
+    return uclass_from_json(data)
 
 
 def _class(b, bprime):
@@ -119,6 +137,11 @@ REFUSALS = [
     ("degree_exceeds_k",
      lambda: AElement(factors=((InvariantPolynomial(3),),)).degree_profile(2),
      ValidationError, "exceeds k"),
+    ("json_number_too_large", _class_with_huge_entry, ValidationError, "malformed matrix"),
+    ("jet_normalize_stacked_piece", lambda: jet_normalize(_stacked_scheme(1).pieces[0]),
+     ValidationError, "not a stack"),
+    ("normalize_scheme_stacked_pieces", lambda: normalize_scheme(_stacked_scheme(2)),
+     ValidationError, "not a stack"),
     ("wpoint_json_orientation",
      lambda: wpoint_from_json({**wpoint_to_json(WPoint(I2, X2, INCOMING)),
                                "orientation": "x"}),
