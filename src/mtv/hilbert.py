@@ -34,7 +34,7 @@ from .lie import (Matrix, _krylov_frame, _rank, as_matrix, check_same_size, comm
 from .slodowy import (SlicePoint, _slice_frame, _slice_from_power_sums,
                       slice_coefficients_from_roots, slice_embed)
 from .uspace import UClass
-from .wspace import INCOMING, _group_element, _Signature
+from .wspace import _group_element, _Signature
 
 # Pieces closer than this in z are treated as sharing a base point.
 Z_MATCH_TOL = 1e-8
@@ -310,16 +310,11 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     coefficients by the inverse transpose."""
     if len(gs) != d.n_factors:
         raise ValidationError("need one group element per factor")
-    mats = []
-    for j, g in enumerate(gs):
-        g = _group_element(g, stacked=1)
-        mats.append(g if d.orientation(j) == INCOMING else np.linalg.inv(g).swapaxes(-1, -2))
-    new_pieces = []
-    for p in d.pieces:
-        jets = tuple((mats[j] @ p.jets[j].swapaxes(-1, -2)).swapaxes(-1, -2)
-                     for j in range(d.n_factors))
-        new_pieces.append(LocalPiece(z=p.z, length=p.length, jets=jets))
-    return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(new_pieces))
+    mats = [_group_element(g, stacked=1) for g in gs]
+    mats = [g if j < d.b else np.linalg.inv(g).swapaxes(-1, -2) for j, g in enumerate(mats)]
+    return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(LocalPiece(
+        z=p.z, length=p.length, jets=tuple((m @ jet.swapaxes(-1, -2)).swapaxes(-1, -2)
+                                           for m, jet in zip(mats, p.jets))) for p in d.pieces))
 
 
 def _conjugator(x: SlicePoint, zs: np.ndarray, lengths: Sequence[int]) -> tuple[Matrix, Matrix]:
@@ -388,6 +383,8 @@ def u_to_hilb(m: UClass) -> JetScheme:
     failed reconstruction (or colliding cluster centers) raises
     ConditioningError rather than guessing the Jordan structure.
     """
+    if m.X.coeffs.ndim > 1 or m.gs[0].ndim > 2:
+        raise ValidationError("the correspondence takes one class, not a stack")
     x_mat = slice_embed(m.X)
     k = m.X.k
     clusters = sorted(_cluster_roots(np.linalg.eigvals(x_mat), ROOT_CLUSTER_RADIUS),
@@ -435,29 +432,30 @@ class FTangent:
         object.__setattr__(self, "dz", np.asarray(self.dz, dtype=complex))
 
 
-def _fitting_frame(d: JetScheme) -> tuple[Matrix, Matrix, Matrix]:
-    """The first factor matrix G, its inverse and mu = G J(D) G^{-1};
-    refuses a singular G."""
-    g = g_matrix(d, 0)
+def _fitting_frame(ds: Sequence[JetScheme]) -> tuple[Matrix, Matrix, Matrix]:
+    """For schemes of one size, the stack (n, k, k) of first factor matrices G,
+    their inverses and mu = G J(D) G^{-1}; refuses a singular G."""
+    g = np.array([g_matrices(d)[0] for d in ds])
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
     ginv = np.linalg.inv(g)
-    return g, ginv, g @ jordan_of(d) @ ginv
+    return g, ginv, g @ np.array([jordan_of(d) for d in ds]) @ ginv
 
 
-def f_moment(d: JetScheme) -> Matrix:
-    """mu(D) = G(D) J(D) G(D)^{-1} for the first factor."""
+def f_moment(d: JetScheme | Sequence[JetScheme]) -> Matrix:
+    """mu(D) = G(D) J(D) G(D)^{-1} for the first factor; of a sequence of
+    schemes of one size, one moment per scheme (n, k, k)."""
+    if isinstance(d, JetScheme):
+        return _fitting_frame([d])[2][0]
     return _fitting_frame(d)[2]
 
 
 def _eigen_shift(lengths: Sequence[int], dz: np.ndarray) -> Matrix:
     """dJ for base-point velocities dz (..., pieces): dz_i on the diagonal of block i."""
     k = sum(lengths)
-    out = np.zeros(np.shape(dz)[:-1] + (k, k), dtype=complex)
-    for i, blk in enumerate(_blocks(lengths)):
-        for a in blk:
-            out[..., a, a] = dz[..., i]
-    return out
+    out = np.zeros(np.shape(dz)[:-1] + (k * k,), dtype=complex)
+    out[..., :: k + 1] = np.repeat(dz, lengths, axis=-1)  # the diagonal of each k x k
+    return out.reshape(np.shape(dz)[:-1] + (k, k))
 
 
 def f_presymplectic(d: JetScheme, u: FTangent, v: FTangent) -> complex:
@@ -485,14 +483,13 @@ def _f_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> tuple[Matrix, com
     <rho_u, dmu(v)> - <rho_v, dmu(u)>; refuses what both forms refuse."""
     if (d.b, d.bprime) != (1, 0):
         raise SignatureError("the presymplectic form is defined for (1,0)")
-    g, ginv, mu = _fitting_frame(d)
+    g, ginv, mu = (a[0] for a in _fitting_frame([d]))
     for t in (u, v):
         if t.dz.shape[-1:] != (len(d.pieces),):
             raise ValidationError("need one dz per piece")
         check_same_size(mu, t.rho)
     lengths = [p.length for p in d.pieces]
-    dmu_u = commutator(u.rho, mu) + g @ _eigen_shift(lengths, u.dz) @ ginv
-    dmu_v = commutator(v.rho, mu) + g @ _eigen_shift(lengths, v.dz) @ ginv
+    dmu_u, dmu_v = (commutator(t.rho, mu) + g @ _eigen_shift(lengths, t.dz) @ ginv for t in (u, v))
     return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
 
 
@@ -507,19 +504,19 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
     """
     if (d.b, d.bprime) != (1, 0):
         raise SignatureError("the presymplectic form is defined for (1,0)")
-    g, ginv, mu = _fitting_frame(d)
-    k = d.k
-    s = len(d.pieces)
-    eye = np.eye(k)
-    rho_rho = np.einsum("bc,da->abcd", eye, mu) - np.einsum("da,bc->abcd", eye, mu)
-    # column i holds (Q_i)_ba at row a k + b; P_i is the shift of piece i alone
-    lengths = [p.length for p in d.pieces]
-    q = [g @ _eigen_shift(lengths, e) @ ginv for e in np.eye(s)]
-    rho_dz = np.stack([q_i.T.ravel() for q_i in q], axis=1)
+    g, ginv, mu = (a[0] for a in _fitting_frame([d]))
+    k, s = d.k, len(d.pieces)
     gram = np.zeros((k * k + s, k * k + s), dtype=complex)
-    gram[: k * k, : k * k] = rho_rho.reshape(k * k, k * k)
-    gram[: k * k, k * k :] = rho_dz
-    gram[k * k :, : k * k] = -rho_dz.T
+    # entry (a k + b, c k + d) of the rho block as rho[a, b, c, d]; adding 0.0
+    # turns -0 into +0, as the zero-started sums of the einsum codings did
+    rho = gram[: k * k, : k * k].reshape(k, k, k, k)
+    rho[:, range(k), range(k), :] = mu.T[:, None, :] + 0.0
+    rho[range(k), :, :, range(k)] -= mu
+    # row i of rho_dz holds (Q_i)_ba at column a k + b
+    q = g @ _eigen_shift([p.length for p in d.pieces], np.eye(s)) @ ginv
+    rho_dz = q.swapaxes(-1, -2).reshape(s, k * k)
+    gram[: k * k, k * k :] = rho_dz.T
+    gram[k * k :, : k * k] = -rho_dz
     return gram
 
 
@@ -540,37 +537,43 @@ def orbit_invariant_equal(
     inv1: tuple[tuple[complex, int], ...],
     inv2: tuple[tuple[complex, int], ...],
 ) -> bool:
-    if len(inv1) != len(inv2):
-        return False
-    return all(
-        abs(z1 - z2) <= Z_MATCH_TOL and l1 == l2
-        for (z1, l1), (z2, l2) in zip(inv1, inv2)
-    )
+    return len(inv1) == len(inv2) and all(
+        abs(z1 - z2) <= Z_MATCH_TOL and l1 == l2 for (z1, l1), (z2, l2) in zip(inv1, inv2))
 
 
 def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool | np.ndarray:
     """Independent conjugacy test: equal power traces and equal rank
     sequences of (M - z)^p for every candidate eigenvalue z of m1.  Either
     argument may be a stack (..., k, k); the two broadcast like numpy
-    operands, giving one answer per pair (a bool for two matrices)."""
+    operands, giving one answer per pair (a bool for two matrices).  Equal
+    matrices match without ranks; each matrix of m1 that some pair takes to
+    the rank stage gets its ranks at its own cluster centers once."""
     m1, m2 = (as_matrix(m, stacked=np.ndim(m) - 2) for m in (m1, m2))
     k = check_same_size(m1, m2)
     shape = np.broadcast_shapes(m1.shape, m2.shape)[:-2]
     match = ~(np.max(np.abs(power_traces(m1) - power_traces(m2)), axis=-1) > 1e-6)
     match = np.broadcast_to(match, shape).copy()
-    if not match.any():  # no pair passes the trace test: no eigenvalue or rank stage
-        return bool(match) if match.ndim == 0 else match
-    # the cluster centers of each matrix of m1, padded by repeating the first
-    centers = [[z for z, _ in _cluster_roots(e, ROOT_CLUSTER_RADIUS)]
-               for e in np.linalg.eigvals(m1).reshape(-1, k)]
-    width = max(map(len, centers), default=0)
-    z = np.array([c + c[:1] * (width - len(c)) for c in centers]).reshape(m1.shape[:-2] + (width,))
-    z, a1, a2 = (np.broadcast_to(a, shape + a.shape[-2:])[match] for a in (z[..., None], m1, m2))
-    # M - z I for both matrices of each pair still matching, at each center
-    shifts = np.stack([a1, a2])[:, :, None] - z[..., None] * np.eye(k)
-    powers = [np.eye(k, dtype=complex)]
-    for _ in range(k):
-        powers.append(powers[-1] @ shifts)
-    ranks = np.linalg.matrix_rank(np.stack(powers[1:]), tol=1e-7)
-    match[match] = (ranks[:, 0] == ranks[:, 1]).all(axis=(0, 2))
+    ranked = match & (m1 != m2).any(axis=(-2, -1))  # equal matrices need no ranks
+    if ranked.any():
+        # the rows of m1 that ranked pairs use, and each row's cluster centers
+        pair_rows = np.broadcast_to(np.arange(m1[..., 0, 0].size).reshape(m1.shape[:-2]),
+                                    shape)[ranked].tolist()
+        rows = sorted(set(pair_rows))
+        m1 = m1.reshape(-1, k, k)[rows]
+        centers = dict(zip(rows, ([z for z, _ in _cluster_roots(e, ROOT_CLUSTER_RADIUS)]
+                                  for e in np.linalg.eigvals(m1))))
+        # M - z I at each center of each row, then of each pair's m2 at its row's
+        z = [centers[r] for r in rows + pair_rows]
+        starts = np.cumsum([0] + [len(c) for c in z])
+        m = np.concatenate([m1, np.broadcast_to(m2, shape + (k, k))[ranked]])
+        shifts = (np.repeat(m, np.diff(starts), axis=0)
+                  - np.concatenate(z)[:, None, None] * np.eye(k))
+        powers = [np.eye(k, dtype=complex)]
+        for _ in range(k):
+            powers.append(powers[-1] @ shifts)
+        ranks = np.linalg.matrix_rank(np.stack(powers[1:]), tol=1e-7).T
+        first = dict(zip(rows, starts))
+        own = [first[r] + j for r in pair_rows for j in range(len(centers[r]))]
+        same = (ranks[starts[len(rows)]:] == ranks[own]).all(axis=1)
+        match[ranked] = np.logical_and.reduceat(same, starts[len(rows) : -1] - starts[len(rows)])
     return bool(match) if match.ndim == 0 else match

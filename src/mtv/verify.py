@@ -269,19 +269,16 @@ def sample_jetscheme(
     n = b + bprime
     for _ in range(60):
         ls = lengths if lengths is not None else sample_lengths(k, rng)
-        s = len(ls)
         if zs is None:
             base = np.array(
-                [1.6 * i + complex(sample_disc(rng, radius=0.4)) for i in range(s)]
+                [1.6 * i + complex(sample_disc(rng, radius=0.4)) for i in range(len(ls))]
             )
             base = base - np.mean(base)  # keep magnitudes moderate
         else:
-            base = np.asarray(zs, dtype=complex)
-        pieces = []
-        for z, l in zip(base, ls):
-            jets = tuple(_sample_jet(rng, l, k) for _ in range(n))
-            pieces.append(LocalPiece(z=complex(z), length=l, jets=jets))
-        d = JetScheme(k=k, b=b, bprime=bprime, pieces=tuple(pieces))
+            base = zs
+        d = JetScheme(k=k, b=b, bprime=bprime, pieces=tuple(
+            LocalPiece(z=complex(z), length=l, jets=tuple(_sample_jet(rng, l, k) for _ in range(n)))
+            for z, l in zip(base, ls)))
         svs = np.linalg.svd(g_matrices(d), compute_uv=False)
         if all(sv[-1] >= 0.08 * sv[0] for sv in svs):
             return d
@@ -892,13 +889,13 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
 
 def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     schemes = _jordan_type_schemes(k, rng)
-    moments = np.array([f_moment(d) for d in schemes])
+    moments = f_moment(schemes)
     invariants = [orbit_invariant(d) for d in schemes]
     same_type = [[orbit_invariant_equal(a, b) for b in invariants] for a in invariants]
     mistakes = int(np.sum(same_type != adjoint_orbits_match(moments[:, None], moments[None])))
     # a second sample of the same Jordan type must give conjugate moments
     schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
-    mistakes += int(np.sum(~adjoint_orbits_match(moments, [f_moment(d2) for d2 in schemes2])))
+    mistakes += int(np.sum(~adjoint_orbits_match(moments, f_moment(schemes2))))
     # group action fixes the invariant
     g0 = sample_group(k, rng)
     for d, inv in zip(schemes, invariants):

@@ -9,11 +9,14 @@ union-find and pairwise codings of the clustering rule, the sort_pieces
 piece order, the index loop of the exterior derivative and its per-point
 coding, which the stacked evaluation of the six chart points replaced, and
 the per-pair adjoint-orbit test, which the broadcast one replaced, and the
+padded broadcast one, which the per-row rank profiles replaced, and the
 regular-slice kernels: the two-kron ad operator, the per-vector Krylov frame
 and the power-sum solve that embedded a validated slice point at each step.
 The one-pass correspondence is pinned to the codings it replaced: `u_to_hilb`
 through a skeleton scheme, the per-entry jet product, the per-factor jet
-normalization, nondegeneracy test, `hilb_to_u` loop and class check.
+normalization, nondegeneracy test, `hilb_to_u` loop and class check.  The
+stacked Fitting frame and the Gram matrix built from it are pinned to the
+per-scheme frame and the two-einsum Gram matrix with its projector loop.
 """
 import itertools
 from dataclasses import replace
@@ -23,7 +26,7 @@ import pytest
 
 from scipy.linalg import expm
 
-from conftest import jordan_configurations, jordan_matrix
+from conftest import JORDAN_BASE_POINTS, jordan_configurations, jordan_matrix
 
 from mtv.errors import (
     ConditioningError,
@@ -42,6 +45,7 @@ from mtv.hilbert import (
     _cluster_roots,
     _clusters,
     _eigen_shift,
+    _fitting_frame,
     _invertible,
     act_on_scheme,
     adjoint_orbits_match,
@@ -70,6 +74,7 @@ from mtv.lie import (
     ad_operator,
     as_matrix,
     centralizer_basis,
+    check_same_size,
     centralizer_dimension,
     pairing,
     power_traces,
@@ -1090,3 +1095,194 @@ def test_u_to_hilb_refusals_match_skeleton(make, error):
     m = make()
     assert _outcome(u_to_hilb, m) is error
     assert _outcome(_u_to_hilb_skeleton, m) is error
+
+
+# The codings that the per-row rank profiles and the stacked Fitting frame
+# replaced, kept verbatim: the broadcast orbit test that padded each row's
+# cluster centers to the widest row and ranked every pair passing the traces,
+# the frame of one scheme, and the Gram matrix from two einsum calls and a
+# per-piece projector loop.
+
+
+def _adjoint_orbits_match_padded(m1, m2):
+    """Independent conjugacy test: equal power traces and equal rank
+    sequences of (M - z)^p for every candidate eigenvalue z of m1.  Either
+    argument may be a stack (..., k, k); the two broadcast like numpy
+    operands, giving one answer per pair (a bool for two matrices)."""
+    m1, m2 = (as_matrix(m, stacked=np.ndim(m) - 2) for m in (m1, m2))
+    k = check_same_size(m1, m2)
+    shape = np.broadcast_shapes(m1.shape, m2.shape)[:-2]
+    match = ~(np.max(np.abs(power_traces(m1) - power_traces(m2)), axis=-1) > 1e-6)
+    match = np.broadcast_to(match, shape).copy()
+    if not match.any():  # no pair passes the trace test: no eigenvalue or rank stage
+        return bool(match) if match.ndim == 0 else match
+    # the cluster centers of each matrix of m1, padded by repeating the first
+    centers = [[z for z, _ in _cluster_roots(e, ROOT_CLUSTER_RADIUS)]
+               for e in np.linalg.eigvals(m1).reshape(-1, k)]
+    width = max(map(len, centers), default=0)
+    z = np.array([c + c[:1] * (width - len(c)) for c in centers]).reshape(m1.shape[:-2] + (width,))
+    z, a1, a2 = (np.broadcast_to(a, shape + a.shape[-2:])[match] for a in (z[..., None], m1, m2))
+    # M - z I for both matrices of each pair still matching, at each center
+    shifts = np.stack([a1, a2])[:, :, None] - z[..., None] * np.eye(k)
+    powers = [np.eye(k, dtype=complex)]
+    for _ in range(k):
+        powers.append(powers[-1] @ shifts)
+    ranks = np.linalg.matrix_rank(np.stack(powers[1:]), tol=1e-7)
+    match[match] = (ranks[:, 0] == ranks[:, 1]).all(axis=(0, 2))
+    return bool(match) if match.ndim == 0 else match
+
+
+def _fitting_frame_per_scheme(d):
+    """The first factor matrix G, its inverse and mu = G J(D) G^{-1};
+    refuses a singular G."""
+    g = g_matrix(d, 0)
+    if not _invertible(g):
+        raise DegenerateSchemeError("factor matrix is singular")
+    ginv = np.linalg.inv(g)
+    return g, ginv, g @ jordan_of(d) @ ginv
+
+
+def _f_gram_matrix_einsum(d):
+    g, ginv, mu = _fitting_frame_per_scheme(d)
+    k = d.k
+    s = len(d.pieces)
+    eye = np.eye(k)
+    rho_rho = np.einsum("bc,da->abcd", eye, mu) - np.einsum("da,bc->abcd", eye, mu)
+    # column i holds (Q_i)_ba at row a k + b; P_i is the shift of piece i alone
+    lengths = [p.length for p in d.pieces]
+    q = [g @ _eigen_shift(lengths, e) @ ginv for e in np.eye(s)]
+    rho_dz = np.stack([q_i.T.ravel() for q_i in q], axis=1)
+    gram = np.zeros((k * k + s, k * k + s), dtype=complex)
+    gram[: k * k, : k * k] = rho_rho.reshape(k * k, k * k)
+    gram[: k * k, k * k :] = rho_dz
+    gram[k * k :, : k * k] = -rho_dz.T
+    return gram
+
+
+def _same_orbit_answers(m1, m2):
+    """The orbit test's answers, after checking them against the padded coding."""
+    got, want = adjoint_orbits_match(m1, m2), _adjoint_orbits_match_padded(m1, m2)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+def _type_moments(k, rng):
+    """Moments of sampled (1,0) schemes, one per Jordan configuration of size k,
+    in `fitting_orbits`' layout: equal types share base points."""
+    return f_moment([
+        sample_jetscheme(k, 1, 0, rng, lengths=[l for part in c for l in part],
+                         zs=[JORDAN_BASE_POINTS[i] for i, part in enumerate(c) for _ in part])
+        for c in jordan_configurations(k)
+    ])
+
+
+def _broken_last_chain(j):
+    """j with its last superdiagonal 1 zeroed (compare `_broken_chain`)."""
+    a = np.flatnonzero(np.diagonal(j, 1))[-1]
+    out = j.copy()
+    out[a, a + 1] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orbit_test_matches_padded_coding_on_type_tables(k):
+    # the fitting_orbits block at every size: each type against each type, and
+    # against a second sample and its conjugate, as stacks and as single pairs
+    rng = trial_rng(30, "type-tables", k)
+    moments, second = _type_moments(k, rng), _type_moments(k, rng)
+    g = sample_group(k, rng)
+    n = len(moments)
+    for m2 in (moments, second, g @ second @ np.linalg.inv(g)):
+        np.testing.assert_array_equal(_same_orbit_answers(moments[:, None], m2[None]),
+                                      np.eye(n, dtype=bool))
+        np.testing.assert_array_equal(_same_orbit_answers(moments, m2), [True] * n)
+        assert all(_same_orbit_answers(a, b) is True for a, b in zip(moments, m2))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orbit_test_matches_padded_coding_on_mixed_spectra(k):
+    # matrices with 1..k distinct eigenvalues in one stack, so that rows have
+    # different numbers of cluster centers; near misses break a Jordan chain
+    # at the first or at the last eigenvalue, or shift the whole spectrum
+    rng = trial_rng(31, "mixed", k)
+    js = [jordan_matrix(c) for c in jordan_configurations(k)]
+    g = sample_group(k, rng)
+    conj = np.array([g @ j @ np.linalg.inv(g) for j in js])
+    chained = [j for j in js if np.diagonal(j, 1).any()]
+    near = np.array([_broken_chain(j) for j in chained] + [_broken_last_chain(j) for j in chained]
+                    + [j + 1e-3 * np.eye(k) for j in js]).reshape(-1, k, k)
+    assert {len(c) for c in jordan_configurations(k)} == set(range(1, k + 1))
+    for m1, m2 in ((np.array(js), conj), (conj, np.array(js)), (near, conj), (conj, near)):
+        _same_orbit_answers(m1[:, None], m2[None])
+        for a in m1:
+            _same_orbit_answers(a, m2)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orbit_test_matches_padded_coding_on_equal_and_partial_pairs(k):
+    js = np.array([jordan_matrix(c) for c in jordan_configurations(k)])
+    g = sample_group(k, trial_rng(32, "partial", k))
+    conj = g @ js @ np.linalg.inv(g)
+    # equal pairs match without ranks: a stack against itself, pair by pair,
+    # as a table and as single matrices
+    for m in (js, conj):
+        np.testing.assert_array_equal(_same_orbit_answers(m, m), [True] * len(m))
+        _same_orbit_answers(m[:, None], m[None])
+        assert all(_same_orbit_answers(a, a) is True for a in m)
+    # only some pairs reach the rank stage: every other matrix is shifted off
+    # its spectrum, and half of the rest are equal to their partner
+    shifted = conj.copy()
+    shifted[::2] += 0.3 * np.eye(k)
+    partner = np.where(np.arange(len(js))[:, None, None] % 4 == 1, js, shifted)
+    for m1, m2 in ((js, shifted), (js, partner), (conj, shifted), (shifted, conj)):
+        _same_orbit_answers(m1, m2)
+        _same_orbit_answers(m1[:, None], m2[None])
+
+
+def _unit_jet_scheme(lengths, sign):
+    """A (1,0) scheme whose jets are the rows of sign * I, at base points with
+    zero real or imaginary parts: its moment holds signed zeros."""
+    eye = sign * np.eye(sum(lengths))
+    zs = [complex(-0.5 * (i + 1), 0.0 if i % 2 else -0.5) for i in range(len(lengths))]
+    pieces = tuple(LocalPiece(z=z, length=l, jets=(eye[end - l : end],))
+                   for z, l, end in zip(zs, lengths, itertools.accumulate(lengths)))
+    return JetScheme(k=sum(lengths), b=1, bprime=0, pieces=pieces)
+
+
+def _fitting_schemes(rng, k):
+    """(1,0) schemes of every composition of k: sampled jets at sampled and at
+    colliding base points, and unit jets of both signs."""
+    for lengths in _compositions(k):
+        yield _scheme(rng, lengths, 1, 0)
+        yield _scheme(rng, lengths, 1, 0, zs=[0.3 - 0.1j] * len(lengths))
+        yield _unit_jet_scheme(lengths, 1.0)
+        yield _unit_jet_scheme(lengths, -1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_stacked_fitting_frame_matches_per_scheme_frames(k):
+    schemes = list(_fitting_schemes(trial_rng(33, "frame", k), k))
+    frame = _fitting_frame(schemes)
+    assert all(part.shape == (len(schemes), k, k) for part in frame)
+    for i, d in enumerate(schemes):
+        want = _fitting_frame_per_scheme(d)
+        assert [part[i].tobytes() for part in frame] == [part.tobytes() for part in want]
+        assert [part[0].tobytes() for part in _fitting_frame([d])] == [
+            part.tobytes() for part in want]
+        assert f_moment(d).tobytes() == want[2].tobytes()
+    assert f_moment(schemes).tobytes() == frame[2].tobytes()
+    if k > 1:  # one singular first factor refuses the whole stack
+        bad = _collapsed(schemes[0], 0)
+        with pytest.raises(DegenerateSchemeError, match="singular"):
+            _fitting_frame_per_scheme(bad)
+        with pytest.raises(DegenerateSchemeError, match="singular"):
+            f_moment(schemes[1:] + [bad])
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_gram_matrix_matches_einsum_coding(k):
+    # bytes, so signed zeros count: the unit-jet moments hold -0 entries at
+    # k = 2, 3 and 5, which the einsum codings turned into +0
+    for d in _fitting_schemes(trial_rng(34, "gram", k), k):
+        assert f_gram_matrix(d).tobytes() == _f_gram_matrix_einsum(d).tobytes()

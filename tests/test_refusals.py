@@ -24,6 +24,7 @@ from mtv.hilbert import (
     jet_normalize,
     jet_scalar_inverse,
     normalize_scheme,
+    u_to_hilb,
 )
 from mtv.lie import AElement, InvariantPolynomial, as_matrix
 from mtv.serialize import uclass_from_json, uclass_to_json, wpoint_from_json, wpoint_to_json
@@ -58,6 +59,13 @@ def _stacked_scheme(n_pieces):
     jets = np.stack([np.eye(length, 2), np.eye(length, 2)])
     piece = LocalPiece(z=np.array([0.5, 0.6]), length=length, jets=(jets, jets))
     return JetScheme(k=2, b=1, bprime=1, pieces=(piece,) * n_pieces)
+
+
+def _stacked_class(stacked_x=True):
+    """A (1,0) class of two points at k = 2: factors of shape (2, k, k) and, if
+    stacked_x, slice coefficients of shape (2, k), a layout that UClass accepts."""
+    coeffs = np.array([[0.3, -0.2], [0.1, 0.4]]) if stacked_x else np.array([0.3, -0.2])
+    return UClass(b=1, bprime=0, gs=(np.stack([I2, 2 * I2]),), X=SlicePoint(k=2, coeffs=coeffs))
 
 
 def _class_with_huge_entry():
@@ -141,6 +149,10 @@ REFUSALS = [
     ("jet_normalize_stacked_piece", lambda: jet_normalize(_stacked_scheme(1).pieces[0]),
      ValidationError, "not a stack"),
     ("normalize_scheme_stacked_pieces", lambda: normalize_scheme(_stacked_scheme(2)),
+     ValidationError, "not a stack"),
+    ("u_to_hilb_stacked_class", lambda: u_to_hilb(_stacked_class()),
+     ValidationError, "not a stack"),
+    ("u_to_hilb_stacked_factors", lambda: u_to_hilb(_stacked_class(stacked_x=False)),
      ValidationError, "not a stack"),
     ("wpoint_json_orientation",
      lambda: wpoint_from_json({**wpoint_to_json(WPoint(I2, X2, INCOMING)),
