@@ -63,6 +63,7 @@ from .slodowy import (
     principal_triple,
     slice_embed,
 )
+from .serialize import _int_field
 from .uspace import (
     UClass,
     UTangent,
@@ -71,7 +72,9 @@ from .uspace import (
     phi_e_class,
     u11_from_tstar,
     u11_to_tstar,
+    u_build,
     u_equivalence_residual,
+    u_moment,
     u_symplectic,
     u_symplectic_single_slice_form,
     axiom_d_residual,
@@ -90,7 +93,6 @@ from .wspace import (
     phi_E_inverse,
     theta,
     theta_twisted,
-    w_moment,
     w_symplectic,
     w_symplectic_bracket_form,
     w_symplectic_moment_wedge,
@@ -116,6 +118,9 @@ SUITE_NAMES = (
 # Step of every finite difference the suites take.
 FD_STEP = 1e-4
 
+# Relative miss of mu(g0 . d) from g0 mu(d) g0^{-1} that `fitting_orbits` counts as wrong.
+EQUIVARIANCE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -125,6 +130,8 @@ class SuiteConfig:
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
+        for name in ("k", "trials", "seed"):  # bools and floats are refused, not truncated
+            object.__setattr__(self, name, _int_field(vars(self), name))
         if self.trials < 1 or self.k < 1:
             raise ValidationError("trials and k must be positive")
         if self.seed < 0:
@@ -291,7 +298,8 @@ def sample_jetscheme(
 # A chart turns a tangent into the coordinate displacement h * direction
 # (`displace`) and maps a stack of coordinates to the stacked points there
 # together with two stacked chart-constant tangents carried to the form's
-# coordinates at each (`frame_at`); `WChart.point_at` gives one point alone.
+# coordinates at each (`frame_at`).  W is the one-factor class `u_build([p])`,
+# so `UChart` is its chart too.
 # A group coordinate s enters through e^s: `_exp_transport` gives e^s and
 # the carried group directions from one block-triangular exponential.
 
@@ -320,28 +328,6 @@ def _exp_transport(
     es = e[..., :k, :k]
     moved = np.linalg.solve(es, e[..., :k, k:])
     return es, [moved[..., i * k:(i + 1) * k] for i in range(n)]
-
-
-class WChart:
-    """Left-logarithmic chart around a W point: coordinates (S, dc)."""
-
-    def __init__(self, p: WPoint):
-        self.p = p
-        self.k = p.X.k
-
-    def _place(self, es: Matrix, dc: np.ndarray) -> WPoint:
-        return replace(self.p, g=self.p.g @ es, X=SlicePoint(self.k, self.p.X.coeffs + dc))
-
-    def point_at(self, s: Matrix, dc: np.ndarray) -> WPoint:
-        return self._place(expm(s), dc)
-
-    def frame_at(self, coords, u: WTangent, v: WTangent) -> tuple[WPoint, WTangent, WTangent]:
-        s, dc = coords
-        es, (au, av) = _exp_transport(s, (u.a, v.a))
-        return self._place(es, dc), WTangent(a=au, dc=u.dc), WTangent(a=av, dc=v.dc)
-
-    def displace(self, direction: WTangent, h: float) -> tuple[Matrix, np.ndarray]:
-        return (h * direction.a, h * direction.dc)
 
 
 class UChart:
@@ -414,50 +400,35 @@ def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
     return d_u - d_v + d_w
 
 
-def _moment_condition(
-    p: WPoint, a_fund: Matrix, observable, v: WTangent, step: float
-) -> tuple[complex, object]:
-    """omega(fund, v) for the fundamental field with group component a_fund,
-    and the central difference of `observable` along v, on a W point."""
-    chart = WChart(p)
-    fund = WTangent(a=a_fund, dc=np.zeros(p.X.k, dtype=complex))
-    lhs = w_symplectic(p, fund, v)
-    plus, minus = (observable(chart.point_at(*chart.displace(v, h))) for h in (step, -step))
-    return lhs, _central_difference(plus, minus, step)
-
-
-def fd_moment_condition_w(
-    p: WPoint, xi: Matrix, v: WTangent, step: float, sign_flip: bool = False
-) -> float:
-    """|omega(xi#, v) - <d mu(v), xi>| on a W point, d mu by central
-    differences; `sign_flip` turns it into the negative control."""
-    if p.orientation == INCOMING:
-        a_fund = np.linalg.inv(p.g) @ xi @ p.g
-    else:
-        a_fund = -xi
-    lhs, dmu = _moment_condition(p, a_fund, w_moment, v, step)
-    rhs = pairing(dmu, xi)
-    if sign_flip:
-        rhs = -rhs
-    return abs(lhs - rhs)
-
-
-def fd_moment_condition_a(
-    p: WPoint, degree: int, v: WTangent, step: float
-) -> float:
-    """Moment condition for the abelian action: the fundamental field of the
-    degree-m generator against the finite difference of P_m(X)."""
-    x = slice_embed(p.X)
-    c = polarized_gradient(InvariantPolynomial(degree), x)
-    if p.orientation == INCOMING:
-        a_fund = c
-    else:
-        a_fund = np.linalg.inv(p.g) @ c @ p.g
-    pm = InvariantPolynomial(degree)
-    lhs, rhs = _moment_condition(
-        p, a_fund, lambda q: inv_poly_eval(pm, slice_embed(q.X)), v, step
-    )
-    return abs(lhs - rhs)
+def fd_moment_conditions(
+    m: UClass, i: int, v: UTangent, step: float,
+    xi: Matrix | None = None, degree: int | None = None,
+) -> list[tuple[complex, object]]:
+    """(omega(fund, v), central difference of the moment along v) on factor i
+    of a class, for each condition asked for, in this order: the group action
+    of xi (field g_i^{-1} xi g_i incoming, -xi outgoing; moment `u_moment`)
+    and the abelian action of P_degree (field C = grad P(X) incoming,
+    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by +-step v."""
+    g, k = m.gs[i], m.X.k
+    incoming = m.orientation(i) == INCOMING
+    plus, minus = (replace(m, gs=tuple(g_j @ expm(h * a) for g_j, a in zip(m.gs, v.a_list)),
+                           X=SlicePoint(k, m.X.coeffs + h * v.dc)) for h in (step, -step))
+    fields = []  # (factor i's part of the fundamental field, the moment)
+    if xi is not None:
+        fields.append((np.linalg.inv(g) @ xi @ g if incoming else -xi, lambda q: u_moment(q, i)))
+    if degree is not None:
+        pm = InvariantPolynomial(degree)
+        c = polarized_gradient(pm, slice_embed(m.X))
+        a = c if incoming else np.linalg.inv(g) @ c @ g
+        fields.append((a, lambda q: inv_poly_eval(pm, slice_embed(q.X))))
+    zero = np.zeros((k, k), dtype=complex)
+    pairs = []
+    for a, moment in fields:
+        fund = UTangent(a_list=tuple(a if j == i else zero for j in range(m.n_factors)),
+                        dc=np.zeros(k, dtype=complex))
+        d_moment = _central_difference(moment(plus), moment(minus), step)
+        pairs.append((u_symplectic(m, fund, v), d_moment))
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -551,33 +522,42 @@ def _negative_polarization(rng) -> float:
 
 
 def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:
-    p = sample_wpoint(k, _orientation(trial), rng)
+    m = u_build([sample_wpoint(k, _orientation(trial), rng)])
     xi = sample_disc(rng, k, k)
-    v = sample_wtangent(k, rng)
-    yield "", fd_moment_condition_w(p, xi, v, FD_STEP)
+    v = sample_utangent(m, rng)
     degree = int(rng.integers(1, k + 1))
-    yield "", fd_moment_condition_a(p, degree, v, FD_STEP)
+    (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(m, 0, v, FD_STEP, xi=xi, degree=degree)
+    yield "", abs(lhs - pairing(dmu, xi))
+    yield "", abs(lhs_a - dp)
 
 
 def _negative_hamiltonian_w(rng) -> float:
+    # the group condition with the pairing's sign flipped
     def flipped(p, rng):
+        m = u_build([p])
         xi = sample_disc(rng, 3, 3)
-        v = sample_wtangent(3, rng)
-        return fd_moment_condition_w(p, xi, v, FD_STEP, sign_flip=True)
+        [(lhs, dmu)] = fd_moment_conditions(m, 0, sample_utangent(m, rng), FD_STEP, xi=xi)
+        return lhs + pairing(dmu, xi)
 
     return _worst_incoming_k3(rng, flipped)
 
 
-def _check_closedness(cfg, rng, k, trial) -> _Residuals:
-    p = sample_wpoint(k, _orientation(trial), rng)
-    tans = [sample_wtangent(k, rng) for _ in range(3)]
-    yield "w", abs(fd_exterior_derivative(w_symplectic, WChart(p), *tans, FD_STEP))
+def _d_omega(m: UClass, rng: np.random.Generator, form=u_symplectic) -> complex:
+    """d form on three tangents drawn at the class m, through `UChart`."""
+    tans = [sample_utangent(m, rng) for _ in range(3)]
+    return fd_exterior_derivative(form, UChart(m), *tans, FD_STEP)
 
-    b = int(rng.integers(1, 3))
-    bp = int(rng.integers(0, 2))
-    m = sample_uclass(k, b, bp, rng)
-    utans = [sample_utangent(m, rng) for _ in range(3)]
-    yield "u", abs(fd_exterior_derivative(u_symplectic, UChart(m), *utans, FD_STEP))
+
+def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
+    """W's literal moment-wedge form read on a one-factor class, stacks included."""
+    p = WPoint(g=m.gs[0], X=m.X, orientation=m.orientation(0))
+    return w_symplectic_moment_wedge(p, *(WTangent(a=t.a_list[0], dc=t.dc) for t in (u, v)))
+
+
+def _check_closedness(cfg, rng, k, trial) -> _Residuals:
+    yield "w", abs(_d_omega(u_build([sample_wpoint(k, _orientation(trial), rng)]), rng))
+    m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 2)), rng)
+    yield "u", abs(_d_omega(m, rng))
 
     d = sample_jetscheme(k, 1, 0, rng)
     s = len(d.pieces)
@@ -589,12 +569,8 @@ def _check_closedness(cfg, rng, k, trial) -> _Residuals:
 
 
 def _negative_closedness(rng) -> float:
-    # the literal moment-wedge form is not closed
-    def d_literal(p, rng):
-        tans = [sample_wtangent(3, rng) for _ in range(3)]
-        return fd_exterior_derivative(w_symplectic_moment_wedge, WChart(p), *tans, FD_STEP)
-
-    return _worst_incoming_k3(rng, d_literal)
+    # the literal moment-wedge form of W is not closed
+    return _worst_incoming_k3(rng, lambda p, rng: _d_omega(u_build([p]), rng, _literal_wedge))
 
 
 def _check_form_identity(cfg, rng, k, trial) -> _Residuals:
@@ -707,12 +683,7 @@ def _check_gluing(cfg, rng, k, trial) -> _Residuals:
 def _negative_gluing(rng) -> float:
     # mismatched moments must raise
     m1, p_out, m2, q_in = _matched_glue_pair(3, (1, 1), (1, 1), rng)
-    m2_bad = UClass(
-        b=m2.b,
-        bprime=m2.bprime,
-        gs=(m2.gs[0] @ (np.eye(3) + 0.2 * sample_disc(rng, 3, 3)),) + m2.gs[1:],
-        X=m2.X,
-    )
+    m2_bad = replace(m2, gs=(m2.gs[0] @ (np.eye(3) + 0.2 * sample_disc(rng, 3, 3)),) + m2.gs[1:])
     try:
         glue(m1, p_out, m2_bad, q_in)
         return 0.0
@@ -851,10 +822,8 @@ def _negative_hilbert_round_trip(rng) -> float:
     # shifted jets on one piece give an inequivalent class
     d = sample_jetscheme(3, 1, 0, rng)
     m = hilb_to_u(d)
-    pieces = list(d.pieces)
-    jets0 = tuple(j + 0.25 for j in pieces[0].jets)
-    pieces[0] = LocalPiece(z=pieces[0].z, length=pieces[0].length, jets=jets0)
-    d_bad = JetScheme(k=3, b=1, bprime=0, pieces=tuple(pieces))
+    shifted = replace(d.pieces[0], jets=tuple(j + 0.25 for j in d.pieces[0].jets))
+    d_bad = replace(d, pieces=(shifted,) + d.pieces[1:])
     return u_equivalence_residual(m, hilb_to_u(d_bad))
 
 
@@ -896,12 +865,12 @@ def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     # a second sample of the same Jordan type must give conjugate moments
     schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
     mistakes += int(np.sum(~adjoint_orbits_match(moments, f_moment(schemes2))))
-    # group action fixes the invariant
+    # the moment map is equivariant: mu(g0 . d) = g0 mu(d) g0^{-1}, per scheme
     g0 = sample_group(k, rng)
-    for d, inv in zip(schemes, invariants):
-        acted = act_on_scheme(d, [g0])
-        if not orbit_invariant_equal(inv, orbit_invariant(acted)):
-            mistakes += 1
+    expected = g0 @ moments @ np.linalg.inv(g0)
+    miss = np.abs(f_moment([act_on_scheme(d, [g0]) for d in schemes]) - expected)
+    scale = np.maximum(1.0, np.max(np.abs(expected), axis=(1, 2)))
+    mistakes += int(np.sum(np.max(miss, axis=(1, 2)) / scale > EQUIVARIANCE_TOL))
     # kernel dichotomy on constructed examples
     rng2 = trial_rng(cfg.seed, "fitting_orbits-kernel", k)
     d_split = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k)

@@ -90,13 +90,13 @@ from mtv.slodowy import (
     slice_embed,
     slice_point,
 )
-from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_symplectic
+from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_build, u_symplectic
 from mtv.verify import (
     FD_STEP,
     FChart,
     UChart,
-    WChart,
     _SIGNATURES,
+    _literal_wedge,
     _matrix_units,
     fd_exterior_derivative,
     sample_disc,
@@ -106,7 +106,6 @@ from mtv.verify import (
     sample_uclass,
     sample_utangent,
     sample_wpoint,
-    sample_wtangent,
     symmetrized_form_value,
     trial_rng,
 )
@@ -115,14 +114,11 @@ from mtv.wspace import (
     INCOMING,
     OUTGOING,
     WPoint,
-    WTangent,
     _canonical_form,
     _group_element,
     _moment,
     _slice_matrices,
     slice_direction,
-    w_symplectic,
-    w_symplectic_moment_wedge,
 )
 
 
@@ -620,13 +616,6 @@ def _exp_transport_per_point(s, directions, left=False):
     return es, [moved[:, i * k:(i + 1) * k] for i in range(n)]
 
 
-class _PerPointWChart(WChart):
-    def frame_at(self, coords, u, v):
-        s, dc = coords
-        es, (au, av) = _exp_transport_per_point(s, (u.a, v.a))
-        return self._place(es, dc), WTangent(a=au, dc=u.dc), WTangent(a=av, dc=v.dc)
-
-
 class _PerPointUChart(UChart):
     def frame_at(self, coords, u, v):
         s_list, dc = coords
@@ -656,7 +645,7 @@ class _PerPointFChart(FChart):
         return point, FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
 
 
-_PER_POINT_CHARTS = {WChart: _PerPointWChart, UChart: _PerPointUChart, FChart: _PerPointFChart}
+_PER_POINT_CHARTS = {UChart: _PerPointUChart, FChart: _PerPointFChart}
 
 
 def _central_difference_per_point(f, chart, direction, step):
@@ -695,9 +684,9 @@ def _fd_exterior_derivative_loop(form, chart, u, v, w, step):
 def test_exterior_derivative_matches_index_loop(k):
     rng = trial_rng(21, "d-omega", k)
     cases = []
-    for orientation in (INCOMING, OUTGOING):
-        p = sample_wpoint(k, orientation, rng)
-        cases.append((w_symplectic, WChart, p, [sample_wtangent(k, rng) for _ in range(3)]))
+    for orientation in (INCOMING, OUTGOING):  # W as the one-factor class
+        w = u_build([sample_wpoint(k, orientation, rng)])
+        cases.append((u_symplectic, UChart, w, [sample_utangent(w, rng) for _ in range(3)]))
     m = sample_uclass(k, 2, 1, rng)
     cases.append((u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]))
     for lengths in _compositions(k):
@@ -712,13 +701,14 @@ def test_exterior_derivative_matches_index_loop(k):
 
 
 def _derivative_cases(k, rng):
-    """(form, chart class, base point, tangents) for W in both orientations
-    with both W forms, U at every signature with b + b' <= 4, and F (1,0) at
+    """(form, chart class, base point, tangents) for W, as the one-factor
+    class, in both orientations with the canonical and the literal
+    moment-wedge form, U at every signature with b + b' <= 4, and F (1,0) at
     every piece pattern."""
     for orientation in (INCOMING, OUTGOING):
-        for form in (w_symplectic, w_symplectic_moment_wedge):
-            p = sample_wpoint(k, orientation, rng)
-            yield form, WChart, p, [sample_wtangent(k, rng) for _ in range(3)]
+        for form in (u_symplectic, _literal_wedge):
+            w = u_build([sample_wpoint(k, orientation, rng)])
+            yield form, UChart, w, [sample_utangent(w, rng) for _ in range(3)]
     for b, bprime in _SIGNATURES:
         m = sample_uclass(k, b, bprime, rng)
         yield u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]
@@ -761,15 +751,16 @@ def test_displaced_point_below_det_tol_refused_by_both_codings():
     # det g sits 5e-5 above DET_TOL and the direction u has trace 1, so the
     # point displaced by -FD_STEP along u has det g e^(-FD_STEP) < DET_TOL
     g = np.diag([1.00005 * DET_TOL, 1.0, 1.0]).astype(complex)
-    p = WPoint(g=g, X=SlicePoint(3, np.zeros(3)), orientation=INCOMING)
-    u = WTangent(a=np.diag([1.0, 0.0, 0.0]), dc=np.zeros(3))
+    m = u_build([WPoint(g=g, X=SlicePoint(3, np.zeros(3)), orientation=INCOMING)])
+    u = UTangent(a_list=(np.diag([1.0, 0.0, 0.0]).astype(complex),), dc=np.zeros(3, dtype=complex))
     rng = trial_rng(26, "det-tol", 0)
-    v, w = (sample_wtangent(3, rng) for _ in range(2))
-    v, w = (WTangent(a=t.a - np.trace(t.a) / 3 * np.eye(3), dc=t.dc) for t in (v, w))
+    v, w = (sample_utangent(m, rng) for _ in range(2))
+    v, w = (UTangent(a_list=(t.a_list[0] - np.trace(t.a_list[0]) / 3 * np.eye(3),), dc=t.dc)
+            for t in (v, w))
     with pytest.raises(SingularMatrixError):
-        fd_exterior_derivative(w_symplectic, WChart(p), u, v, w, FD_STEP)
+        fd_exterior_derivative(u_symplectic, UChart(m), u, v, w, FD_STEP)
     with pytest.raises(SingularMatrixError):
-        _fd_exterior_derivative_per_point(w_symplectic, _PerPointWChart(p), u, v, w, FD_STEP)
+        _fd_exterior_derivative_per_point(u_symplectic, _PerPointUChart(m), u, v, w, FD_STEP)
 
 
 @pytest.mark.parametrize(

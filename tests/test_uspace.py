@@ -9,7 +9,7 @@ from mtv.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from mtv.lie import AElement, InvariantPolynomial, commutator, is_regular
+from mtv.lie import AElement, InvariantPolynomial, commutator, is_regular, pairing
 from mtv.slodowy import slice_embed, slice_point
 from mtv.uspace import (
     UClass,
@@ -34,13 +34,17 @@ from mtv.uspace import (
 )
 from mtv.verify import (
     _SIGNATURES,
+    FD_STEP,
     UChart,
     fd_exterior_derivative,
+    fd_moment_conditions,
     sample_centralizer_element,
+    sample_disc,
     sample_group,
     sample_uclass,
     sample_utangent,
     sample_wpoint,
+    trial_rng,
 )
 from mtv.wspace import INCOMING, OUTGOING, WPoint, WTangent, g_act_w, theta, w_symplectic
 
@@ -159,6 +163,27 @@ class TestMomentsAndAxiomD:
         ]
         arr = np.array(perturbed)
         assert np.max(np.abs(arr - arr[0])) > 1e-3
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_moment_conditions_on_every_factor(self, k):
+        # each factor's group action of xi has moment u_moment(., i) and the
+        # abelian action of P_m has moment P_m(X): omega(fund, v) matches the
+        # central difference of the moment to within the hamiltonian_w
+        # tolerance, and the same reading with the sign flipped misses by
+        # far more
+        for b, bp in _SIGNATURES:
+            rng = trial_rng(31, f"u-moment-{b}-{bp}", k)
+            m = sample_uclass(k, b, bp, rng)
+            for i in range(m.n_factors):
+                xi = sample_disc(rng, k, k)
+                v = sample_utangent(m, rng)
+                degree = int(rng.integers(1, k + 1))
+                (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
+                    m, i, v, FD_STEP, xi=xi, degree=degree
+                )
+                for form, moment in ((lhs, pairing(dmu, xi)), (lhs_a, dp)):
+                    assert abs(form - moment) < 1e-5
+                    assert abs(form + moment) > 1e3 * abs(form - moment)
 
 
 class TestActions:

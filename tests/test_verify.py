@@ -12,17 +12,18 @@ from mtv.slodowy import slice_embed
 from mtv.verify import (
     SUITE_NAMES,
     SuiteConfig,
-    WChart,
+    UChart,
     fd_exterior_derivative,
     run_suite,
     sample_disc,
     sample_jetscheme,
+    sample_utangent,
     sample_wpoint,
-    sample_wtangent,
     symmetrized_form_value,
     trial_rng,
 )
-from mtv.wspace import INCOMING, w_symplectic
+from mtv.uspace import u_build, u_symplectic
+from mtv.wspace import INCOMING
 
 
 class TestConfig:
@@ -33,6 +34,17 @@ class TestConfig:
             SuiteConfig(suites=())
         with pytest.raises(ValidationError):
             SuiteConfig(suites=("no_such_suite",))
+        # k, trials and seed must be ints: bools and floats are refused,
+        # never truncated or run as 1
+        for field in ("k", "trials", "seed"):
+            for bad in (2.5, 1.5, True, False, "3", None):
+                with pytest.raises(ValidationError):
+                    SuiteConfig(**{field: bad})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SuiteConfig(k=np.int64(2), trials=np.int32(3), seed=np.uint8(7))
+        assert (cfg.k, cfg.trials, cfg.seed) == (2, 3, 7)
+        assert all(type(v) is int for v in (cfg.k, cfg.trials, cfg.seed))
 
 
 class TestSampling:
@@ -72,17 +84,17 @@ class TestSampling:
 class TestFiniteDifferences:
     def test_step_underflow(self):
         rng = trial_rng(1, "fd", 0)
-        p = sample_wpoint(2, INCOMING, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(2, rng) for _ in range(3)]
+        m = u_build([sample_wpoint(2, INCOMING, rng)])
+        chart = UChart(m)
+        tans = [sample_utangent(m, rng) for _ in range(3)]
         with pytest.raises(ValidationError):
-            fd_exterior_derivative(w_symplectic, chart, *tans, 1e-9)
+            fd_exterior_derivative(u_symplectic, chart, *tans, 1e-9)
 
     def test_constant_form_closed(self):
         rng = trial_rng(2, "fd", 0)
-        p = sample_wpoint(2, INCOMING, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(2, rng) for _ in range(3)]
+        m = u_build([sample_wpoint(2, INCOMING, rng)])
+        chart = UChart(m)
+        tans = [sample_utangent(m, rng) for _ in range(3)]
 
         def const_form(point, u, v):
             # constant coefficients in the (untransported) slice coordinates,
@@ -95,9 +107,9 @@ class TestFiniteDifferences:
         # deliberately broken form: the curvature term paired through a
         # non-invariant weight loses closedness
         rng = trial_rng(4, "fd", 0)
-        p = sample_wpoint(3, INCOMING, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(3, rng) for _ in range(3)]
+        m = u_build([sample_wpoint(3, INCOMING, rng)])
+        chart = UChart(m)
+        tans = [sample_utangent(m, rng) for _ in range(3)]
         weight = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
         def broken(point, u, v):
@@ -107,23 +119,24 @@ class TestFiniteDifferences:
             x = slice_embed(point.X)
             dxu = slice_direction(point.X, u.dc)
             dxv = slice_direction(point.X, v.dc)
-            comm = u.a @ v.a - v.a @ u.a
+            (au,), (av,) = u.a_list, v.a_list
+            comm = au @ av - av @ au
 
             def tr(m):  # one trace per point of the stack
                 return np.trace(m, axis1=-2, axis2=-1)
 
-            return tr(u.a @ dxv) - tr(v.a @ dxu) + tr(weight @ x @ comm)
+            return tr(au @ dxv) - tr(av @ dxu) + tr(weight @ x @ comm)
 
         assert abs(fd_exterior_derivative(broken, chart, *tans, 1e-4)) > 1e-2
 
     def test_residual_scales_quadratically(self):
         # halving the step cuts passing-suite residuals by about 4
         rng = trial_rng(3, "fd", 0)
-        p = sample_wpoint(3, INCOMING, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(3, rng) for _ in range(3)]
-        r1 = abs(fd_exterior_derivative(w_symplectic, chart, *tans, 2e-4))
-        r2 = abs(fd_exterior_derivative(w_symplectic, chart, *tans, 1e-4))
+        m = u_build([sample_wpoint(3, INCOMING, rng)])
+        chart = UChart(m)
+        tans = [sample_utangent(m, rng) for _ in range(3)]
+        r1 = abs(fd_exterior_derivative(u_symplectic, chart, *tans, 2e-4))
+        r2 = abs(fd_exterior_derivative(u_symplectic, chart, *tans, 1e-4))
         assert r2 < r1
         assert r1 / r2 == pytest.approx(4.0, rel=0.35)
 

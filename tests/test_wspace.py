@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,11 +7,13 @@ from scipy.linalg import expm
 from mtv.errors import ValidationError
 from mtv.lie import InvariantPolynomial, pairing
 from mtv.slodowy import is_in_slice, principal_triple, slice_embed, slice_point
+from mtv.uspace import u_build, u_symplectic
 from mtv.verify import (
-    WChart,
+    UChart,
+    _literal_wedge,
     fd_exterior_derivative,
-    fd_moment_condition_a,
-    fd_moment_condition_w,
+    fd_moment_conditions,
+    sample_utangent,
     sample_wpoint,
     sample_wtangent,
     trial_rng,
@@ -116,28 +120,25 @@ class TestWSymplectic:
     def test_hamiltonian_condition(self):
         rng = trial_rng(1, "w-ham", 0)
         for orientation in (INCOMING, OUTGOING):
-            p = sample_wpoint(3, orientation, rng)
+            m = u_build([sample_wpoint(3, orientation, rng)])
             xi = rand_complex(rng, 3, 3, scale=0.7)
-            v = sample_wtangent(3, rng)
-            assert fd_moment_condition_w(p, xi, v, 1e-4) < 1e-5
+            v = sample_utangent(m, rng)
+            [(lhs, dmu)] = fd_moment_conditions(m, 0, v, 1e-4, xi=xi)
+            assert abs(lhs - pairing(dmu, xi)) < 1e-5
 
     def test_closedness(self):
         rng = trial_rng(2, "w-closed", 0)
         for orientation in (INCOMING, OUTGOING):
-            p = sample_wpoint(3, orientation, rng)
-            chart = WChart(p)
-            tans = [sample_wtangent(3, rng) for _ in range(3)]
-            assert abs(fd_exterior_derivative(w_symplectic, chart, *tans, 1e-4)) < 1e-4
+            m = u_build([sample_wpoint(3, orientation, rng)])
+            tans = [sample_utangent(m, rng) for _ in range(3)]
+            assert abs(fd_exterior_derivative(u_symplectic, UChart(m), *tans, 1e-4)) < 1e-4
 
     def test_literal_wedge_not_closed(self):
         # negative control: the literal wedge fails the exterior derivative
         rng = trial_rng(3, "w-neg", 0)
-        p = sample_wpoint(3, INCOMING, rng)
-        chart = WChart(p)
-        tans = [sample_wtangent(3, rng) for _ in range(3)]
-        assert abs(
-            fd_exterior_derivative(w_symplectic_moment_wedge, chart, *tans, 1e-4)
-        ) > 1e-2
+        m = u_build([sample_wpoint(3, INCOMING, rng)])
+        tans = [sample_utangent(m, rng) for _ in range(3)]
+        assert abs(fd_exterior_derivative(_literal_wedge, UChart(m), *tans, 1e-4)) > 1e-2
 
     @pytest.mark.parametrize("dc", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 1.0])
     def test_slice_direction_refuses_wrong_length(self, dc):
@@ -185,10 +186,11 @@ class TestAbelianAction:
     def test_hamiltonian_for_abelian_moment(self):
         rng = trial_rng(4, "a-ham", 0)
         for orientation in (INCOMING, OUTGOING):
-            p = sample_wpoint(3, orientation, rng)
-            v = sample_wtangent(3, rng)
+            m = u_build([sample_wpoint(3, orientation, rng)])
+            v = sample_utangent(m, rng)
             for degree in (1, 2, 3):
-                assert fd_moment_condition_a(p, degree, v, 1e-4) < 1e-5
+                [(lhs, dp)] = fd_moment_conditions(m, 0, v, 1e-4, degree=degree)
+                assert abs(lhs - dp) < 1e-5
 
     def test_preserves_symplectic_form(self):
         # finite-difference pullback comparison
@@ -197,15 +199,16 @@ class TestAbelianAction:
         h = 1e-5
         for orientation in (INCOMING, OUTGOING):
             p = sample_wpoint(3, orientation, rng)
-            chart = WChart(p)
             u = sample_wtangent(3, rng)
             v = sample_wtangent(3, rng)
 
+            def moved(t, s):  # the point at left-log coordinates s t, acted on
+                q = replace(p, g=p.g @ expm(s * t.a), X=slice_point(p.X.coeffs + s * t.dc))
+                return a_action(summands, q)
+
             def push(t):
                 q = a_action(summands, p)
-                plus = a_action(summands, chart.point_at(h * t.a, h * t.dc))
-                minus = a_action(summands, chart.point_at(-h * t.a, -h * t.dc))
-                dg = (plus.g - minus.g) / (2 * h)
+                dg = (moved(t, h).g - moved(t, -h).g) / (2 * h)
                 return q, WTangent(a=np.linalg.inv(q.g) @ dg, dc=t.dc)
 
             q, pu = push(u)
