@@ -1,13 +1,14 @@
 """Randomized verification suites for every identity and axiom, plus the
 finite-difference operators and sample generators they run on.
 
-Each suite is declared as data (`_Suite`): a check that yields named
-residuals for one case, a negative control, a bound per residual and the
-threshold the negative control must exceed.  One runner owns the rest:
-timing, the RNG streams, the size draw, folding residuals over the cases
-and the pass rule.  A case draws from an RNG stream derived from
-(master seed, suite name, trial index), so identical configurations give
-identical residuals; the negative control evaluates one deliberately
+Each suite is declared as data (`_Suite`): a check that gives named
+residuals for each case of a group, the key that groups its cases, a
+negative control, a bound per residual and the threshold the negative
+control must exceed.  One runner owns the rest: timing, the RNG streams,
+the size draw, the groups, folding residuals over the cases in case order
+and the pass rule.  A case draws from an RNG stream derived from (master
+seed, suite name, trial index), so identical configurations give identical
+residuals whatever the groups; the negative control evaluates deliberately
 corrupted input from the stream "<suite>-neg", and its residual must
 exceed the threshold.
 
@@ -20,7 +21,8 @@ from __future__ import annotations
 import operator
 import time
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,90 +30,32 @@ from scipy.linalg import expm
 
 from .errors import GluingError, SingularMatrixError, ValidationError
 from .hilbert import (
-    FTangent,
-    JetScheme,
-    LocalPiece,
-    act_on_scheme,
-    adjoint_orbits_match,
-    f_kernel_dimension,
-    f_moment,
-    f_presymplectic,
-    g_matrices,
-    hilb_to_u,
-    locally_nondegenerate,
-    nondegenerate,
-    normalize_scheme,
-    orbit_invariant,
-    orbit_invariant_equal,
-    u_to_hilb,
+    FTangent, JetScheme, LocalPiece, act_on_scheme, adjoint_orbits_match, f_kernel_dimension,
+    f_moment, f_presymplectic, g_matrices, hilb_to_u, locally_nondegenerate, nondegenerate,
+    normalize_scheme, orbit_invariant, orbit_invariant_equal, u_to_hilb,
 )
 from .lie import (
-    InvariantPolynomial,
-    Matrix,
-    check_same_size,
-    commutator,
-    gradient_of_combination,
-    inv_poly_eval,
-    is_regular,
-    pairing,
-    polarized_gradient,
+    InvariantPolynomial, Matrix, check_same_size, commutator, gradient_of_combination,
+    inv_poly_eval, is_regular, pairing, polarized_gradient,
 )
-from .slodowy import (
-    SlicePoint,
-    _f_powers,
-    is_in_slice,
-    principal_triple,
-    slice_embed,
-)
+from .slodowy import SlicePoint, _f_powers, is_in_slice, principal_triple, slice_embed
 from .serialize import _int_field
 from .uspace import (
-    UClass,
-    UTangent,
-    g_action,
-    glue,
-    phi_e_class,
-    u11_from_tstar,
-    u11_to_tstar,
-    u_build,
-    u_equivalence_residual,
-    u_moment,
-    u_symplectic,
-    u_symplectic_single_slice_form,
-    axiom_d_residual,
-    _invariant_spread,
-    _signed_moments,
+    UClass, UTangent, g_action, glue, phi_e_class, u11_from_tstar, u11_to_tstar, u_build,
+    u_equivalence_residual, u_moment, u_symplectic, u_symplectic_single_slice_form,
+    axiom_d_residual, _invariant_spread, _signed_moments,
 )
 from .wspace import (
-    INCOMING,
-    OUTGOING,
-    WPoint,
-    WTangent,
-    _reverse,
-    g_act_w,
-    maurer_cartan_term,
-    phi_E,
-    phi_E_inverse,
-    theta,
-    theta_twisted,
-    w_symplectic,
-    w_symplectic_bracket_form,
+    INCOMING, OUTGOING, WPoint, WTangent, _reverse, g_act_w, maurer_cartan_term, phi_E,
+    phi_E_inverse, theta, theta_twisted, w_symplectic, w_symplectic_bracket_form,
     w_symplectic_moment_wedge,
 )
 
 VERSION = "0.1.0"
 
 SUITE_NAMES = (
-    "polarization",
-    "hamiltonian_w",
-    "closedness",
-    "form_identity",
-    "axiom_d",
-    "gluing",
-    "theorem_2_4_i",
-    "axiom_e",
-    "hilbert_round_trip",
-    "fitting_orbits",
-    "free_action",
+    "polarization", "hamiltonian_w", "closedness", "form_identity", "axiom_d", "gluing",
+    "theorem_2_4_i", "axiom_e", "hilbert_round_trip", "fitting_orbits", "free_action",
 )
 
 
@@ -173,9 +117,7 @@ class Report:
 def _draw_k(rng: np.random.Generator, k_cfg: int, cap: int) -> int:
     """Random matrix size in [2, min(k_cfg, cap)], degrading to 1 at k=1."""
     k_max = min(k_cfg, cap)
-    if k_max < 2:
-        return 1
-    return int(rng.integers(2, k_max + 1))
+    return 1 if k_max < 2 else int(rng.integers(2, k_max + 1))
 
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
@@ -189,25 +131,29 @@ def sample_disc(rng: np.random.Generator, *shape, radius: float = 1.0) -> np.nda
     return radius * np.sqrt(u[0]) * np.exp(1j * (2 * np.pi * u[1]))
 
 
+@lru_cache(maxsize=None)
+def _slice_scales(k: int) -> np.ndarray:
+    """1 / max(1, largest |entry of f^j|) per f-power j, as a read-only array."""
+    scales = np.array([1.0 / max(1.0, float(np.max(np.abs(f)))) for f in _f_powers(k)])
+    scales.flags.writeable = False
+    return scales
+
+
 def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
     """Slice coefficients from the complex unit disc, scaled per basis
     element (the f-power entries grow like i(k-i) products) so the embedded
     matrix stays O(1) and absolute tolerances are meaningful."""
-    fp = _f_powers(k)
-    scales = np.array([1.0 / max(1.0, float(np.max(np.abs(f)))) for f in fp])
-    return SlicePoint(k=k, coeffs=sample_disc(rng, k) * scales)
+    return SlicePoint(k=k, coeffs=sample_disc(rng, k) * _slice_scales(k))
 
 
 def sample_group(k: int, rng: np.random.Generator) -> Matrix:
     """exp of a matrix with entries in the unit disc (scaled by 0.5 / sqrt(k)
     for conditioning); always invertible."""
-    a = sample_disc(rng, k, k) * 0.5 / np.sqrt(k)
-    return expm(a)
+    return expm(sample_disc(rng, k, k) * 0.5 / np.sqrt(k))
 
 
 def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
-    return WPoint(g=sample_group(k, rng), X=sample_slice_point(k, rng),
-                  orientation=orientation)
+    return WPoint(sample_group(k, rng), sample_slice_point(k, rng), orientation)
 
 
 def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
@@ -216,16 +162,13 @@ def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
 
 def sample_uclass(k: int, b: int, bprime: int, rng: np.random.Generator) -> UClass:
     x = sample_slice_point(k, rng)
-    gs = tuple(sample_group(k, rng) for _ in range(b + bprime))
-    return UClass(b=b, bprime=bprime, gs=gs, X=x)
+    return UClass(b, bprime, tuple(sample_group(k, rng) for _ in range(b + bprime)), x)
 
 
 def sample_utangent(m: UClass, rng: np.random.Generator) -> UTangent:
     k = m.X.k
-    return UTangent(
-        a_list=tuple(sample_disc(rng, k, k) for _ in range(m.n_factors)),
-        dc=sample_disc(rng, k),
-    )
+    return UTangent(a_list=tuple(sample_disc(rng, k, k) for _ in range(m.n_factors)),
+                    dc=sample_disc(rng, k))
 
 
 def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matrix:
@@ -233,10 +176,7 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
     most 0.5): an invertible element of Z(X) close enough to 1 for
     well-conditioned tests."""
     k = x_emb.shape[0]
-    summands = [
-        InvariantPolynomial(m, complex(sample_disc(rng)))
-        for m in range(1, k + 1)
-    ]
+    summands = [InvariantPolynomial(m, complex(sample_disc(rng))) for m in range(1, k + 1)]
     c = gradient_of_combination(summands, x_emb)
     norm = np.linalg.norm(c, 2)
     if norm > 1e-12:
@@ -246,12 +186,9 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
 
 def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
     """A random composition of k (piece lengths)."""
-    lengths = []
-    rest = k
-    while rest > 0:
-        l = int(rng.integers(1, rest + 1))
-        lengths.append(l)
-        rest -= l
+    lengths: list[int] = []
+    while sum(lengths) < k:
+        lengths.append(int(rng.integers(1, k - sum(lengths) + 1)))
     return lengths
 
 
@@ -265,21 +202,16 @@ def _sample_jet(rng: np.random.Generator, length: int, k: int) -> np.ndarray:
 
 
 def sample_jetscheme(
-    k: int,
-    b: int,
-    bprime: int,
-    rng: np.random.Generator,
-    lengths: list[int] | None = None,
-    zs: list[complex] | None = None,
+    k: int, b: int, bprime: int, rng: np.random.Generator,
+    lengths: list[int] | None = None, zs: list[complex] | None = None,
 ) -> JetScheme:
     """A nondegenerate transverse scheme with well-separated base points."""
     n = b + bprime
     for _ in range(60):
         ls = lengths if lengths is not None else sample_lengths(k, rng)
         if zs is None:
-            base = np.array(
-                [1.6 * i + complex(sample_disc(rng, radius=0.4)) for i in range(len(ls))]
-            )
+            base = np.array([1.6 * i + complex(sample_disc(rng, radius=0.4))
+                             for i in range(len(ls))])
             base = base - np.mean(base)  # keep magnitudes moderate
         else:
             base = zs
@@ -298,8 +230,10 @@ def sample_jetscheme(
 # A chart turns a tangent into the coordinate displacement h * direction
 # (`displace`) and maps a stack of coordinates to the stacked points there
 # together with two stacked chart-constant tangents carried to the form's
-# coordinates at each (`frame_at`).  W is the one-factor class `u_build([p])`,
-# so `UChart` is its chart too.
+# coordinates at each (`frame_at`).  Its base may be one point or a stack of
+# n trials; coordinates come as whole copies of n, move by move, and the
+# base is tiled to match.  W is the one-factor class `u_build([p])`, so
+# `UChart` is its chart too.
 # A group coordinate s enters through e^s: `_exp_transport` gives e^s and
 # the carried group directions from one block-triangular exponential.
 
@@ -330,18 +264,41 @@ def _exp_transport(
     return es, [moved[..., i * k:(i + 1) * k] for i in range(n)]
 
 
+def _stack(items: list, join=np.stack):
+    """Same-kind items joined field by field: arrays and complex numbers by
+    `join` (`np.stack` adds a leading axis, `np.concatenate` extends it),
+    through tuples, lists and dataclasses; any other field (a size, a
+    signature, an orientation) is the first item's."""
+    first = items[0]
+    if isinstance(first, (np.ndarray, complex)):
+        return join(items)
+    if isinstance(first, (tuple, list)):
+        return type(first)(_stack(list(parts), join) for parts in zip(*items))
+    if not is_dataclass(first):
+        return first
+    return type(first)(*(_stack([getattr(t, f.name) for t in items], join) for f in fields(first)))
+
+
+def _tile(stack, reps: int):
+    """reps copies of a stack end to end along its leading axis, in new
+    contiguous arrays, so matmul gets the operands it gets per point."""
+    return _stack([stack] * reps, np.concatenate)
+
+
 class UChart:
     """Product chart: one left-log coordinate per factor plus shared dc."""
 
     def __init__(self, m: UClass):
-        self.m = m
-        self.k = m.X.k
+        self.m, self.k, self.single = m, m.X.k, m.X.coeffs.ndim == 1
+        self.stack = _stack([m]) if self.single else m
 
     def frame_at(self, coords, u: UTangent, v: UTangent) -> tuple[UClass, UTangent, UTangent]:
         s_list, dc = coords
+        reps = len(dc) // len(self.stack.X.coeffs)
         moved = [_exp_transport(s, (a, b)) for s, a, b in zip(s_list, u.a_list, v.a_list)]
-        gs = tuple(g @ es for g, (es, _) in zip(self.m.gs, moved))
-        point = replace(self.m, gs=gs, X=SlicePoint(self.k, self.m.X.coeffs + dc))
+        gs = tuple(_tile(g, reps) @ es for g, (es, _) in zip(self.stack.gs, moved))
+        x = SlicePoint(self.k, _tile(self.stack.X.coeffs, reps) + dc)
+        point = replace(self.stack, gs=gs, X=x)
         au, av = zip(*(pair for _, pair in moved))
         return point, UTangent(a_list=au, dc=u.dc), UTangent(a_list=av, dc=v.dc)
 
@@ -354,28 +311,19 @@ class FChart:
     on the jets plus per-piece base point shifts."""
 
     def __init__(self, d: JetScheme):
-        self.d = d
+        self.d, self.single = d, np.ndim(d.pieces[0].z) == 0
+        self.stack = _stack([d]) if self.single else d
 
     def frame_at(self, coords, u: FTangent, v: FTangent) -> tuple[JetScheme, FTangent, FTangent]:
         s, dz = coords
         # the group displacement acts on the left
         es, (ru, rv) = _exp_transport(s, (u.rho, v.rho), left=True)
-        moved = act_on_scheme(self.d, [es])
+        moved = act_on_scheme(_tile(self.stack, len(s) // len(self.stack.pieces[0].z)), [es])
         pieces = tuple(replace(p, z=p.z + dz[..., i]) for i, p in enumerate(moved.pieces))
         return replace(moved, pieces=pieces), FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
 
     def displace(self, direction: FTangent, h: float) -> tuple[Matrix, np.ndarray]:
         return (h * direction.rho, h * direction.dz)
-
-
-def _stack(items: list):
-    """Same-kind arrays, tuples or lists of them, or tangents, stacked field by field."""
-    first = items[0]
-    if isinstance(first, np.ndarray):
-        return np.stack(items)
-    if isinstance(first, (tuple, list)):
-        return type(first)(_stack(list(parts)) for parts in zip(*items))
-    return type(first)(*(_stack([getattr(t, f.name) for t in items]) for f in fields(first)))
 
 
 def _central_difference(plus, minus, step: float):
@@ -385,50 +333,64 @@ def _central_difference(plus, minus, step: float):
     return (plus - minus) / (2 * step)
 
 
-def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex:
+def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex | list[complex]:
     """d omega(u, v, w) by the three-term alternating sum with central
     differences in a flat chart; u, v, w are chart-constant tangents.  The
-    six displaced points go through the chart and the form as one stack."""
+    chart's base and the tangents may carry a leading axis of n trials, and
+    then one value per trial comes back as a list; one point is the stack of
+    one.  The six moves of all trials go through the chart and the form as
+    one stack of 6n points."""
     if step <= 0 or step**2 <= np.finfo(float).eps:
         raise ValidationError("fd step underflow")
+    if chart.single:
+        u, v, w = (_stack([t]) for t in (u, v, w))
     moves = [(t, h, rest) for t, rest in ((u, (v, w)), (v, (u, w)), (w, (u, v)))
              for h in (step, -step)]
-    coords = _stack([chart.displace(t, h) for t, h, _ in moves])
-    carried = (_stack([rest[i] for _, _, rest in moves]) for i in (0, 1))
-    values = [complex(x) for x in form(*chart.frame_at(coords, *carried))]
-    d_u, d_v, d_w = (_central_difference(*values[i:i + 2], step) for i in (0, 2, 4))
-    return d_u - d_v + d_w
+    coords = _stack([chart.displace(t, h) for t, h, _ in moves], np.concatenate)
+    carried = (_stack([rest[i] for _, _, rest in moves], np.concatenate) for i in (0, 1))
+    values = np.reshape(form(*chart.frame_at(coords, *carried)), (3, 2, -1)).tolist()
+    d_u, d_v, d_w = ([_central_difference(p, q, step) for p, q in zip(*pm)] for pm in values)
+    out = [a - b + c for a, b, c in zip(d_u, d_v, d_w)]
+    return out[0] if chart.single else out
 
 
 def fd_moment_conditions(
     m: UClass, i: int, v: UTangent, step: float,
-    xi: Matrix | None = None, degree: int | None = None,
-) -> list[tuple[complex, object]]:
+    xi: Matrix | None = None, degree=None,
+) -> list[tuple]:
     """(omega(fund, v), central difference of the moment along v) on factor i
     of a class, for each condition asked for, in this order: the group action
     of xi (field g_i^{-1} xi g_i incoming, -xi outgoing; moment `u_moment`)
     and the abelian action of P_degree (field C = grad P(X) incoming,
-    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by +-step v."""
-    g, k = m.gs[i], m.X.k
+    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by +-step v.
+    m, v and xi may carry a leading axis of n trials, with one degree per
+    trial; a pair then holds n values of omega in a list and n differences,
+    stacked (group) or in a list (abelian).  One class is the stack of one."""
+    single = m.X.coeffs.ndim == 1
+    if single:
+        m, v, xi = _stack([m]), _stack([v]), None if xi is None else xi[None]
+        degree = None if degree is None else [degree]
+    g, n = m.gs[i], len(m.X.coeffs)
     incoming = m.orientation(i) == INCOMING
-    plus, minus = (replace(m, gs=tuple(g_j @ expm(h * a) for g_j, a in zip(m.gs, v.a_list)),
-                           X=SlicePoint(k, m.X.coeffs + h * v.dc)) for h in (step, -step))
-    fields = []  # (factor i's part of the fundamental field, the moment)
+    # the points displaced by +step v, then those displaced by -step v
+    coeffs = np.concatenate([m.X.coeffs + h * v.dc for h in (step, -step)])
+    moved = replace(m, gs=tuple(_tile(g_j, 2) @ expm(np.concatenate([step * a, -step * a]))
+                                for g_j, a in zip(m.gs, v.a_list)), X=SlicePoint(m.X.k, coeffs))
+    fund, d_moments = [], []  # factor i's part of each fundamental field; the moment's quotients
     if xi is not None:
-        fields.append((np.linalg.inv(g) @ xi @ g if incoming else -xi, lambda q: u_moment(q, i)))
+        mu = u_moment(moved, i)
+        fund.append(np.linalg.inv(g) @ xi @ g if incoming else -xi)
+        d_moments.append(_central_difference(mu[:n], mu[n:], step))
     if degree is not None:
-        pm = InvariantPolynomial(degree)
-        c = polarized_gradient(pm, slice_embed(m.X))
-        a = c if incoming else np.linalg.inv(g) @ c @ g
-        fields.append((a, lambda q: inv_poly_eval(pm, slice_embed(q.X))))
-    zero = np.zeros((k, k), dtype=complex)
-    pairs = []
-    for a, moment in fields:
-        fund = UTangent(a_list=tuple(a if j == i else zero for j in range(m.n_factors)),
-                        dc=np.zeros(k, dtype=complex))
-        d_moment = _central_difference(moment(plus), moment(minus), step)
-        pairs.append((u_symplectic(m, fund, v), d_moment))
-    return pairs
+        polys = [InvariantPolynomial(d) for d in degree]
+        c = np.array([polarized_gradient(p, x) for p, x in zip(polys, slice_embed(m.X))])
+        values = [inv_poly_eval(p, x) for p, x in zip(polys * 2, slice_embed(moved.X))]
+        fund.append(c if incoming else np.linalg.inv(g) @ c @ g)
+        d_moments.append([_central_difference(p, q, step) for p, q in zip(values[:n], values[n:])])
+    zero = np.zeros_like(g)
+    omegas = [u_symplectic(m, UTangent(tuple(a if j == i else zero for j in range(m.n_factors)),
+                                       np.zeros_like(m.X.coeffs)), v).tolist() for a in fund]
+    return [(w[0], d[0]) if single else (w, d) for w, d in zip(omegas, d_moments)]
 
 
 # ----------------------------------------------------------------------
@@ -454,22 +416,39 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
 # ----------------------------------------------------------------------
 # suites
 #
-# A check takes (cfg, rng, k, case) and yields (part, residual) pairs; the
-# part "" is the suite's unnamed residual, named parts are also reported in
-# `details`.  For suites that loop over trials, `case` is the trial index.
-# A negative control takes its own RNG stream and returns one residual.
+# A check takes (cfg, members), the (rng, k, case) of the cases of one group,
+# and returns one list of (part, residual) pairs per case; the part "" is
+# the suite's unnamed residual, named parts are also reported in `details`.
+# For suites that loop over trials, `case` is the trial index.  A stacked
+# check draws each case's inputs from its own stream, in the order of one
+# case, then evaluates the group as one stack; `_each` runs a check that
+# yields the pairs of one case over its group.  A negative control takes its
+# own RNG stream and returns one residual.
 
 _Residuals = Iterator[tuple[str, float]]
 
+
+def _each(check: Callable[..., _Residuals]):
+    return lambda cfg, members: [list(check(cfg, *member)) for member in members]
+
+
+def _grouped(keys: list, evaluate: Callable[[list[int]], list]) -> list:
+    """evaluate(positions) once per distinct key, on the positions of that key
+    in order, with the values put back in position order."""
+    groups: dict = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    values = dict(pair for group in groups.values() for pair in zip(group, evaluate(group)))
+    return [values[j] for j in range(len(keys))]
+
+
 # Every (b, b') with 1 <= b + b' <= 4.
-_SIGNATURES = tuple(
-    (b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1
-)
+_SIGNATURES = tuple((b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1)
 
 
 @dataclass(frozen=True)
 class _Suite:
-    check: Callable[[SuiteConfig, np.random.Generator, int, object], _Residuals]
+    check: Callable[[SuiteConfig, list], list]
     negative: Callable[[np.random.Generator], float]
     tolerance: float  # reported bound of max_residual
     neg_threshold: float
@@ -479,6 +458,8 @@ class _Suite:
     parts: tuple[tuple[str, str, float | None], ...] = (("", "max", None),)
     # cfg -> [(stream, index, case)]; default one case per trial
     cases: Callable[[SuiteConfig], list] | None = None
+    # (k, case) -> the group of the case; default the case, a group of one
+    key: Callable[[int, object], object] = lambda k, case: case
 
 
 _FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
@@ -493,59 +474,78 @@ def _orientation(trial: int) -> str:
     return INCOMING if trial % 2 == 0 else OUTGOING
 
 
-def _worst_incoming_k3(rng: np.random.Generator, residual) -> float:
-    """The largest |residual(p, rng)| over four incoming k = 3 points p; each
-    point is drawn before the inputs that `residual` draws for it."""
-    return max(abs(residual(sample_wpoint(3, INCOMING, rng), rng)) for _ in range(4))
+def _by_shape(drawn: list, evaluate) -> list:
+    """evaluate(*stacked inputs) once per group of drawn input tuples whose
+    leading W point has one orientation, or class or scheme one signature
+    and one list of piece lengths; the values come back in the order drawn."""
+    shapes = [x.orientation if isinstance(x, WPoint) else
+              (x.b, x.bprime, *(p.length for p in getattr(x, "pieces", ()))) for x, *_ in drawn]
+    return _grouped(shapes, lambda g: evaluate(*_stack([drawn[j] for j in g])))
 
 
-def _polarization_gap(c: Matrix, x: Matrix, m: int) -> float:
-    """Largest |<c, E_ab> - m p(X, ..., X, E_ab)| over the matrix units: zero
-    when c is the polarized gradient of trace(X^m)."""
-    units = _matrix_units(x.shape[0])
+def _worst_incoming_k3(rng: np.random.Generator, draw, evaluate) -> float:
+    """The largest |value| that evaluate(points, *inputs) gives on four
+    incoming k = 3 W points, stacked with the inputs that draw(point, rng)
+    draws for each right after the point."""
+    drawn = []
+    for _ in range(4):
+        p = sample_wpoint(3, INCOMING, rng)
+        drawn.append((p, *draw(p, rng)))
+    return max(abs(value) for value in evaluate(*_stack(drawn)))
+
+
+def _polarization_gap(c: Matrix, x: Matrix, m: int) -> np.ndarray:
+    """Largest |<c, E_ab> - m p(X, ..., X, E_ab)| over the matrix units, per
+    matrix of a stack: zero when c is the polarized gradient of trace(X^m)."""
+    units = _matrix_units(x.shape[-1])
+    c, x = c[..., None, :, :], x[..., None, :, :]  # against every unit
     gaps = pairing(c, units) - m * symmetrized_form_value(x, units, m)
-    return float(np.max(np.abs(gaps)))
+    return np.max(np.abs(gaps), axis=-1)
 
 
-def _check_polarization(cfg, rng, k, trial) -> _Residuals:
-    x = sample_disc(rng, k, k)
+def _check_polarization(cfg, members) -> list:
+    k = members[0][1]
+    x = np.stack([sample_disc(rng, k, k) for rng, _, _ in members])
+    out = [[] for _ in members]
     for m in range(1, k + 1):
         c = polarized_gradient(InvariantPolynomial(m), x)
-        yield "identity_residual", _polarization_gap(c, x, m)
-        yield "bracket_residual", float(np.max(np.abs(commutator(c, x))))
+        brackets = np.max(np.abs(commutator(c, x)), axis=(-2, -1))
+        for pairs, gap, bracket in zip(out, _polarization_gap(c, x, m).tolist(), brackets.tolist()):
+            pairs += [("identity_residual", gap), ("bracket_residual", bracket)]
+    return out
 
 
 def _negative_polarization(rng) -> float:
     # a wrong gradient (coefficient off by 10%)
     x = sample_disc(rng, 3, 3)
-    return _polarization_gap(1.1 * polarized_gradient(InvariantPolynomial(2), x), x, 2)
+    return float(_polarization_gap(1.1 * polarized_gradient(InvariantPolynomial(2), x), x, 2))
 
 
-def _check_hamiltonian_w(cfg, rng, k, trial) -> _Residuals:
-    m = u_build([sample_wpoint(k, _orientation(trial), rng)])
-    xi = sample_disc(rng, k, k)
-    v = sample_utangent(m, rng)
-    degree = int(rng.integers(1, k + 1))
-    (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(m, 0, v, FD_STEP, xi=xi, degree=degree)
-    yield "", abs(lhs - pairing(dmu, xi))
-    yield "", abs(lhs_a - dp)
+def _check_hamiltonian_w(cfg, members) -> list:
+    k, trial = members[0][1:]
+    m = u_build([_stack([sample_wpoint(k, _orientation(trial), rng) for rng, _, _ in members])])
+    draws = [(sample_disc(rng, k, k), sample_utangent(m, rng), int(rng.integers(1, k + 1)))
+             for rng, _, _ in members]
+    xi, v = _stack([d[:2] for d in draws])
+    (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
+        m, 0, v, FD_STEP, xi=xi, degree=[d[2] for d in draws])
+    return [[("", abs(a - b)), ("", abs(c - d))]
+            for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
 
 
 def _negative_hamiltonian_w(rng) -> float:
     # the group condition with the pairing's sign flipped
-    def flipped(p, rng):
-        m = u_build([p])
-        xi = sample_disc(rng, 3, 3)
-        [(lhs, dmu)] = fd_moment_conditions(m, 0, sample_utangent(m, rng), FD_STEP, xi=xi)
-        return lhs + pairing(dmu, xi)
+    def flipped(p, xi, v):
+        [(lhs, dmu)] = fd_moment_conditions(u_build([p]), 0, v, FD_STEP, xi=xi)
+        return [a + b for a, b in zip(lhs, pairing(dmu, xi).tolist())]
 
-    return _worst_incoming_k3(rng, flipped)
+    return _worst_incoming_k3(
+        rng, lambda p, rng: (sample_disc(rng, 3, 3), sample_utangent(u_build([p]), rng)), flipped)
 
 
-def _d_omega(m: UClass, rng: np.random.Generator, form=u_symplectic) -> complex:
-    """d form on three tangents drawn at the class m, through `UChart`."""
-    tans = [sample_utangent(m, rng) for _ in range(3)]
-    return fd_exterior_derivative(form, UChart(m), *tans, FD_STEP)
+def _d_omega(chart, base, tans, form=u_symplectic) -> list[float]:
+    """|d form| at each point of a stacked base, on its three stacked tangents."""
+    return [abs(d) for d in fd_exterior_derivative(form, chart(base), *tans, FD_STEP)]
 
 
 def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
@@ -554,53 +554,61 @@ def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
     return w_symplectic_moment_wedge(p, *(WTangent(a=t.a_list[0], dc=t.dc) for t in (u, v)))
 
 
-def _check_closedness(cfg, rng, k, trial) -> _Residuals:
-    yield "w", abs(_d_omega(u_build([sample_wpoint(k, _orientation(trial), rng)]), rng))
-    m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 2)), rng)
-    yield "u", abs(_d_omega(m, rng))
-
-    d = sample_jetscheme(k, 1, 0, rng)
-    s = len(d.pieces)
-    ftans = [
-        FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, s))
-        for _ in range(3)
-    ]
-    yield "f", abs(fd_exterior_derivative(f_presymplectic, FChart(d), *ftans, FD_STEP))
+def _check_closedness(cfg, members) -> list:
+    k = members[0][1]
+    ws, us, fs = [], [], []
+    for rng, _, trial in members:  # each member's draws in the order of one case
+        w = u_build([sample_wpoint(k, _orientation(trial), rng)])
+        ws.append((w, [sample_utangent(w, rng) for _ in range(3)]))
+        m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 2)), rng)
+        us.append((m, [sample_utangent(m, rng) for _ in range(3)]))
+        d = sample_jetscheme(k, 1, 0, rng)
+        fs.append((d, [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(d.pieces)))
+                       for _ in range(3)]))
+    values = (_by_shape(ws, partial(_d_omega, UChart)), _by_shape(us, partial(_d_omega, UChart)),
+              _by_shape(fs, partial(_d_omega, FChart, form=f_presymplectic)))
+    return [list(zip(("w", "u", "f"), triple)) for triple in zip(*values)]
 
 
 def _negative_closedness(rng) -> float:
     # the literal moment-wedge form of W is not closed
-    return _worst_incoming_k3(rng, lambda p, rng: _d_omega(u_build([p]), rng, _literal_wedge))
+    return _worst_incoming_k3(
+        rng, lambda p, rng: [sample_utangent(u_build([p]), rng) for _ in range(3)],
+        lambda p, *tans: _d_omega(UChart, u_build([p]), tans, _literal_wedge))
 
 
-def _check_form_identity(cfg, rng, k, trial) -> _Residuals:
-    b = int(rng.integers(1, 3))
-    bp = int(rng.integers(0, 3))
-    m = sample_uclass(k, b, bp, rng)
-    u = sample_utangent(m, rng)
-    v = sample_utangent(m, rng)
-    lhs = u_symplectic(m, u, v)
-    rhs = u_symplectic_single_slice_form(m, u, v)
-    yield "u_two_codings", abs(lhs - rhs) / max(1.0, abs(lhs))
+def _two_codings(m: UClass, u: UTangent, v: UTangent) -> list[float]:
+    """Relative gap of `u_symplectic` and its single-slice coding, per point of a stack."""
+    lhs, rhs = (f(m, u, v).tolist() for f in (u_symplectic, u_symplectic_single_slice_form))
+    return [abs(a - b) / max(1.0, abs(a)) for a, b in zip(lhs, rhs)]
 
-    p = sample_wpoint(k, _orientation(trial), rng)
-    tu = sample_wtangent(k, rng)
-    tv = sample_wtangent(k, rng)
-    canon = w_symplectic(p, tu, tv)
-    scale = max(1.0, abs(canon))
-    yield "w_two_codings", abs(canon - w_symplectic_bracket_form(p, tu, tv)) / scale
-    literal = w_symplectic_moment_wedge(p, tu, tv)
-    mc = maurer_cartan_term(p, tu, tv)
-    yield "literal_discrepancy_identity", abs(literal - canon - mc) / scale
+
+def _check_form_identity(cfg, members) -> list:
+    k = members[0][1]
+    us, ws = [], []
+    for rng, _, trial in members:
+        m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 3)), rng)
+        us.append((m, sample_utangent(m, rng), sample_utangent(m, rng)))
+        ws.append((sample_wpoint(k, _orientation(trial), rng),
+                   sample_wtangent(k, rng), sample_wtangent(k, rng)))
+    w_forms = w_symplectic, w_symplectic_bracket_form, w_symplectic_moment_wedge, maurer_cartan_term
+    out = []
+    for gap, (canon, bracket, literal, mc) in zip(
+            _by_shape(us, _two_codings),
+            _by_shape(ws, lambda *pt: list(zip(*(f(*pt).tolist() for f in w_forms))))):
+        scale = max(1.0, abs(canon))
+        out.append([("u_two_codings", gap), ("w_two_codings", abs(canon - bracket) / scale),
+                    ("literal_discrepancy_identity", abs(literal - canon - mc) / scale)])
+    return out
 
 
 def _negative_form_identity(rng) -> float:
-    def literal_gap(p, rng):
-        tu = sample_wtangent(3, rng)
-        tv = sample_wtangent(3, rng)
-        return w_symplectic_moment_wedge(p, tu, tv) - w_symplectic(p, tu, tv)
+    def literal_gap(p, *tans):
+        return [a - b for a, b in zip(w_symplectic_moment_wedge(p, *tans).tolist(),
+                                      w_symplectic(p, *tans).tolist())]
 
-    return _worst_incoming_k3(rng, literal_gap)
+    return _worst_incoming_k3(
+        rng, lambda p, rng: (sample_wtangent(3, rng), sample_wtangent(3, rng)), literal_gap)
 
 
 def _check_axiom_d(cfg, rng, k, trial) -> _Residuals:
@@ -788,8 +796,7 @@ def _scheme_distance(d1: JetScheme, d2: JetScheme) -> float:
     where an absolute bound reads roundoff as failure."""
     if [p.length for p in d1.pieces] != [p.length for p in d2.pieces]:
         return 1.0
-    dz = jet_err = 0.0
-    scale = 1.0
+    dz, jet_err, scale = 0.0, 0.0, 1.0
     for p1, p2 in zip(d1.pieces, d2.pieces):
         dz = max(dz, abs(p1.z - p2.z))
         for j1, j2 in zip(p1.jets, p2.jets):
@@ -831,19 +838,9 @@ def _negative_hilbert_round_trip(rng) -> float:
 # equal types share base points so they collide, distinct types differ.
 _JORDAN_BASE_POINTS = (complex(-1.1 + 0.2j), complex(0.9 - 0.4j), complex(2.2 + 0.5j))
 _JORDAN_TYPES = {
-    2: (
-        ((0, 1), (1, 1)),
-        ((0, 2),),
-        ((0, 1), (0, 1)),
-    ),
-    3: (
-        ((0, 1), (1, 1), (2, 1)),
-        ((0, 2), (1, 1)),
-        ((0, 3),),
-        ((0, 1), (0, 1), (1, 1)),
-        ((0, 2), (0, 1)),
-        ((0, 1), (0, 1), (0, 1)),
-    ),
+    2: (((0, 1), (1, 1)), ((0, 2),), ((0, 1), (0, 1))),
+    3: (((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 1)), ((0, 3),),
+        ((0, 1), (0, 1), (1, 1)), ((0, 2), (0, 1)), ((0, 1), (0, 1), (0, 1))),
 }
 
 
@@ -877,9 +874,7 @@ def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     if f_kernel_dimension(d_split) != 0:
         mistakes += 1
     zc = complex(0.4, -0.2)
-    d_coll = sample_jetscheme(
-        k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2)
-    )
+    d_coll = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2))
     if f_kernel_dimension(d_coll) == 0:
         mistakes += 1
     if not locally_nondegenerate(d_coll) or nondegenerate(d_coll):
@@ -925,54 +920,62 @@ _SUITES = {
     "polarization": _Suite(
         _check_polarization, _negative_polarization, 1e-9, 1e-9, k_cap=5,
         parts=(("identity_residual", "max", None), ("bracket_residual", "max", 1e-10)),
+        key=lambda k, trial: k,
     ),
-    "hamiltonian_w": _Suite(_check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2),
+    "hamiltonian_w": _Suite(
+        _check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2,
+        key=lambda k, trial: (k, _orientation(trial)),
+    ),
     "closedness": _Suite(
         _check_closedness, _negative_closedness, 1e-4, 1e-2, k_cap=3,
         parts=(("w", "max", None), ("u", "max", None), ("f", "max", None)),
+        key=lambda k, trial: k,
     ),
     "form_identity": _Suite(
         _check_form_identity, _negative_form_identity, 1e-10, 1e-2,
-        parts=(
-            ("u_two_codings", "max", None),
-            ("w_two_codings", "max", None),
-            ("literal_discrepancy_identity", "max", None),
-        ),
+        parts=tuple((p, "max", None) for p in
+                    ("u_two_codings", "w_two_codings", "literal_discrepancy_identity")),
+        key=lambda k, trial: k,
     ),
-    "axiom_d": _Suite(_check_axiom_d, _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
-    "gluing": _Suite(_check_gluing, _negative_gluing, 1e-9, 1.0),
+    "axiom_d": _Suite(_each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
+    "gluing": _Suite(_each(_check_gluing), _negative_gluing, 1e-9, 1.0),
     "theorem_2_4_i": _Suite(
-        _check_theorem_2_4_i, _negative_theorem_2_4_i, 1e-9, 1e-6,
+        _each(_check_theorem_2_4_i), _negative_theorem_2_4_i, 1e-9, 1e-6,
         parts=(("", "max", None), ("min_pair_separation", "min", 1e-6)),
     ),
-    "axiom_e": _Suite(_check_axiom_e, _negative_axiom_e, 1e-10, 1e-2),
+    "axiom_e": _Suite(_each(_check_axiom_e), _negative_axiom_e, 1e-10, 1e-2),
     "hilbert_round_trip": _Suite(
-        _check_hilbert_round_trip, _negative_hilbert_round_trip, 1e-9, 1e-3
+        _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3
     ),
     "fitting_orbits": _Suite(
-        _check_fitting_orbits, _negative_fitting_orbits, 0.5, 1.0, k_cap=None,
+        _each(_check_fitting_orbits), _negative_fitting_orbits, 0.5, 1.0, k_cap=None,
         parts=(("mispredictions", "sum", None),),
         cases=lambda cfg: [("fitting_orbits", k, k) for k in _JORDAN_TYPES],
     ),
     # acceptances are counted 0 or 1: 0.5 separates them
-    "free_action": _Suite(_check_free_action, _negative_free_action, 0.5, 0.5, k_cap=5),
+    "free_action": _Suite(_each(_check_free_action), _negative_free_action, 0.5, 0.5, k_cap=5),
 }
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
-    """Run one suite: fold each residual part over the cases, evaluate the
-    negative control and apply the pass rule."""
+    """Run one suite: draw each case's size from its own stream, check each
+    group of cases that share the suite's key at once, fold each residual
+    part over the cases in case order, evaluate the negative control and
+    apply the pass rule."""
     t0 = time.perf_counter()
     suite = _SUITES[name]
-    cases = (
-        suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
-    )
-    acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
-    folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
+    cases = suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
+    members = []
     for stream, index, case in cases:
         rng = trial_rng(cfg.seed, stream, index)
         k = case if suite.k_cap is None else _draw_k(rng, cfg.k, suite.k_cap)
-        for part, value in suite.check(cfg, rng, k, case):
+        members.append((rng, k, case))
+    residuals = _grouped([suite.key(k, case) for _, k, case in members],
+                         lambda group: suite.check(cfg, [members[j] for j in group]))
+    acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
+    folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
+    for pairs in residuals:
+        for part, value in pairs:
             acc[part] = folds[part](acc[part], value)
     neg = suite.negative(trial_rng(cfg.seed, f"{name}-neg", 0))
     passed = True
@@ -980,13 +983,9 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
         bound = suite.tolerance if bound is None else bound
         passed = passed and (acc[part] > bound if fold == "min" else acc[part] < bound)
     return SuiteResult(
-        name=name,
-        trials=len(cases),
+        name=name, trials=len(cases), tolerance=suite.tolerance, negative_residual=neg,
         max_residual=float(max(acc[part] for part, fold, _ in suite.parts if fold != "min")),
-        tolerance=suite.tolerance,
-        negative_residual=neg,
-        passed=passed and neg > suite.neg_threshold,
-        seconds=time.perf_counter() - t0,
+        passed=passed and neg > suite.neg_threshold, seconds=time.perf_counter() - t0,
         details={part: acc[part] for part, _, _ in suite.parts if part},
     )
 

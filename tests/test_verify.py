@@ -7,16 +7,20 @@ from scipy.linalg import expm, expm_frechet
 
 from mtv import uspace, verify
 from mtv.errors import DimensionMismatchError, ValidationError
+from mtv.hilbert import FTangent, f_presymplectic
 from mtv.lie import as_matrix
 from mtv.slodowy import slice_embed
 from mtv.verify import (
     SUITE_NAMES,
+    FChart,
     SuiteConfig,
     UChart,
     fd_exterior_derivative,
+    fd_moment_conditions,
     run_suite,
     sample_disc,
     sample_jetscheme,
+    sample_uclass,
     sample_utangent,
     sample_wpoint,
     symmetrized_form_value,
@@ -262,3 +266,59 @@ def test_free_action_fails_without_singular_refusal(monkeypatch):
     monkeypatch.setattr(uspace, "_group_element", as_matrix)
     res = run_suite(SuiteConfig(k=3, trials=3, seed=1, suites=("free_action",))).suites[0]
     assert res.max_residual == 1.0 and not res.passed
+
+
+# The suites whose check draws every case of a group and evaluates the group
+# as one stack.
+_STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity")
+
+
+def _members(name, k, trials):
+    return [(trial_rng(9, name, t), k, t) for t in trials]
+
+
+def _bytes(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_grouped_cases_match_groups_of_one(k):
+    # every key of every stacked suite: a group of n cases gives, value for
+    # value, the residuals of n groups of one, each drawn from its own stream
+    cfg = SuiteConfig(k=k, trials=1, seed=9)
+    for name in _STACKED_SUITES:
+        suite = verify._SUITES[name]
+        trials = range(24)
+        for key in {suite.key(k, t) for t in trials}:
+            group = [t for t in trials if suite.key(k, t) == key]
+            alone = [suite.check(cfg, _members(name, k, [t]))[0] for t in group]
+            assert suite.check(cfg, _members(name, k, group)) == alone
+    # the stacked routines against one call per class, at every signature
+    # (every factor for the moment conditions) and every piece pattern
+    rng = trial_rng(9, "stacked-fd", k)
+    for b, bp in verify._SIGNATURES:
+        ms = [sample_uclass(k, b, bp, rng) for _ in range(3)]
+        tans = [[sample_utangent(m, rng) for _ in range(3)] for m in ms]
+        stacked = fd_exterior_derivative(
+            u_symplectic, UChart(verify._stack(ms)), *verify._stack(tans), 1e-4)
+        alone = [fd_exterior_derivative(u_symplectic, UChart(m), *t, 1e-4) for m, t in zip(ms, tans)]
+        assert _bytes(stacked) == _bytes(alone)
+        for i in range(b + bp):
+            xis = [sample_disc(rng, k, k) for _ in ms]
+            degrees = [int(rng.integers(1, k + 1)) for _ in ms]
+            stacked = fd_moment_conditions(verify._stack(ms), i, verify._stack([t[0] for t in tans]),
+                                           1e-4, xi=np.stack(xis), degree=degrees)
+            for j, m in enumerate(ms):
+                alone = fd_moment_conditions(m, i, tans[j][0], 1e-4, xi=xis[j], degree=degrees[j])
+                for (lhs, d), (lhs_j, d_j) in zip(stacked, alone):
+                    assert _bytes(lhs[j]) == _bytes(lhs_j) and _bytes(d[j]) == _bytes(d_j)
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [k]
+        lengths = [e - s for s, e in zip([0] + ends[:-1], ends)]
+        ds = [sample_jetscheme(k, 1, 0, rng, lengths=lengths) for _ in range(3)]
+        tans = [[FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
+                 for _ in range(3)] for _ in ds]
+        stacked = fd_exterior_derivative(
+            f_presymplectic, FChart(verify._stack(ds)), *verify._stack(tans), 1e-4)
+        alone = [fd_exterior_derivative(f_presymplectic, FChart(d), *t, 1e-4) for d, t in zip(ds, tans)]
+        assert _bytes(stacked) == _bytes(alone)
