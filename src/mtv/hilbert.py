@@ -369,21 +369,9 @@ def hilb_to_u(d: JetScheme) -> UClass:
     return UClass(b=d.b, bprime=d.bprime, gs=tuple(gs), X=x)
 
 
-def _mean(zs: list[complex]) -> complex:
-    """The bits of `np.mean` of a complex array of up to five entries: zero
-    plus the entries in turn, or plus (z0 + z1) + (z2 + z3) + z4 from four on,
-    times the reciprocal of the count."""
-    if len(zs) > 5:
-        return complex(np.mean(zs))
-    total = 0j + sum(zs[4:], (zs[0] + zs[1]) + (zs[2] + zs[3])) if len(zs) > 3 else sum(zs, 0j)
-    r = 1.0 / len(zs)
-    return complex(total.real * r, total.imag * r)
-
-
 def _cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
     """Single-linkage clustering of eigenvalues; returns (center, size)."""
-    roots = roots.tolist()
-    return [(_mean([roots[j] for j in g]), len(g)) for g in _clusters(roots, radius)]
+    return [(complex(np.mean(roots[g])), len(g)) for g in _clusters(roots, radius)]
 
 
 def u_to_hilb(m: UClass) -> JetScheme:

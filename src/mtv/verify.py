@@ -2,15 +2,15 @@
 finite-difference operators and sample generators they run on.
 
 Each suite is declared as data (`_Suite`): a check that gives named
-residuals for each case of a group, the key that groups its cases, a
-negative control, a bound per residual and the threshold the negative
-control must exceed.  One runner owns the rest: timing, the RNG streams,
-the size draw, the groups, folding residuals over the cases in case order
-and the pass rule.  A case draws from an RNG stream derived from (master
-seed, suite name, trial index), so identical configurations give identical
-residuals whatever the groups; the negative control evaluates deliberately
-corrupted input from the stream "<suite>-neg", and its residual must
-exceed the threshold.
+residuals for each case of a group of one size, a negative control, a
+bound per residual and the threshold the negative control must exceed.
+One runner owns the rest: timing, the RNG streams, the size draw, the
+groups, folding residuals over the cases in case order and the pass rule.
+A case draws from an RNG stream derived from (master seed, suite name,
+trial index), so identical configurations give identical residuals
+whatever the groups; the negative control evaluates deliberately corrupted
+input from the stream "<suite>-neg", and its residual must exceed the
+threshold.
 
 The moment maps follow one fixed sign convention, that of the canonical
 form -d<X, g^{-1}dg>: an incoming factor has moment g X g^{-1} (the left
@@ -30,32 +30,90 @@ from scipy.linalg import expm
 
 from .errors import GluingError, SingularMatrixError, ValidationError
 from .hilbert import (
-    FTangent, JetScheme, LocalPiece, act_on_scheme, adjoint_orbits_match, f_kernel_dimension,
-    f_moment, f_presymplectic, g_matrices, hilb_to_u, locally_nondegenerate, nondegenerate,
-    normalize_scheme, orbit_invariant, orbit_invariant_equal, u_to_hilb,
+    FTangent,
+    JetScheme,
+    LocalPiece,
+    act_on_scheme,
+    adjoint_orbits_match,
+    f_kernel_dimension,
+    f_moment,
+    f_presymplectic,
+    g_matrices,
+    hilb_to_u,
+    locally_nondegenerate,
+    nondegenerate,
+    normalize_scheme,
+    orbit_invariant,
+    orbit_invariant_equal,
+    u_to_hilb,
 )
 from .lie import (
-    InvariantPolynomial, Matrix, check_same_size, commutator, gradient_of_combination,
-    inv_poly_eval, is_regular, pairing, polarized_gradient,
+    InvariantPolynomial,
+    Matrix,
+    check_same_size,
+    commutator,
+    gradient_of_combination,
+    inv_poly_eval,
+    is_regular,
+    pairing,
+    polarized_gradient,
 )
-from .slodowy import SlicePoint, _f_powers, is_in_slice, principal_triple, slice_embed
+from .slodowy import (
+    SlicePoint,
+    _f_powers,
+    is_in_slice,
+    principal_triple,
+    slice_embed,
+)
 from .serialize import _int_field
 from .uspace import (
-    UClass, UTangent, g_action, glue, phi_e_class, u11_from_tstar, u11_to_tstar, u_build,
-    u_equivalence_residual, u_moment, u_symplectic, u_symplectic_single_slice_form,
-    axiom_d_residual, _invariant_spread, _signed_moments,
+    UClass,
+    UTangent,
+    g_action,
+    glue,
+    phi_e_class,
+    u11_from_tstar,
+    u11_to_tstar,
+    u_build,
+    u_equivalence_residual,
+    u_moment,
+    u_symplectic,
+    u_symplectic_single_slice_form,
+    axiom_d_residual,
+    _invariant_spread,
+    _signed_moments,
 )
 from .wspace import (
-    INCOMING, OUTGOING, WPoint, WTangent, _reverse, g_act_w, maurer_cartan_term, phi_E,
-    phi_E_inverse, theta, theta_twisted, w_symplectic, w_symplectic_bracket_form,
+    INCOMING,
+    OUTGOING,
+    WPoint,
+    WTangent,
+    _reverse,
+    g_act_w,
+    maurer_cartan_term,
+    phi_E,
+    phi_E_inverse,
+    theta,
+    theta_twisted,
+    w_symplectic,
+    w_symplectic_bracket_form,
     w_symplectic_moment_wedge,
 )
 
 VERSION = "0.1.0"
 
 SUITE_NAMES = (
-    "polarization", "hamiltonian_w", "closedness", "form_identity", "axiom_d", "gluing",
-    "theorem_2_4_i", "axiom_e", "hilbert_round_trip", "fitting_orbits", "free_action",
+    "polarization",
+    "hamiltonian_w",
+    "closedness",
+    "form_identity",
+    "axiom_d",
+    "gluing",
+    "theorem_2_4_i",
+    "axiom_e",
+    "hilbert_round_trip",
+    "fitting_orbits",
+    "free_action",
 )
 
 
@@ -117,7 +175,9 @@ class Report:
 def _draw_k(rng: np.random.Generator, k_cfg: int, cap: int) -> int:
     """Random matrix size in [2, min(k_cfg, cap)], degrading to 1 at k=1."""
     k_max = min(k_cfg, cap)
-    return 1 if k_max < 2 else int(rng.integers(2, k_max + 1))
+    if k_max < 2:
+        return 1
+    return int(rng.integers(2, k_max + 1))
 
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
@@ -149,11 +209,13 @@ def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
 def sample_group(k: int, rng: np.random.Generator) -> Matrix:
     """exp of a matrix with entries in the unit disc (scaled by 0.5 / sqrt(k)
     for conditioning); always invertible."""
-    return expm(sample_disc(rng, k, k) * 0.5 / np.sqrt(k))
+    a = sample_disc(rng, k, k) * 0.5 / np.sqrt(k)
+    return expm(a)
 
 
 def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
-    return WPoint(sample_group(k, rng), sample_slice_point(k, rng), orientation)
+    return WPoint(g=sample_group(k, rng), X=sample_slice_point(k, rng),
+                  orientation=orientation)
 
 
 def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
@@ -162,13 +224,16 @@ def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
 
 def sample_uclass(k: int, b: int, bprime: int, rng: np.random.Generator) -> UClass:
     x = sample_slice_point(k, rng)
-    return UClass(b, bprime, tuple(sample_group(k, rng) for _ in range(b + bprime)), x)
+    gs = tuple(sample_group(k, rng) for _ in range(b + bprime))
+    return UClass(b=b, bprime=bprime, gs=gs, X=x)
 
 
 def sample_utangent(m: UClass, rng: np.random.Generator) -> UTangent:
     k = m.X.k
-    return UTangent(a_list=tuple(sample_disc(rng, k, k) for _ in range(m.n_factors)),
-                    dc=sample_disc(rng, k))
+    return UTangent(
+        a_list=tuple(sample_disc(rng, k, k) for _ in range(m.n_factors)),
+        dc=sample_disc(rng, k),
+    )
 
 
 def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matrix:
@@ -176,7 +241,10 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
     most 0.5): an invertible element of Z(X) close enough to 1 for
     well-conditioned tests."""
     k = x_emb.shape[0]
-    summands = [InvariantPolynomial(m, complex(sample_disc(rng))) for m in range(1, k + 1)]
+    summands = [
+        InvariantPolynomial(m, complex(sample_disc(rng)))
+        for m in range(1, k + 1)
+    ]
     c = gradient_of_combination(summands, x_emb)
     norm = np.linalg.norm(c, 2)
     if norm > 1e-12:
@@ -186,9 +254,12 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
 
 def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
     """A random composition of k (piece lengths)."""
-    lengths: list[int] = []
-    while sum(lengths) < k:
-        lengths.append(int(rng.integers(1, k - sum(lengths) + 1)))
+    lengths = []
+    rest = k
+    while rest > 0:
+        l = int(rng.integers(1, rest + 1))
+        lengths.append(l)
+        rest -= l
     return lengths
 
 
@@ -202,16 +273,21 @@ def _sample_jet(rng: np.random.Generator, length: int, k: int) -> np.ndarray:
 
 
 def sample_jetscheme(
-    k: int, b: int, bprime: int, rng: np.random.Generator,
-    lengths: list[int] | None = None, zs: list[complex] | None = None,
+    k: int,
+    b: int,
+    bprime: int,
+    rng: np.random.Generator,
+    lengths: list[int] | None = None,
+    zs: list[complex] | None = None,
 ) -> JetScheme:
     """A nondegenerate transverse scheme with well-separated base points."""
     n = b + bprime
     for _ in range(60):
         ls = lengths if lengths is not None else sample_lengths(k, rng)
         if zs is None:
-            base = np.array([1.6 * i + complex(sample_disc(rng, radius=0.4))
-                             for i in range(len(ls))])
+            base = np.array(
+                [1.6 * i + complex(sample_disc(rng, radius=0.4)) for i in range(len(ls))]
+            )
             base = base - np.mean(base)  # keep magnitudes moderate
         else:
             base = zs
@@ -289,7 +365,9 @@ class UChart:
     """Product chart: one left-log coordinate per factor plus shared dc."""
 
     def __init__(self, m: UClass):
-        self.m, self.k, self.single = m, m.X.k, m.X.coeffs.ndim == 1
+        self.m = m
+        self.k = m.X.k
+        self.single = m.X.coeffs.ndim == 1
         self.stack = _stack([m]) if self.single else m
 
     def frame_at(self, coords, u: UTangent, v: UTangent) -> tuple[UClass, UTangent, UTangent]:
@@ -311,7 +389,8 @@ class FChart:
     on the jets plus per-piece base point shifts."""
 
     def __init__(self, d: JetScheme):
-        self.d, self.single = d, np.ndim(d.pieces[0].z) == 0
+        self.d = d
+        self.single = np.ndim(d.pieces[0].z) == 0
         self.stack = _stack([d]) if self.single else d
 
     def frame_at(self, coords, u: FTangent, v: FTangent) -> tuple[JetScheme, FTangent, FTangent]:
@@ -416,7 +495,7 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
 # ----------------------------------------------------------------------
 # suites
 #
-# A check takes (cfg, members), the (rng, k, case) of the cases of one group,
+# A check takes (cfg, members), the (rng, k, case) of the cases of one size,
 # and returns one list of (part, residual) pairs per case; the part "" is
 # the suite's unnamed residual, named parts are also reported in `details`.
 # For suites that loop over trials, `case` is the trial index.  A stacked
@@ -443,7 +522,9 @@ def _grouped(keys: list, evaluate: Callable[[list[int]], list]) -> list:
 
 
 # Every (b, b') with 1 <= b + b' <= 4.
-_SIGNATURES = tuple((b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1)
+_SIGNATURES = tuple(
+    (b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1
+)
 
 
 @dataclass(frozen=True)
@@ -458,8 +539,6 @@ class _Suite:
     parts: tuple[tuple[str, str, float | None], ...] = (("", "max", None),)
     # cfg -> [(stream, index, case)]; default one case per trial
     cases: Callable[[SuiteConfig], list] | None = None
-    # (k, case) -> the group of the case; default the case, a group of one
-    key: Callable[[int, object], object] = lambda k, case: case
 
 
 _FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
@@ -522,15 +601,20 @@ def _negative_polarization(rng) -> float:
 
 
 def _check_hamiltonian_w(cfg, members) -> list:
-    k, trial = members[0][1:]
-    m = u_build([_stack([sample_wpoint(k, _orientation(trial), rng) for rng, _, _ in members])])
-    draws = [(sample_disc(rng, k, k), sample_utangent(m, rng), int(rng.integers(1, k + 1)))
-             for rng, _, _ in members]
-    xi, v = _stack([d[:2] for d in draws])
-    (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
-        m, 0, v, FD_STEP, xi=xi, degree=[d[2] for d in draws])
-    return [[("", abs(a - b)), ("", abs(c - d))]
-            for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
+    k = members[0][1]
+    drawn = []
+    for rng, _, trial in members:  # each member's draws in the order of one case
+        m = u_build([sample_wpoint(k, _orientation(trial), rng)])
+        drawn.append((m, sample_disc(rng, k, k), sample_utangent(m, rng),
+                      np.array(rng.integers(1, k + 1))))
+
+    def conditions(m, xi, v, degree):
+        (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
+            m, 0, v, FD_STEP, xi=xi, degree=degree.tolist())
+        return [[("", abs(a - b)), ("", abs(c - d))]
+                for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
+
+    return _by_shape(drawn, conditions)
 
 
 def _negative_hamiltonian_w(rng) -> float:
@@ -796,7 +880,8 @@ def _scheme_distance(d1: JetScheme, d2: JetScheme) -> float:
     where an absolute bound reads roundoff as failure."""
     if [p.length for p in d1.pieces] != [p.length for p in d2.pieces]:
         return 1.0
-    dz, jet_err, scale = 0.0, 0.0, 1.0
+    dz = jet_err = 0.0
+    scale = 1.0
     for p1, p2 in zip(d1.pieces, d2.pieces):
         dz = max(dz, abs(p1.z - p2.z))
         for j1, j2 in zip(p1.jets, p2.jets):
@@ -838,9 +923,19 @@ def _negative_hilbert_round_trip(rng) -> float:
 # equal types share base points so they collide, distinct types differ.
 _JORDAN_BASE_POINTS = (complex(-1.1 + 0.2j), complex(0.9 - 0.4j), complex(2.2 + 0.5j))
 _JORDAN_TYPES = {
-    2: (((0, 1), (1, 1)), ((0, 2),), ((0, 1), (0, 1))),
-    3: (((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 1)), ((0, 3),),
-        ((0, 1), (0, 1), (1, 1)), ((0, 2), (0, 1)), ((0, 1), (0, 1), (0, 1))),
+    2: (
+        ((0, 1), (1, 1)),
+        ((0, 2),),
+        ((0, 1), (0, 1)),
+    ),
+    3: (
+        ((0, 1), (1, 1), (2, 1)),
+        ((0, 2), (1, 1)),
+        ((0, 3),),
+        ((0, 1), (0, 1), (1, 1)),
+        ((0, 2), (0, 1)),
+        ((0, 1), (0, 1), (0, 1)),
+    ),
 }
 
 
@@ -874,7 +969,9 @@ def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     if f_kernel_dimension(d_split) != 0:
         mistakes += 1
     zc = complex(0.4, -0.2)
-    d_coll = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2))
+    d_coll = sample_jetscheme(
+        k, 1, 0, rng2, lengths=[1] * k, zs=[zc] * 2 + [2.0 + 0.1j] * (k - 2)
+    )
     if f_kernel_dimension(d_coll) == 0:
         mistakes += 1
     if not locally_nondegenerate(d_coll) or nondegenerate(d_coll):
@@ -920,22 +1017,19 @@ _SUITES = {
     "polarization": _Suite(
         _check_polarization, _negative_polarization, 1e-9, 1e-9, k_cap=5,
         parts=(("identity_residual", "max", None), ("bracket_residual", "max", 1e-10)),
-        key=lambda k, trial: k,
     ),
-    "hamiltonian_w": _Suite(
-        _check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2,
-        key=lambda k, trial: (k, _orientation(trial)),
-    ),
+    "hamiltonian_w": _Suite(_check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2),
     "closedness": _Suite(
         _check_closedness, _negative_closedness, 1e-4, 1e-2, k_cap=3,
         parts=(("w", "max", None), ("u", "max", None), ("f", "max", None)),
-        key=lambda k, trial: k,
     ),
     "form_identity": _Suite(
         _check_form_identity, _negative_form_identity, 1e-10, 1e-2,
-        parts=tuple((p, "max", None) for p in
-                    ("u_two_codings", "w_two_codings", "literal_discrepancy_identity")),
-        key=lambda k, trial: k,
+        parts=(
+            ("u_two_codings", "max", None),
+            ("w_two_codings", "max", None),
+            ("literal_discrepancy_identity", "max", None),
+        ),
     ),
     "axiom_d": _Suite(_each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
     "gluing": _Suite(_each(_check_gluing), _negative_gluing, 1e-9, 1.0),
@@ -958,19 +1052,20 @@ _SUITES = {
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
-    """Run one suite: draw each case's size from its own stream, check each
-    group of cases that share the suite's key at once, fold each residual
-    part over the cases in case order, evaluate the negative control and
-    apply the pass rule."""
+    """Run one suite: draw each case's size from its own stream, check the
+    cases of each size as one group, fold each residual part over the cases
+    in case order, evaluate the negative control and apply the pass rule."""
     t0 = time.perf_counter()
     suite = _SUITES[name]
-    cases = suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
+    cases = (
+        suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
+    )
     members = []
     for stream, index, case in cases:
         rng = trial_rng(cfg.seed, stream, index)
         k = case if suite.k_cap is None else _draw_k(rng, cfg.k, suite.k_cap)
         members.append((rng, k, case))
-    residuals = _grouped([suite.key(k, case) for _, k, case in members],
+    residuals = _grouped([k for _, k, _ in members],
                          lambda group: suite.check(cfg, [members[j] for j in group]))
     acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
     folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
@@ -983,9 +1078,13 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
         bound = suite.tolerance if bound is None else bound
         passed = passed and (acc[part] > bound if fold == "min" else acc[part] < bound)
     return SuiteResult(
-        name=name, trials=len(cases), tolerance=suite.tolerance, negative_residual=neg,
+        name=name,
+        trials=len(cases),
         max_residual=float(max(acc[part] for part, fold, _ in suite.parts if fold != "min")),
-        passed=passed and neg > suite.neg_threshold, seconds=time.perf_counter() - t0,
+        tolerance=suite.tolerance,
+        negative_residual=neg,
+        passed=passed and neg > suite.neg_threshold,
+        seconds=time.perf_counter() - t0,
         details={part: acc[part] for part, _, _ in suite.parts if part},
     )
 

@@ -526,26 +526,6 @@ def test_clustering_matches_union_find(seed):
     assert [n for _, n in _cluster_roots(chain, ROOT_CLUSTER_RADIUS)] == [3, 1]
 
 
-@pytest.mark.parametrize("size", range(1, 6))
-def test_cluster_centers_match_np_mean_bytes(size):
-    # each center has the bytes of np.mean over its cluster, signed zeros
-    # included: clusters of `size` points within the radius, next to one far
-    # point, whose parts are every pattern of +-0.0, then random, +-0.0 or a
-    # tiny +-1e-300
-    rng = trial_rng(27, "centers", size)
-    signs = np.array(list(itertools.product((0.0, -0.0), repeat=2 * size)))
-    clusters = list(signs[:, :size] + 1j * signs[:, size:])
-    parts = (0.0, -0.0, 1e-300, -1e-300)
-    for _ in range(300):
-        re, im = (np.where(rng.random(size) < 0.5, rng.choice(parts, size),
-                           0.01 * rng.uniform(-1, 1, size)) for _ in range(2))
-        clusters.append(re + 1j * im)
-    for cluster in clusters:
-        (center, n), far = _cluster_roots(np.append(cluster, 3.0 + 0.0j), ROOT_CLUSTER_RADIUS)
-        assert n == size and far == (3.0 + 0.0j, 1)
-        assert np.array(center).tobytes() == np.array(np.mean(cluster)).tobytes()
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_distinct_base_points_match_pairwise_rule(seed):
     rng = trial_rng(19, "distinct", seed)

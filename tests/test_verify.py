@@ -283,16 +283,13 @@ def _bytes(values):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_grouped_cases_match_groups_of_one(k):
-    # every key of every stacked suite: a group of n cases gives, value for
+    # every stacked suite: a group of n cases of size k gives, value for
     # value, the residuals of n groups of one, each drawn from its own stream
     cfg = SuiteConfig(k=k, trials=1, seed=9)
     for name in _STACKED_SUITES:
-        suite = verify._SUITES[name]
-        trials = range(24)
-        for key in {suite.key(k, t) for t in trials}:
-            group = [t for t in trials if suite.key(k, t) == key]
-            alone = [suite.check(cfg, _members(name, k, [t]))[0] for t in group]
-            assert suite.check(cfg, _members(name, k, group)) == alone
+        check = verify._SUITES[name].check
+        alone = [check(cfg, _members(name, k, [t]))[0] for t in range(24)]
+        assert check(cfg, _members(name, k, range(24))) == alone
     # the stacked routines against one call per class, at every signature
     # (every factor for the moment conditions) and every piece pattern
     rng = trial_rng(9, "stacked-fd", k)
