@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateSchemeError, SignatureError, ValidationError
+from .errors import (ConditioningError, DegenerateSchemeError, DimensionMismatchError,
+                     SignatureError, ValidationError)
 from .lie import (Matrix, _krylov_frame, _rank, as_matrix, check_same_size, commutator,
                   pairing, power_traces)
 from .slodowy import (SlicePoint, _slice_frame, _slice_from_power_sums,
@@ -311,6 +312,8 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     if len(gs) != d.n_factors:
         raise ValidationError("need one group element per factor")
     mats = [_group_element(g, stacked=1) for g in gs]
+    if any(g.shape[-1] != d.k for g in mats):
+        raise DimensionMismatchError(f"size mismatch: group elements of size {d.k} needed")
     mats = [g if j < d.b else np.linalg.inv(g).swapaxes(-1, -2) for j, g in enumerate(mats)]
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(LocalPiece(
         z=p.z, length=p.length, jets=tuple((m @ jet.swapaxes(-1, -2)).swapaxes(-1, -2)

@@ -168,7 +168,8 @@ def u_equivalent(m1: UClass, m2: UClass) -> bool:
 def u_moment(m: UClass, i: int) -> Matrix:
     """Moment map of the i-th boundary factor; independent of the chosen
     representative."""
-    return _moment(m.gs[i], slice_embed(m.X), m.orientation(i))
+    orientation = m.orientation(i)  # checks i before the factor is read
+    return _moment(m.gs[i], slice_embed(m.X), orientation)
 
 
 def axiom_d_residual(m: UClass) -> float:
@@ -193,8 +194,9 @@ def _invariant_spread(moments: Sequence[Matrix]) -> float:
 def g_action(m: UClass, i: int, g0: Matrix) -> UClass:
     """Boundary group action on factor i; the moment map transforms by
     Ad(g0) for both orientations."""
+    orientation = m.orientation(i)  # checks i before the factor is read
     gs = list(m.gs)
-    gs[i] = _act(gs[i], g0, m.orientation(i))
+    gs[i] = _act(gs[i], g0, orientation)
     return replace(m, gs=tuple(gs))
 
 

@@ -306,9 +306,9 @@ def sample_jetscheme(
 # A chart turns a tangent into the coordinate displacement h * direction
 # (`displace`) and maps a stack of coordinates to the stacked points there
 # together with two stacked chart-constant tangents carried to the form's
-# coordinates at each (`frame_at`).  Its base may be one point or a stack of
-# n trials; coordinates come as whole copies of n, move by move, and the
-# base is tiled to match.  W is the one-factor class `u_build([p])`, so
+# coordinates at each (`frame_at`).  Its base is a stack of n >= 1 trials;
+# coordinates come as whole copies of n, move by move, and the base is
+# broadcast over the copies.  W is the one-factor class `u_build([p])`, so
 # `UChart` is its chart too.
 # A group coordinate s enters through e^s: `_exp_transport` gives e^s and
 # the carried group directions from one block-triangular exponential.
@@ -355,10 +355,10 @@ def _stack(items: list, join=np.stack):
     return type(first)(*(_stack([getattr(t, f.name) for t in items], join) for f in fields(first)))
 
 
-def _tile(stack, reps: int):
-    """reps copies of a stack end to end along its leading axis, in new
-    contiguous arrays, so matmul gets the operands it gets per point."""
-    return _stack([stack] * reps, np.concatenate)
+def _over_copies(base: np.ndarray, moved: np.ndarray, op) -> np.ndarray:
+    """op(base, moved) for a base stack of n trials and whole copies of n
+    stacked end to end in moved, with the base broadcast over the copies."""
+    return op(base, moved.reshape((-1,) + base.shape)).reshape(moved.shape)
 
 
 class UChart:
@@ -367,16 +367,13 @@ class UChart:
     def __init__(self, m: UClass):
         self.m = m
         self.k = m.X.k
-        self.single = m.X.coeffs.ndim == 1
-        self.stack = _stack([m]) if self.single else m
 
     def frame_at(self, coords, u: UTangent, v: UTangent) -> tuple[UClass, UTangent, UTangent]:
         s_list, dc = coords
-        reps = len(dc) // len(self.stack.X.coeffs)
         moved = [_exp_transport(s, (a, b)) for s, a, b in zip(s_list, u.a_list, v.a_list)]
-        gs = tuple(_tile(g, reps) @ es for g, (es, _) in zip(self.stack.gs, moved))
-        x = SlicePoint(self.k, _tile(self.stack.X.coeffs, reps) + dc)
-        point = replace(self.stack, gs=gs, X=x)
+        gs = tuple(_over_copies(g, es, np.matmul) for g, (es, _) in zip(self.m.gs, moved))
+        x = SlicePoint(self.k, _over_copies(self.m.X.coeffs, dc, np.add))
+        point = replace(self.m, gs=gs, X=x)
         au, av = zip(*(pair for _, pair in moved))
         return point, UTangent(a_list=au, dc=u.dc), UTangent(a_list=av, dc=v.dc)
 
@@ -390,14 +387,13 @@ class FChart:
 
     def __init__(self, d: JetScheme):
         self.d = d
-        self.single = np.ndim(d.pieces[0].z) == 0
-        self.stack = _stack([d]) if self.single else d
 
     def frame_at(self, coords, u: FTangent, v: FTangent) -> tuple[JetScheme, FTangent, FTangent]:
         s, dz = coords
-        # the group displacement acts on the left
+        # the group displacement acts on the left, on whole copies of the base
         es, (ru, rv) = _exp_transport(s, (u.rho, v.rho), left=True)
-        moved = act_on_scheme(_tile(self.stack, len(s) // len(self.stack.pieces[0].z)), [es])
+        copies = _stack([self.d] * (len(s) // len(self.d.pieces[0].z)), np.concatenate)
+        moved = act_on_scheme(copies, [es])
         pieces = tuple(replace(p, z=p.z + dz[..., i]) for i, p in enumerate(moved.pieces))
         return replace(moved, pieces=pieces), FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
 
@@ -405,71 +401,62 @@ class FChart:
         return (h * direction.rho, h * direction.dz)
 
 
-def _central_difference(plus, minus, step: float):
-    """(plus - minus) / 2h.  Complex values must come as Python complex:
-    numpy divides a complex by a real through the reciprocal, which rounds
-    differently."""
-    return (plus - minus) / (2 * step)
+def _central_difference(plus, minus):
+    """(plus - minus) / 2h at h = FD_STEP.  Complex values must come as
+    Python complex: numpy divides a complex by a real through the
+    reciprocal, which rounds differently."""
+    return (plus - minus) / (2 * FD_STEP)
 
 
-def fd_exterior_derivative(form, chart, u, v, w, step: float) -> complex | list[complex]:
+def fd_exterior_derivative(form, chart, u, v, w) -> list[complex]:
     """d omega(u, v, w) by the three-term alternating sum with central
-    differences in a flat chart; u, v, w are chart-constant tangents.  The
-    chart's base and the tangents may carry a leading axis of n trials, and
-    then one value per trial comes back as a list; one point is the stack of
-    one.  The six moves of all trials go through the chart and the form as
-    one stack of 6n points."""
-    if step <= 0 or step**2 <= np.finfo(float).eps:
-        raise ValidationError("fd step underflow")
-    if chart.single:
-        u, v, w = (_stack([t]) for t in (u, v, w))
+    differences of step FD_STEP in a flat chart; u, v, w are chart-constant
+    tangents.  The chart's base and the tangents carry a leading axis of
+    n >= 1 trials, and one value per trial comes back as a list.  The six
+    moves of all trials go through the chart and the form as one stack of
+    6n points."""
     moves = [(t, h, rest) for t, rest in ((u, (v, w)), (v, (u, w)), (w, (u, v)))
-             for h in (step, -step)]
+             for h in (FD_STEP, -FD_STEP)]
     coords = _stack([chart.displace(t, h) for t, h, _ in moves], np.concatenate)
     carried = (_stack([rest[i] for _, _, rest in moves], np.concatenate) for i in (0, 1))
     values = np.reshape(form(*chart.frame_at(coords, *carried)), (3, 2, -1)).tolist()
-    d_u, d_v, d_w = ([_central_difference(p, q, step) for p, q in zip(*pm)] for pm in values)
-    out = [a - b + c for a, b, c in zip(d_u, d_v, d_w)]
-    return out[0] if chart.single else out
+    d_u, d_v, d_w = ([_central_difference(p, q) for p, q in zip(*pm)] for pm in values)
+    return [a - b + c for a, b, c in zip(d_u, d_v, d_w)]
 
 
 def fd_moment_conditions(
-    m: UClass, i: int, v: UTangent, step: float,
-    xi: Matrix | None = None, degree=None,
+    m: UClass, i: int, v: UTangent, xi: Matrix | None = None, degree=None,
 ) -> list[tuple]:
     """(omega(fund, v), central difference of the moment along v) on factor i
     of a class, for each condition asked for, in this order: the group action
     of xi (field g_i^{-1} xi g_i incoming, -xi outgoing; moment `u_moment`)
     and the abelian action of P_degree (field C = grad P(X) incoming,
-    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by +-step v.
-    m, v and xi may carry a leading axis of n trials, with one degree per
-    trial; a pair then holds n values of omega in a list and n differences,
-    stacked (group) or in a list (abelian).  One class is the stack of one."""
-    single = m.X.coeffs.ndim == 1
-    if single:
-        m, v, xi = _stack([m]), _stack([v]), None if xi is None else xi[None]
-        degree = None if degree is None else [degree]
+    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by
+    +-FD_STEP v.  m, v and xi carry a leading axis of n >= 1 trials, with one
+    degree per trial; a pair holds n values of omega in a list and n
+    differences, stacked (group) or in a list (abelian)."""
+    incoming = m.orientation(i) == INCOMING  # checks i before the factor is read
     g, n = m.gs[i], len(m.X.coeffs)
-    incoming = m.orientation(i) == INCOMING
-    # the points displaced by +step v, then those displaced by -step v
-    coeffs = np.concatenate([m.X.coeffs + h * v.dc for h in (step, -step)])
-    moved = replace(m, gs=tuple(_tile(g_j, 2) @ expm(np.concatenate([step * a, -step * a]))
-                                for g_j, a in zip(m.gs, v.a_list)), X=SlicePoint(m.X.k, coeffs))
+    # the points displaced by +FD_STEP v, then those displaced by -FD_STEP v
+    coeffs = np.concatenate([m.X.coeffs + h * v.dc for h in (FD_STEP, -FD_STEP)])
+    moved = replace(m, gs=tuple(
+        _over_copies(g_j, expm(np.concatenate([FD_STEP * a, -FD_STEP * a])), np.matmul)
+        for g_j, a in zip(m.gs, v.a_list)), X=SlicePoint(m.X.k, coeffs))
     fund, d_moments = [], []  # factor i's part of each fundamental field; the moment's quotients
     if xi is not None:
         mu = u_moment(moved, i)
         fund.append(np.linalg.inv(g) @ xi @ g if incoming else -xi)
-        d_moments.append(_central_difference(mu[:n], mu[n:], step))
+        d_moments.append(_central_difference(mu[:n], mu[n:]))
     if degree is not None:
         polys = [InvariantPolynomial(d) for d in degree]
         c = np.array([polarized_gradient(p, x) for p, x in zip(polys, slice_embed(m.X))])
         values = [inv_poly_eval(p, x) for p, x in zip(polys * 2, slice_embed(moved.X))]
         fund.append(c if incoming else np.linalg.inv(g) @ c @ g)
-        d_moments.append([_central_difference(p, q, step) for p, q in zip(values[:n], values[n:])])
+        d_moments.append([_central_difference(p, q) for p, q in zip(values[:n], values[n:])])
     zero = np.zeros_like(g)
     omegas = [u_symplectic(m, UTangent(tuple(a if j == i else zero for j in range(m.n_factors)),
                                        np.zeros_like(m.X.coeffs)), v).tolist() for a in fund]
-    return [(w[0], d[0]) if single else (w, d) for w, d in zip(omegas, d_moments)]
+    return list(zip(omegas, d_moments))
 
 
 # ----------------------------------------------------------------------
@@ -533,12 +520,13 @@ class _Suite:
     negative: Callable[[np.random.Generator], float]
     tolerance: float  # reported bound of max_residual
     neg_threshold: float
-    k_cap: int | None = 4  # None: the case is the matrix size, no draw
+    k_cap: int = 4
     # (part, fold, bound): "max" and "sum" parts must stay below the bound,
     # "min" parts above it; bound None means the tolerance
     parts: tuple[tuple[str, str, float | None], ...] = (("", "max", None),)
-    # cfg -> [(stream, index, case)]; default one case per trial
-    cases: Callable[[SuiteConfig], list] | None = None
+    # a case suite: one case per matrix size, from the stream (suite, size),
+    # in place of one case per trial at a drawn size
+    sizes: tuple[int, ...] = ()
 
 
 _FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
@@ -610,7 +598,7 @@ def _check_hamiltonian_w(cfg, members) -> list:
 
     def conditions(m, xi, v, degree):
         (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
-            m, 0, v, FD_STEP, xi=xi, degree=degree.tolist())
+            m, 0, v, xi=xi, degree=degree.tolist())
         return [[("", abs(a - b)), ("", abs(c - d))]
                 for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
 
@@ -620,7 +608,7 @@ def _check_hamiltonian_w(cfg, members) -> list:
 def _negative_hamiltonian_w(rng) -> float:
     # the group condition with the pairing's sign flipped
     def flipped(p, xi, v):
-        [(lhs, dmu)] = fd_moment_conditions(u_build([p]), 0, v, FD_STEP, xi=xi)
+        [(lhs, dmu)] = fd_moment_conditions(u_build([p]), 0, v, xi=xi)
         return [a + b for a, b in zip(lhs, pairing(dmu, xi).tolist())]
 
     return _worst_incoming_k3(
@@ -629,7 +617,7 @@ def _negative_hamiltonian_w(rng) -> float:
 
 def _d_omega(chart, base, tans, form=u_symplectic) -> list[float]:
     """|d form| at each point of a stacked base, on its three stacked tangents."""
-    return [abs(d) for d in fd_exterior_derivative(form, chart(base), *tans, FD_STEP)]
+    return [abs(d) for d in fd_exterior_derivative(form, chart(base), *tans)]
 
 
 def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
@@ -1042,9 +1030,8 @@ _SUITES = {
         _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3
     ),
     "fitting_orbits": _Suite(
-        _each(_check_fitting_orbits), _negative_fitting_orbits, 0.5, 1.0, k_cap=None,
-        parts=(("mispredictions", "sum", None),),
-        cases=lambda cfg: [("fitting_orbits", k, k) for k in _JORDAN_TYPES],
+        _each(_check_fitting_orbits), _negative_fitting_orbits, 0.5, 1.0,
+        parts=(("mispredictions", "sum", None),), sizes=tuple(_JORDAN_TYPES),
     ),
     # acceptances are counted 0 or 1: 0.5 separates them
     "free_action": _Suite(_each(_check_free_action), _negative_free_action, 0.5, 0.5, k_cap=5),
@@ -1052,19 +1039,16 @@ _SUITES = {
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
-    """Run one suite: draw each case's size from its own stream, check the
-    cases of each size as one group, fold each residual part over the cases
-    in case order, evaluate the negative control and apply the pass rule."""
+    """Run one suite: take each case's size (a case suite's own, or one drawn
+    from the case's stream), check the cases of each size as one group, fold
+    each residual part over the cases in case order, evaluate the negative
+    control and apply the pass rule."""
     t0 = time.perf_counter()
     suite = _SUITES[name]
-    cases = (
-        suite.cases(cfg) if suite.cases else [(name, t, t) for t in range(cfg.trials)]
-    )
     members = []
-    for stream, index, case in cases:
-        rng = trial_rng(cfg.seed, stream, index)
-        k = case if suite.k_cap is None else _draw_k(rng, cfg.k, suite.k_cap)
-        members.append((rng, k, case))
+    for case in suite.sizes or range(cfg.trials):
+        rng = trial_rng(cfg.seed, name, case)
+        members.append((rng, case if suite.sizes else _draw_k(rng, cfg.k, suite.k_cap), case))
     residuals = _grouped([k for _, k, _ in members],
                          lambda group: suite.check(cfg, [members[j] for j in group]))
     acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
@@ -1079,7 +1063,7 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
         passed = passed and (acc[part] > bound if fold == "min" else acc[part] < bound)
     return SuiteResult(
         name=name,
-        trials=len(cases),
+        trials=len(members),
         max_residual=float(max(acc[part] for part, fold, _ in suite.parts if fold != "min")),
         tolerance=suite.tolerance,
         negative_residual=neg,

@@ -7,6 +7,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+from mtv import verify  # noqa: E402
+
 
 @pytest.fixture
 def rng():
@@ -15,6 +17,12 @@ def rng():
 
 def rand_complex(rng, *shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def one(x):
+    """x as a stack of one trial (a class, scheme, tangent, list of tangents
+    or matrix), as the finite-difference routines take it."""
+    return verify._stack([x])
 
 
 # Five well-separated eigenvalues: enough for every Jordan type up to k = 5.

@@ -26,7 +26,7 @@ import pytest
 
 from scipy.linalg import expm
 
-from conftest import JORDAN_BASE_POINTS, jordan_configurations, jordan_matrix
+from conftest import JORDAN_BASE_POINTS, jordan_configurations, jordan_matrix, one
 
 from mtv.errors import (
     ConditioningError,
@@ -695,7 +695,7 @@ def test_exterior_derivative_matches_index_loop(k):
                 for _ in range(3)]
         cases.append((f_presymplectic, FChart, d, tans))
     for form, chart, point, tans in cases:
-        got = fd_exterior_derivative(form, chart(point), *tans, FD_STEP)
+        [got] = fd_exterior_derivative(form, chart(one(point)), *one(tans))
         ref = _fd_exterior_derivative_loop(form, _PER_POINT_CHARTS[chart](point), *tans, FD_STEP)
         assert got == ref
 
@@ -723,7 +723,7 @@ def _derivative_cases(k, rng):
 def test_stacked_exterior_derivative_matches_per_point_coding(k):
     rng = trial_rng(24, "d-omega-stacked", k)
     for form, chart, point, tans in _derivative_cases(k, rng):
-        got = fd_exterior_derivative(form, chart(point), *tans, FD_STEP)
+        [got] = fd_exterior_derivative(form, chart(one(point)), *one(tans))
         per_point = _PER_POINT_CHARTS[chart](point)
         assert got == _fd_exterior_derivative_per_point(form, per_point, *tans, FD_STEP)
 
@@ -758,7 +758,7 @@ def test_displaced_point_below_det_tol_refused_by_both_codings():
     v, w = (UTangent(a_list=(t.a_list[0] - np.trace(t.a_list[0]) / 3 * np.eye(3),), dc=t.dc)
             for t in (v, w))
     with pytest.raises(SingularMatrixError):
-        fd_exterior_derivative(u_symplectic, UChart(m), u, v, w, FD_STEP)
+        fd_exterior_derivative(u_symplectic, UChart(one(m)), *one([u, v, w]))
     with pytest.raises(SingularMatrixError):
         _fd_exterior_derivative_per_point(u_symplectic, _PerPointUChart(m), u, v, w, FD_STEP)
 

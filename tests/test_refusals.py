@@ -34,9 +34,12 @@ from mtv.slodowy import (
     slice_coefficients_from_roots,
     slice_point,
 )
-from mtv.uspace import UClass, UTangent, a0_action, glue, u_build, u_symplectic, w00_from_glue
-from mtv.verify import sample_jetscheme
+from mtv.uspace import (UClass, UTangent, a0_action, g_action, glue, u_build, u_moment,
+                        u_symplectic, w00_from_glue)
+from mtv.verify import fd_moment_conditions, sample_jetscheme
 from mtv.wspace import INCOMING, WPoint, WTangent, phi_E_inverse, theta
+
+from conftest import one
 
 I2 = np.eye(2, dtype=complex)
 I3 = np.eye(3, dtype=complex)
@@ -132,6 +135,10 @@ REFUSALS = [
      SingularMatrixError, "singular"),
     ("act_on_scheme_singular_outgoing", lambda: act_on_scheme(_scheme(0, 1), [SINGULAR2]),
      SingularMatrixError, "singular"),
+    ("act_on_scheme_size", lambda: act_on_scheme(_scheme(), [I3]),
+     DimensionMismatchError, "size mismatch"),
+    ("act_on_scheme_size_in_stack", lambda: act_on_scheme(_scheme(), [np.stack([I3, I3])]),
+     DimensionMismatchError, "size mismatch"),
     ("act_on_scheme_singular_in_stack",
      lambda: act_on_scheme(_scheme(), [np.stack([I2, SINGULAR2])]),
      SingularMatrixError, "singular"),
@@ -185,6 +192,12 @@ REFUSALS = [
      ValidationError, "well-conditioned"),
     ("signature_0_0", lambda: UClass(b=0, bprime=0, gs=(), X=X2), SignatureError, "b + b'"),
     ("factor_index", lambda: _class(1, 1).orientation(2), ValidationError, "out of range"),
+    ("u_moment_factor_index", lambda: u_moment(_class(1, 1), 7), ValidationError, "out of range"),
+    ("g_action_factor_index", lambda: g_action(_class(1, 1), 2, I2),
+     ValidationError, "out of range"),
+    ("fd_moment_conditions_factor_index",
+     lambda: fd_moment_conditions(one(_class(1, 1)), 2, one(_tangent(2)), xi=one(I2)),
+     ValidationError, "out of range"),
     ("wpoint_orientation", lambda: WPoint(g=I2, X=X2, orientation="x"),
      ValidationError, "orientation"),
     ("wpoint_size", lambda: WPoint(g=I3, X=X2, orientation=INCOMING),

@@ -29,6 +29,8 @@ from mtv.verify import (
 from mtv.uspace import u_build, u_symplectic
 from mtv.wspace import INCOMING
 
+from conftest import one
+
 
 class TestConfig:
     def test_rejects_bad_values(self):
@@ -86,34 +88,26 @@ class TestSampling:
 
 
 class TestFiniteDifferences:
-    def test_step_underflow(self):
-        rng = trial_rng(1, "fd", 0)
-        m = u_build([sample_wpoint(2, INCOMING, rng)])
-        chart = UChart(m)
-        tans = [sample_utangent(m, rng) for _ in range(3)]
-        with pytest.raises(ValidationError):
-            fd_exterior_derivative(u_symplectic, chart, *tans, 1e-9)
-
     def test_constant_form_closed(self):
         rng = trial_rng(2, "fd", 0)
         m = u_build([sample_wpoint(2, INCOMING, rng)])
-        chart = UChart(m)
-        tans = [sample_utangent(m, rng) for _ in range(3)]
+        chart = UChart(one(m))
+        tans = one([sample_utangent(m, rng) for _ in range(3)])
 
         def const_form(point, u, v):
             # constant coefficients in the (untransported) slice coordinates,
             # one value per point of the stack
             return u.dc[..., 0] * v.dc[..., 1] - u.dc[..., 1] * v.dc[..., 0]
 
-        assert abs(fd_exterior_derivative(const_form, chart, *tans, 1e-4)) < 1e-10
+        assert abs(fd_exterior_derivative(const_form, chart, *tans)[0]) < 1e-10
 
     def test_weighted_pairing_form_not_closed(self):
         # deliberately broken form: the curvature term paired through a
         # non-invariant weight loses closedness
         rng = trial_rng(4, "fd", 0)
         m = u_build([sample_wpoint(3, INCOMING, rng)])
-        chart = UChart(m)
-        tans = [sample_utangent(m, rng) for _ in range(3)]
+        chart = UChart(one(m))
+        tans = one([sample_utangent(m, rng) for _ in range(3)])
         weight = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
         def broken(point, u, v):
@@ -131,16 +125,18 @@ class TestFiniteDifferences:
 
             return tr(au @ dxv) - tr(av @ dxu) + tr(weight @ x @ comm)
 
-        assert abs(fd_exterior_derivative(broken, chart, *tans, 1e-4)) > 1e-2
+        assert abs(fd_exterior_derivative(broken, chart, *tans)[0]) > 1e-2
 
-    def test_residual_scales_quadratically(self):
+    def test_residual_scales_quadratically(self, monkeypatch):
         # halving the step cuts passing-suite residuals by about 4
         rng = trial_rng(3, "fd", 0)
         m = u_build([sample_wpoint(3, INCOMING, rng)])
-        chart = UChart(m)
-        tans = [sample_utangent(m, rng) for _ in range(3)]
-        r1 = abs(fd_exterior_derivative(u_symplectic, chart, *tans, 2e-4))
-        r2 = abs(fd_exterior_derivative(u_symplectic, chart, *tans, 1e-4))
+        chart = UChart(one(m))
+        tans = one([sample_utangent(m, rng) for _ in range(3)])
+        monkeypatch.setattr(verify, "FD_STEP", 2e-4)
+        r1 = abs(fd_exterior_derivative(u_symplectic, chart, *tans)[0])
+        monkeypatch.setattr(verify, "FD_STEP", 1e-4)
+        r2 = abs(fd_exterior_derivative(u_symplectic, chart, *tans)[0])
         assert r2 < r1
         assert r1 / r2 == pytest.approx(4.0, rel=0.35)
 
@@ -268,6 +264,23 @@ def test_free_action_fails_without_singular_refusal(monkeypatch):
     assert res.max_residual == 1.0 and not res.passed
 
 
+def test_jet_noise_in_the_action_fails_both_scheme_suites(monkeypatch):
+    # an action on jets that ignores its group elements and adds noise to
+    # every jet: fitting_orbits' equivariance part sees it on the Jordan
+    # types whose moment is not z I, and hilbert_round_trip on every scheme
+    noise = np.random.default_rng(0)
+
+    def noisy(d, gs):
+        return dataclasses.replace(d, pieces=tuple(
+            dataclasses.replace(p, jets=tuple(j + noise.standard_normal(j.shape) for j in p.jets))
+            for p in d.pieces))
+
+    monkeypatch.setattr(verify, "act_on_scheme", noisy)
+    cfg = SuiteConfig(k=3, trials=5, seed=1, suites=("fitting_orbits", "hilbert_round_trip"))
+    for res in run_suite(cfg).suites:
+        assert res.max_residual > res.tolerance and not res.passed, res.name
+
+
 # The suites whose check draws every case of a group and evaluates the group
 # as one stack.
 _STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity")
@@ -297,18 +310,20 @@ def test_grouped_cases_match_groups_of_one(k):
         ms = [sample_uclass(k, b, bp, rng) for _ in range(3)]
         tans = [[sample_utangent(m, rng) for _ in range(3)] for m in ms]
         stacked = fd_exterior_derivative(
-            u_symplectic, UChart(verify._stack(ms)), *verify._stack(tans), 1e-4)
-        alone = [fd_exterior_derivative(u_symplectic, UChart(m), *t, 1e-4) for m, t in zip(ms, tans)]
+            u_symplectic, UChart(verify._stack(ms)), *verify._stack(tans))
+        alone = [fd_exterior_derivative(u_symplectic, UChart(one(m)), *one(t))[0]
+                 for m, t in zip(ms, tans)]
         assert _bytes(stacked) == _bytes(alone)
         for i in range(b + bp):
             xis = [sample_disc(rng, k, k) for _ in ms]
             degrees = [int(rng.integers(1, k + 1)) for _ in ms]
             stacked = fd_moment_conditions(verify._stack(ms), i, verify._stack([t[0] for t in tans]),
-                                           1e-4, xi=np.stack(xis), degree=degrees)
+                                           xi=np.stack(xis), degree=degrees)
             for j, m in enumerate(ms):
-                alone = fd_moment_conditions(m, i, tans[j][0], 1e-4, xi=xis[j], degree=degrees[j])
+                alone = fd_moment_conditions(one(m), i, one(tans[j][0]), xi=one(xis[j]),
+                                             degree=[degrees[j]])
                 for (lhs, d), (lhs_j, d_j) in zip(stacked, alone):
-                    assert _bytes(lhs[j]) == _bytes(lhs_j) and _bytes(d[j]) == _bytes(d_j)
+                    assert _bytes(lhs[j]) == _bytes(lhs_j[0]) and _bytes(d[j]) == _bytes(d_j[0])
     for cuts in itertools.product((False, True), repeat=k - 1):
         ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [k]
         lengths = [e - s for s, e in zip([0] + ends[:-1], ends)]
@@ -316,6 +331,7 @@ def test_grouped_cases_match_groups_of_one(k):
         tans = [[FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
                  for _ in range(3)] for _ in ds]
         stacked = fd_exterior_derivative(
-            f_presymplectic, FChart(verify._stack(ds)), *verify._stack(tans), 1e-4)
-        alone = [fd_exterior_derivative(f_presymplectic, FChart(d), *t, 1e-4) for d, t in zip(ds, tans)]
+            f_presymplectic, FChart(verify._stack(ds)), *verify._stack(tans))
+        alone = [fd_exterior_derivative(f_presymplectic, FChart(one(d)), *one(t))[0]
+                 for d, t in zip(ds, tans)]
         assert _bytes(stacked) == _bytes(alone)
