@@ -98,10 +98,10 @@ def power_traces(x: Matrix) -> np.ndarray:
 
 
 def _krylov_frame(x: Matrix, v: np.ndarray) -> Matrix:
-    """The k x k matrix with columns v, Xv, ..., X^(k-1) v; of a stack (..., k) of
-    vectors, one frame each, by one mat-vec per vector (a gemm X @ W rounds differently)."""
-    k = x.shape[0]
-    frame = np.empty(v.shape + (k,), dtype=complex)
+    """The k x k matrix with columns v, Xv, ..., X^(k-1) v; of broadcast stacks (..., k, k) and
+    (..., k), one frame each, by one mat-vec per vector (a gemm X @ W rounds differently)."""
+    k = x.shape[-1]
+    frame = np.empty(np.broadcast(x[..., 0, 0], v[..., 0]).shape + (k, k), dtype=complex)
     w = v
     for j in range(k):
         frame[..., j] = w
@@ -110,18 +110,20 @@ def _krylov_frame(x: Matrix, v: np.ndarray) -> Matrix:
 
 
 def ad_operator(x: Matrix) -> Matrix:
-    """The k^2 x k^2 matrix kron(X, I) - kron(I, X^T) of Y -> XY - YX on row-major vec(Y)."""
-    k = x.shape[0]
+    """The k^2 x k^2 matrix kron(X, I) - kron(I, X^T) of Y -> XY - YX on row-major
+    vec(Y); of a stack (..., k, k), one per matrix."""
+    k = x.shape[-1]
     eye = np.eye(k, dtype=complex)
-    return (x[:, None, :, None] * eye[None, :, None, :]
-            - eye[:, None, :, None] * x.T[None, :, None, :]).reshape(k * k, k * k)
+    return (x[..., :, None, :, None] * eye[None, :, None, :] - eye[:, None, :, None]
+            * x.swapaxes(-1, -2)[..., None, :, None, :]).reshape(x.shape[:-2] + (k * k, k * k))
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Numerical rank: the count of singular values s above tol * max(s_0, 1),
-    summed over a stack (..., k) of spectra."""
-    s0 = max(s[0], 1.0) if s.ndim == 1 else np.maximum(s[..., :1], 1.0)
-    return int(np.sum(s > tol * s0))
+def _rank(s: np.ndarray, tol: float) -> int | np.ndarray:
+    """Numerical rank: the count of singular values s above tol * max(s_0, 1);
+    of a stack (..., k) of spectra, one count per spectrum."""
+    s0 = s[..., :1]
+    ranks = (s > tol * np.where(1.0 > s0, 1.0, s0)).sum(axis=-1)
+    return int(ranks) if s.ndim == 1 else ranks
 
 
 def centralizer_basis(x: Matrix) -> list[Matrix]:
@@ -133,16 +135,16 @@ def centralizer_basis(x: Matrix) -> list[Matrix]:
     return [v.reshape(k, k) for v in vh[_rank(s, RANK_TOL) :].conj()]
 
 
-def centralizer_dimension(x: Matrix) -> int:
-    x = as_matrix(x)
+def centralizer_dimension(x: Matrix) -> int | np.ndarray:
+    x = as_matrix(x, stacked=1)
     s = np.linalg.svd(ad_operator(x), compute_uv=False)
-    return x.shape[0] ** 2 - _rank(s, RANK_TOL)
+    return x.shape[-1] ** 2 - _rank(s, RANK_TOL)
 
 
-def is_regular(x: Matrix) -> bool:
-    """True iff dim Z(X) equals k, the rank of gl(k)."""
-    x = as_matrix(x)
-    return centralizer_dimension(x) == x.shape[0]
+def is_regular(x: Matrix) -> bool | np.ndarray:
+    """True iff dim Z(X) equals k, the rank of gl(k); of a stack, one per matrix."""
+    x = as_matrix(x, stacked=1)
+    return centralizer_dimension(x) == x.shape[-1]
 
 
 @dataclass(frozen=True)

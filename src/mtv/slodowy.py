@@ -109,44 +109,46 @@ def _add_f_powers(out: Matrix, coeffs) -> Matrix:
 
 def slice_embed(s: SlicePoint) -> Matrix:
     """e + sum_j c_j f^j as a dense matrix, one per point of a stack."""
-    e = principal_triple(s.k).e
-    out = e.copy() if s.coeffs.ndim == 1 else np.repeat(e[np.newaxis], len(s.coeffs), axis=0)
+    out = np.empty(s.coeffs.shape[:-1] + (s.k, s.k), dtype=complex)
+    out[...] = principal_triple(s.k).e
     return _add_f_powers(out, s.coeffs)
 
 
 def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
-    """The slice point whose power traces are `target` (length k).
+    """The slice point whose power traces are `target`, (k,) or a stack (n, k).
 
     trace(S(c)^m) = beta_m * c_(m-1) + (terms in c_0..c_(m-2)), a triangular
     system solved by forward substitution; S gains c_j f^j once c_j is known.
     """
     pivots = _trace_pivots(k)
-    partial = principal_triple(k).e.copy()
-    coeffs = np.zeros(k, dtype=complex)
+    partial = np.empty(target.shape[:-1] + (k, k), dtype=complex)
+    partial[...] = principal_triple(k).e
+    coeffs = np.zeros(target.shape, dtype=complex)
     for m, values in enumerate(_f_power_diagonals(k), 1):
-        t_m = np.trace(np.linalg.matrix_power(partial, m))
-        coeffs[m - 1] = (target[m - 1] - t_m) / pivots[m - 1]
-        # superdiagonal m - 1 of partial, a view of its flat entries
-        partial.reshape(-1)[m - 1 :: k + 1][: k - m + 1] += coeffs[m - 1] * values
+        t_m = np.trace(np.linalg.matrix_power(partial, m), axis1=-2, axis2=-1)
+        c = coeffs.T[m - 1] = (target.T[m - 1] - t_m) / pivots[m - 1]  # a stack axis trails
+        # superdiagonal m - 1 of each partial, a view of its flat entries
+        partial.reshape(-1, k * k)[:, m - 1 :: k + 1][:, : k - m + 1] += c[..., None] * values
     return SlicePoint(k=k, coeffs=coeffs)
 
 
 def slice_representative(x: Matrix) -> SlicePoint:
     """The unique slice point whose embedded matrix has the characteristic
-    polynomial of X.
+    polynomial of X; of a stack (n, k, k), one point per matrix, refused if
+    any matrix is not regular.
 
     Works through power traces (see `_slice_from_power_sums`).
     """
-    x = as_matrix(x)
-    if not is_regular(x):
+    x = as_matrix(x, stacked=1)
+    if not np.all(is_regular(x)):
         raise RegularityError("slice representative requires a regular matrix")
-    return _slice_from_power_sums(power_traces(x), x.shape[0])
+    return _slice_from_power_sums(power_traces(x), x.shape[-1])
 
 
 def _slice_frame(s: SlicePoint) -> Matrix:
-    """The Krylov frame (e_1, X e_1, ..., X^(k-1) e_1) of the slice matrix X.
-    X is e plus an upper triangular matrix, so the frame is unit upper
-    triangular: e_1 is cyclic for every slice matrix."""
+    """The Krylov frame (e_1, X e_1, ..., X^(k-1) e_1) of the slice matrix X,
+    one per point of a stack.  X is e plus an upper triangular matrix, so the
+    frame is unit upper triangular: e_1 is cyclic for every slice matrix."""
     return _krylov_frame(slice_embed(s), np.eye(s.k, dtype=complex)[0])
 
 

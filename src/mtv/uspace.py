@@ -87,10 +87,19 @@ class UTangent:
     dc: np.ndarray
 
 
-def _centralizer_residual(u: Matrix, x: Matrix) -> float:
-    """max |[u, X]| scaled by max(1, |X|) * max(1, |u|) (largest entries)."""
-    scale = max(1.0, float(np.max(np.abs(x)))) * max(1.0, float(np.max(np.abs(u))))
-    return float(np.max(np.abs(commutator(u, x)))) / scale
+def _largest(a: np.ndarray, axes: int = 2) -> np.ndarray:
+    """The largest |entry| over the last `axes` axes: one per matrix (or vector) of a stack."""
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
+
+
+def _at_least(v, floor: float = 1.0):
+    """max(floor, v) per entry, as Python's max folds it: floor unless v > floor."""
+    return np.where(v > floor, v, floor)
+
+
+def _centralizer_residual(u: Matrix, x: Matrix) -> np.ndarray:
+    """max |[u, X]| scaled by max(1, |X|) * max(1, |u|) (largest entries), per matrix."""
+    return _largest(commutator(u, x)) / (_at_least(_largest(x)) * _at_least(_largest(u)))
 
 
 @dataclass(frozen=True)
@@ -139,24 +148,28 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     commutators [u_i, X], and |prod u_i - 1| scaled by prod max(1, |u_i|)
     (largest entries), where u_i = h_i^{-1} g_i for incoming factors and
     g_i h_i^{-1} for outgoing ones.  Zero (up to roundoff) iff the
-    representatives define the same class."""
+    representatives define the same class.  Of two stacked classes, one
+    residual per trial."""
     if (m1.b, m1.bprime) != (m2.b, m2.bprime):
         raise SignatureError("signatures differ")
     if m1.X.k != m2.X.k:
         raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
-    residual = float(np.max(np.abs(m1.X.coeffs - m2.X.coeffs)))
+    residual = _largest(m1.X.coeffs - m2.X.coeffs, axes=1)
     x = slice_embed(m1.X)
-    prod = np.eye(m1.X.k, dtype=complex)
+    x_scale = _at_least(_largest(x))
+    prod = eye = np.eye(m1.X.k, dtype=complex)
     scale = 1.0
     for i in range(m1.n_factors):
         if m1.orientation(i) == INCOMING:
             u = np.linalg.inv(m2.gs[i]) @ m1.gs[i]
         else:
             u = m1.gs[i] @ np.linalg.inv(m2.gs[i])
-        residual = max(residual, _centralizer_residual(u, x))
+        u_scale = _at_least(_largest(u))  # as in `_centralizer_residual`, X's scale taken once
+        residual = _at_least(_largest(commutator(u, x)) / (x_scale * u_scale), residual)
         prod = prod @ u
-        scale *= max(1.0, float(np.max(np.abs(u))))
-    return max(residual, float(np.max(np.abs(prod - np.eye(m1.X.k)))) / scale)
+        scale = scale * u_scale
+    residual = _at_least(_largest(prod - eye) / scale, residual)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def u_equivalent(m1: UClass, m2: UClass) -> bool:
@@ -172,9 +185,10 @@ def u_moment(m: UClass, i: int) -> Matrix:
     return _moment(m.gs[i], slice_embed(m.X), orientation)
 
 
-def axiom_d_residual(m: UClass) -> float:
+def axiom_d_residual(m: UClass) -> float | np.ndarray:
     """Max spread of the invariant polynomial values over all boundary
-    moments: P(mu_i) must equal P(mu_j) and P(-mu'_l) for every generator."""
+    moments: P(mu_i) must equal P(mu_j) and P(-mu'_l) for every generator.
+    Of a stacked class, one spread per trial."""
     return _invariant_spread(_signed_moments(m))
 
 
@@ -184,11 +198,12 @@ def _signed_moments(m: UClass) -> list[Matrix]:
     return [mu if m.orientation(i) == INCOMING else -mu for i, mu in enumerate(mus)]
 
 
-def _invariant_spread(moments: Sequence[Matrix]) -> float:
+def _invariant_spread(moments: Sequence[Matrix]) -> float | np.ndarray:
     """Largest difference of the power traces of any moment from those of
-    the first."""
+    the first; of stacked moments, one per trial."""
     arr = power_traces(np.array(moments))
-    return float(np.max(np.abs(arr - arr[0])))
+    spread = np.max(np.abs(arr - arr[0]), axis=(0, -1))
+    return float(spread) if spread.ndim == 0 else spread
 
 
 def g_action(m: UClass, i: int, g0: Matrix) -> UClass:
@@ -341,18 +356,21 @@ def _cyclic_candidates(k: int) -> np.ndarray:
 
 def _cyclic_frame(x: Matrix) -> Matrix:
     """The Krylov frame (v, Xv, ..., X^(k-1) v) of a regular matrix with the largest smallest
-    singular value over the k + 4 candidates, built as one stack (first wins ties)."""
-    frames = _krylov_frame(x, _cyclic_candidates(x.shape[0]))
-    sigma = np.linalg.svd(frames, compute_uv=False)[:, -1]
-    best = int(np.argmax(sigma))
-    if sigma[best] <= 1e-13:
+    singular value over the k + 4 candidates, built as one stack (first wins ties); of a
+    stack of matrices, one frame each, refused if any matrix has no usable candidate."""
+    frames = _krylov_frame(x[..., None, :, :], _cyclic_candidates(x.shape[-1]))
+    sigma = np.linalg.svd(frames, compute_uv=False)[..., -1]
+    best = sigma.argmax(axis=-1)
+    pick = (*np.indices(best.shape, sparse=True), best)  # each matrix's best candidate
+    if (sigma[pick] <= 1e-13).any():
         raise SingularMatrixError("no usable cyclic vector: matrix not regular?")
-    return frames[best]
+    return frames[pick]
 
 
 def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
-    """Explicit inverse of `u11_to_tstar` on (g, regular Y)."""
-    y = as_matrix(y)
+    """Explicit inverse of `u11_to_tstar` on (g, regular Y); of stacks of g and
+    Y, one stacked class."""
+    y = as_matrix(y, stacked=1)
     x = slice_representative(y)
     # both frames satisfy  M b = b K  with the same companion K, so
     # g1 = b_y b_x^{-1} conjugates slice_embed(x) to y

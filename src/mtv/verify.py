@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import GluingError, SingularMatrixError, ValidationError
+from .errors import GluingError, RegularityError, SingularMatrixError, ValidationError
 from .hilbert import (
     FTangent,
     JetScheme,
@@ -52,7 +52,6 @@ from .lie import (
     Matrix,
     check_same_size,
     commutator,
-    gradient_of_combination,
     inv_poly_eval,
     is_regular,
     pairing,
@@ -81,6 +80,7 @@ from .uspace import (
     u_symplectic_single_slice_form,
     axiom_d_residual,
     _invariant_spread,
+    _largest,
     _signed_moments,
 )
 from .wspace import (
@@ -209,8 +209,7 @@ def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
 def sample_group(k: int, rng: np.random.Generator) -> Matrix:
     """exp of a matrix with entries in the unit disc (scaled by 0.5 / sqrt(k)
     for conditioning); always invertible."""
-    a = sample_disc(rng, k, k) * 0.5 / np.sqrt(k)
-    return expm(a)
+    return expm(sample_disc(rng, k, k) * 0.5 / np.sqrt(k))
 
 
 def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
@@ -222,9 +221,13 @@ def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
     return WTangent(a=sample_disc(rng, k, k), dc=sample_disc(rng, k))
 
 
+def _uclass_draws(k: int, n_factors: int, rng: np.random.Generator) -> tuple:
+    """The slice point and the factors of a class, in the order drawn."""
+    return sample_slice_point(k, rng), tuple(sample_group(k, rng) for _ in range(n_factors))
+
+
 def sample_uclass(k: int, b: int, bprime: int, rng: np.random.Generator) -> UClass:
-    x = sample_slice_point(k, rng)
-    gs = tuple(sample_group(k, rng) for _ in range(b + bprime))
+    x, gs = _uclass_draws(k, b + bprime, rng)
     return UClass(b=b, bprime=bprime, gs=gs, X=x)
 
 
@@ -236,20 +239,27 @@ def sample_utangent(m: UClass, rng: np.random.Generator) -> UTangent:
     )
 
 
+def _centralizer_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k coefficients a_m of the polynomial gradient of `sample_centralizer_element`."""
+    return np.array([complex(sample_disc(rng)) for _ in range(k)])
+
+
+def _centralizer_element(x_emb: Matrix, coefficients: np.ndarray) -> Matrix:
+    """exp(c) for the gradient c = sum_m a_m m X^(m-1) of sum_m a_m trace(X^m), scaled by
+    0.5 / max(1, |c|_2) unless |c|_2 <= 1e-12; of stacks (n, k, k) and (n, k), one per trial."""
+    c = np.zeros_like(x_emb)
+    for m in range(1, x_emb.shape[-1] + 1):  # transposed, a stack axis trails
+        c = c + (coefficients.T[m - 1] * m * np.linalg.matrix_power(x_emb, m - 1).T).T
+    norm = np.linalg.svd(c, compute_uv=False)[..., :1, None]  # the spectral norm |c|_2
+    scaled = 0.5 * c / np.where(norm > 1.0, norm, 1.0)
+    return expm(np.where(norm > 1e-12, scaled, c))
+
+
 def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matrix:
     """exp of a norm-controlled random polynomial gradient (spectral norm at
     most 0.5): an invertible element of Z(X) close enough to 1 for
     well-conditioned tests."""
-    k = x_emb.shape[0]
-    summands = [
-        InvariantPolynomial(m, complex(sample_disc(rng)))
-        for m in range(1, k + 1)
-    ]
-    c = gradient_of_combination(summands, x_emb)
-    norm = np.linalg.norm(c, 2)
-    if norm > 1e-12:
-        c = 0.5 * c / max(1.0, norm)
-    return expm(c)
+    return _centralizer_element(x_emb, _centralizer_coefficients(x_emb.shape[-1], rng))
 
 
 def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
@@ -340,9 +350,9 @@ def _exp_transport(
     return es, [moved[..., i * k:(i + 1) * k] for i in range(n)]
 
 
-def _stack(items: list, join=np.stack):
+def _stack(items: list, join=np.array):
     """Same-kind items joined field by field: arrays and complex numbers by
-    `join` (`np.stack` adds a leading axis, `np.concatenate` extends it),
+    `join` (`np.array` adds a leading axis, `np.concatenate` extends it),
     through tuples, lists and dataclasses; any other field (a size, a
     signature, an orientation) is the first item's."""
     first = items[0]
@@ -771,27 +781,34 @@ def _negative_gluing(rng) -> float:
         return 10.0
 
 
-def _centralizer_twin(m: UClass, rng: np.random.Generator) -> UClass:
-    """An equivalent (1,1) representative (g_1 z, z^{-1} g_2), z in Z(X)."""
-    z = sample_centralizer_element(slice_embed(m.X), rng)
-    return UClass(b=1, bprime=1, gs=(m.gs[0] @ z, np.linalg.inv(z) @ m.gs[1]), X=m.X)
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entrywise |a - b| per trial of two stacks."""
+    return _largest(a - b, axes=a.ndim - 1)
 
 
-def _check_theorem_2_4_i(cfg, rng, k, trial) -> _Residuals:
-    m = sample_uclass(k, 1, 1, rng)
-    m_eq = _centralizer_twin(m, rng)
+def _check_theorem_2_4_i(cfg, members) -> list:
+    k = members[0][1]
+    (x, gs), coefficients, (x_o, gs_o) = _stack([  # each member's draws in the order of one case
+        (_uclass_draws(k, 2, rng), _centralizer_coefficients(k, rng), _uclass_draws(k, 2, rng))
+        for rng, _, _ in members])
+    m = UClass(b=1, bprime=1, gs=gs, X=x)
     g1, y1 = u11_to_tstar(m)
-    g2, y2 = u11_to_tstar(m_eq)
-    yield from _gaps((g1, y1), (g2, y2))
-    if not is_regular(y1):
-        yield "", 1.0
-    back = u11_from_tstar(g1, y1)
-    yield "", u_equivalence_residual(m, back)
+    z = _centralizer_element(slice_embed(m.X), coefficients)  # an equivalent (g_1 z, z^{-1} g_2)
+    g2, y2 = u11_to_tstar(UClass(b=1, bprime=1, gs=(gs[0] @ z, np.linalg.inv(z) @ gs[1]), X=x))
+    back = np.ones(len(y1))  # a case whose image the inverse refuses fails
+    try:
+        back[:] = u_equivalence_residual(m, u11_from_tstar(g1, y1))
+    except RegularityError:  # the inverse takes regular images only: invert those alone
+        ok = is_regular(y1)
+        if ok.any():
+            kept = UClass(b=1, bprime=1, gs=tuple(g[ok] for g in gs), X=SlicePoint(k, x.coeffs[ok]))
+            back[ok] = u_equivalence_residual(kept, u11_from_tstar(g1[ok], y1[ok]))
     # injectivity: an independent class maps to a different image
-    other = sample_uclass(k, 1, 1, rng)
-    go, yo = u11_to_tstar(other)
-    sep = max(float(np.max(np.abs(g1 - go))), float(np.max(np.abs(y1 - yo))))
-    yield "min_pair_separation", sep
+    go, yo = u11_to_tstar(UClass(b=1, bprime=1, gs=gs_o, X=x_o))
+    sep_g, sep_y = _gap(g1, go), _gap(y1, yo)
+    columns = _gap(g1, g2), _gap(y1, y2), back, np.where(sep_y > sep_g, sep_y, sep_g)
+    return [[("", a), ("", b), ("", c), ("min_pair_separation", sep)]
+            for a, b, c, sep in zip(*(column.tolist() for column in columns))]
 
 
 def _negative_theorem_2_4_i(rng) -> float:
@@ -804,53 +821,50 @@ def _negative_theorem_2_4_i(rng) -> float:
                for a, b in zip(u11_to_tstar(m), u11_to_tstar(half)))
 
 
-def _gaps(xs, ys) -> _Residuals:
-    """Largest entrywise difference of each pair of arrays."""
-    for a, b in zip(xs, ys):
-        yield "", float(np.max(np.abs(a - b)))
+@lru_cache(maxsize=None)
+def _slice_reversal_misses(k: int) -> int:
+    """How many e + f^j `_reverse` moves off the slice (it should move none)."""
+    return sum(not is_in_slice(_reverse(principal_triple(k).e + f_j)) for f_j in _f_powers(k))
 
 
-def _check_axiom_e(cfg, rng, k, trial) -> _Residuals:
-    p = sample_wpoint(k, INCOMING, rng)
+def _check_axiom_e(cfg, members) -> list:
+    k = members[0][1]
+    g, s, g0, a, h1, h2, (x_m, gs_m), g1 = _stack([(  # each member's draws in case order
+        sample_group(k, rng), sample_slice_point(k, rng), sample_group(k, rng),
+        sample_disc(rng, k, k), sample_group(k, rng), sample_group(k, rng),
+        _uclass_draws(k, 3, rng), sample_group(k, rng)) for rng, _, _ in members])
+    p = WPoint(g=g, X=s, orientation=INCOMING)
     # phi_E keeps X as it is, which holds because the reversal fixes the
     # slice matrix (a plain transpose would not)
     x = slice_embed(p.X)
-    yield "", float(np.max(np.abs(_reverse(x) - x)))
+    columns = [_gap(_reverse(x), x)]
     q = phi_E(p)
     # anti-equivariance with the conjugated involution
-    g0 = sample_group(k, rng)
     lhs = phi_E(g_act_w(p, g0))
     rhs = g_act_w(q, theta_twisted(g0, "group"))
-    yield from _gaps((lhs.g, lhs.X.coeffs), (rhs.g, rhs.X.coeffs))
+    columns += [_gap(lhs.g, rhs.g), _gap(lhs.X.coeffs, rhs.X.coeffs)]
     # round trip through the inverse
-    back = phi_E_inverse(q)
-    yield "", float(np.max(np.abs(back.g - p.g)))
+    columns.append(_gap(phi_E_inverse(q).g, p.g))
     # involution properties of theta itself
-    a = sample_disc(rng, k, k)
-    yield "", float(np.max(np.abs(theta(theta(a)) - a)))
-    h1 = sample_group(k, rng)
-    h2 = sample_group(k, rng)
-    split = theta(h1, "group") @ theta(h2, "group")
-    yield "", float(np.max(np.abs(theta(h1 @ h2, "group") - split)))
+    columns.append(_gap(theta(theta(a)), a))
+    columns.append(_gap(theta(h1 @ h2, "group"), theta(h1, "group") @ theta(h2, "group")))
     # conjugator maps the opposite slice into the slice
-    e = principal_triple(k).e
-    for f_j in _f_powers(k):
-        if not is_in_slice(_reverse(e + f_j)):
-            yield "", 1.0
+    failed = np.ones(len(members))
+    columns += [failed] * _slice_reversal_misses(k)
     # class-level reversal: signature shift, anti-equivariance on the
     # moved factor, plain equivariance on the untouched ones
-    m = sample_uclass(k, 2, 1, rng)
+    m = UClass(b=2, bprime=1, gs=gs_m, X=x_m)
     q_cls = phi_e_class(m)
     if (q_cls.b, q_cls.bprime) != (1, 2):
-        yield "", 1.0
-    yield "", axiom_d_residual(q_cls)
-    g1 = sample_group(k, rng)
+        columns.append(failed)
+    columns.append(axiom_d_residual(q_cls))
     lhs_cls = phi_e_class(g_action(m, 1, g1))
     rhs_cls = g_action(q_cls, q_cls.n_factors - 1, theta_twisted(g1, "group"))
-    yield from _gaps(lhs_cls.gs, rhs_cls.gs)
+    columns += map(_gap, lhs_cls.gs, rhs_cls.gs)
     lhs_cls = phi_e_class(g_action(m, 0, g1))
     rhs_cls = g_action(q_cls, 0, g1)
-    yield from _gaps(lhs_cls.gs, rhs_cls.gs)
+    columns += map(_gap, lhs_cls.gs, rhs_cls.gs)
+    return [[("", value) for value in row] for row in zip(*(c.tolist() for c in columns))]
 
 
 def _negative_axiom_e(rng) -> float:
@@ -895,7 +909,8 @@ def _check_hilbert_round_trip(cfg, rng, k, trial) -> _Residuals:
     rhs = m
     for j, g in enumerate(gs):
         rhs = g_action(rhs, j, g)
-    yield from _gaps((*lhs.gs, lhs.X.coeffs), (*rhs.gs, rhs.X.coeffs))
+    for a, b in zip((*lhs.gs, lhs.X.coeffs), (*rhs.gs, rhs.X.coeffs)):
+        yield "", float(np.max(np.abs(a - b)))
 
 
 def _negative_hilbert_round_trip(rng) -> float:
@@ -1022,10 +1037,10 @@ _SUITES = {
     "axiom_d": _Suite(_each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
     "gluing": _Suite(_each(_check_gluing), _negative_gluing, 1e-9, 1.0),
     "theorem_2_4_i": _Suite(
-        _each(_check_theorem_2_4_i), _negative_theorem_2_4_i, 1e-9, 1e-6,
+        _check_theorem_2_4_i, _negative_theorem_2_4_i, 1e-9, 1e-6,
         parts=(("", "max", None), ("min_pair_separation", "min", 1e-6)),
     ),
-    "axiom_e": _Suite(_each(_check_axiom_e), _negative_axiom_e, 1e-10, 1e-2),
+    "axiom_e": _Suite(_check_axiom_e, _negative_axiom_e, 1e-10, 1e-2),
     "hilbert_round_trip": _Suite(
         _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3
     ),

@@ -55,8 +55,9 @@ def _group_element(g, stacked: int = 0) -> Matrix:
 
 
 def _act(g: Matrix, h: Matrix, orientation: str) -> Matrix:
-    """h acting on the factor g: h g if incoming, g h^{-1} if outgoing."""
-    h = _group_element(h)
+    """h acting on the factor g: h g if incoming, g h^{-1} if outgoing; a
+    stack of factors g takes one h or a stack of them."""
+    h = _group_element(h, stacked=g.ndim - 2)
     check_same_size(g, h)
     if orientation == INCOMING:
         return h @ g
@@ -243,11 +244,11 @@ def a_moment(p: WPoint) -> np.ndarray:
 
 def theta(m: Matrix, kind: str = "algebra") -> Matrix:
     """The type-A involution for the diagonal Cartan: -A^T on the algebra,
-    inverse transpose on the group."""
+    inverse transpose on the group; of a stack (n, k, k), one per matrix."""
     if kind == "algebra":
-        return -as_matrix(m).T
+        return -as_matrix(m, stacked=1).swapaxes(-1, -2)
     if kind == "group":
-        return np.linalg.inv(_group_element(m)).T
+        return np.linalg.inv(_group_element(m, stacked=1)).swapaxes(-1, -2)
     raise ValidationError("kind must be 'algebra' or 'group'")
 
 
@@ -264,16 +265,16 @@ def opposite_slice_conjugator(k: int) -> Matrix:
 def theta_twisted(g: Matrix, kind: str = "algebra") -> Matrix:
     """The involution Ad(p) o theta appearing in the orientation-reversal
     equivariance law; p is the opposite-slice conjugator J, so this is
-    theta(g) with rows and columns reversed."""
-    return theta(g, kind)[::-1, ::-1].copy()
+    theta(g) with rows and columns reversed, per matrix of a stack."""
+    return theta(g, kind)[..., ::-1, ::-1].copy()
 
 
 def _reverse(a: Matrix) -> Matrix:
     """J a^T J, the flip of a about its antidiagonal, as a new array: the
     orientation reversal of a group factor, g -> p theta(g)^{-1} p^{-1}, and
     of the slice matrix, X -> -Ad(p) theta(X).  An involution that fixes
-    every slice matrix exactly."""
-    return a.T[::-1, ::-1].copy()
+    every slice matrix exactly; per matrix of a stack."""
+    return a.swapaxes(-1, -2)[..., ::-1, ::-1].copy()
 
 
 def phi_E(p: WPoint) -> WPoint:

@@ -98,6 +98,7 @@ from mtv.verify import (
     _SIGNATURES,
     _literal_wedge,
     _matrix_units,
+    _stack,
     fd_exterior_derivative,
     sample_disc,
     sample_group,
@@ -680,52 +681,74 @@ def _fd_exterior_derivative_loop(form, chart, u, v, w, step):
     return total
 
 
+def _trials(draw, n=3):
+    """n trials of draw(): (point, tangents) pairs of one shape."""
+    return [draw() for _ in range(n)]
+
+
+def _stacked_derivative(form, chart, trials):
+    """fd_exterior_derivative on the stack of the (point, tangents) trials."""
+    points, tans = zip(*trials)
+    return fd_exterior_derivative(form, chart(_stack(list(points))), *_stack(list(tans)))
+
+
+def _w_trial(k, orientation, rng):
+    w = u_build([sample_wpoint(k, orientation, rng)])
+    return w, [sample_utangent(w, rng) for _ in range(3)]
+
+
+def _u_trial(k, b, bprime, rng):
+    m = sample_uclass(k, b, bprime, rng)
+    return m, [sample_utangent(m, rng) for _ in range(3)]
+
+
+def _f_trial(k, lengths, rng):
+    d = _scheme(rng, lengths, 1, 0)
+    return d, [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
+               for _ in range(3)]
+
+
 @pytest.mark.parametrize("k", range(1, 5))
 def test_exterior_derivative_matches_index_loop(k):
+    # stacks of three trials, each trial against its own index-loop reference
     rng = trial_rng(21, "d-omega", k)
-    cases = []
-    for orientation in (INCOMING, OUTGOING):  # W as the one-factor class
-        w = u_build([sample_wpoint(k, orientation, rng)])
-        cases.append((u_symplectic, UChart, w, [sample_utangent(w, rng) for _ in range(3)]))
-    m = sample_uclass(k, 2, 1, rng)
-    cases.append((u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]))
+    cases = [(u_symplectic, UChart, _trials(lambda: _w_trial(k, orientation, rng)))
+             for orientation in (INCOMING, OUTGOING)]  # W as the one-factor class
+    cases.append((u_symplectic, UChart, _trials(lambda: _u_trial(k, 2, 1, rng))))
     for lengths in _compositions(k):
-        d = _scheme(rng, lengths, 1, 0)
-        tans = [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
-                for _ in range(3)]
-        cases.append((f_presymplectic, FChart, d, tans))
-    for form, chart, point, tans in cases:
-        [got] = fd_exterior_derivative(form, chart(one(point)), *one(tans))
-        ref = _fd_exterior_derivative_loop(form, _PER_POINT_CHARTS[chart](point), *tans, FD_STEP)
-        assert got == ref
+        cases.append((f_presymplectic, FChart, _trials(lambda: _f_trial(k, lengths, rng))))
+    for form, chart, trials in cases:
+        got = _stacked_derivative(form, chart, trials)
+        assert len(got) == len(trials)
+        for value, (point, tans) in zip(got, trials):
+            assert value == _fd_exterior_derivative_loop(
+                form, _PER_POINT_CHARTS[chart](point), *tans, FD_STEP)
 
 
 def _derivative_cases(k, rng):
-    """(form, chart class, base point, tangents) for W, as the one-factor
-    class, in both orientations with the canonical and the literal
-    moment-wedge form, U at every signature with b + b' <= 4, and F (1,0) at
-    every piece pattern."""
+    """(form, chart class, trials) for W, as the one-factor class, in both
+    orientations with the canonical and the literal moment-wedge form, U at
+    every signature with b + b' <= 4, and F (1,0) at every piece pattern; the
+    trials are three (base point, tangents) pairs of one shape."""
     for orientation in (INCOMING, OUTGOING):
         for form in (u_symplectic, _literal_wedge):
-            w = u_build([sample_wpoint(k, orientation, rng)])
-            yield form, UChart, w, [sample_utangent(w, rng) for _ in range(3)]
+            yield form, UChart, _trials(lambda: _w_trial(k, orientation, rng))
     for b, bprime in _SIGNATURES:
-        m = sample_uclass(k, b, bprime, rng)
-        yield u_symplectic, UChart, m, [sample_utangent(m, rng) for _ in range(3)]
+        yield u_symplectic, UChart, _trials(lambda: _u_trial(k, b, bprime, rng))
     for lengths in _compositions(k):
-        d = _scheme(rng, lengths, 1, 0)
-        tans = [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
-                for _ in range(3)]
-        yield f_presymplectic, FChart, d, tans
+        yield f_presymplectic, FChart, _trials(lambda: _f_trial(k, lengths, rng))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_stacked_exterior_derivative_matches_per_point_coding(k):
+    # stacks of three trials, each trial against its own per-point reference
     rng = trial_rng(24, "d-omega-stacked", k)
-    for form, chart, point, tans in _derivative_cases(k, rng):
-        [got] = fd_exterior_derivative(form, chart(one(point)), *one(tans))
-        per_point = _PER_POINT_CHARTS[chart](point)
-        assert got == _fd_exterior_derivative_per_point(form, per_point, *tans, FD_STEP)
+    for form, chart, trials in _derivative_cases(k, rng):
+        got = _stacked_derivative(form, chart, trials)
+        assert len(got) == len(trials)
+        for value, (point, tans) in zip(got, trials):
+            per_point = _PER_POINT_CHARTS[chart](point)
+            assert value == _fd_exterior_derivative_per_point(form, per_point, *tans, FD_STEP)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

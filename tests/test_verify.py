@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from mtv import uspace, verify
+from mtv import slodowy, uspace, verify
+from mtv.cli import main
 from mtv.errors import DimensionMismatchError, ValidationError
 from mtv.hilbert import FTangent, f_presymplectic
 from mtv.lie import as_matrix
@@ -281,9 +282,24 @@ def test_jet_noise_in_the_action_fails_both_scheme_suites(monkeypatch):
         assert res.max_residual > res.tolerance and not res.passed, res.name
 
 
+def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
+    # an image that the inverse cannot take fails its case with residual 1.0:
+    # the suite reports it, and `mtv verify` exits 1, not 2 (the bad-input code)
+    def never(x):
+        return np.zeros(np.shape(x)[:-2], dtype=bool)
+
+    monkeypatch.setattr(verify, "is_regular", never)
+    monkeypatch.setattr(slodowy, "is_regular", never)
+    res = run_suite(SuiteConfig(k=3, trials=5, seed=1, suites=("theorem_2_4_i",))).suites[0]
+    assert res.max_residual == 1.0 and not res.passed
+    argv = ["verify", "--suite", "theorem_2_4_i", "--k", "3", "--trials", "5", "--seed", "1"]
+    assert main(argv) == 1
+
+
 # The suites whose check draws every case of a group and evaluates the group
 # as one stack.
-_STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity")
+_STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity",
+                   "theorem_2_4_i", "axiom_e")
 
 
 def _members(name, k, trials):
@@ -292,6 +308,23 @@ def _members(name, k, trials):
 
 def _bytes(values):
     return np.array(values, dtype=complex).tobytes()
+
+
+def test_partly_regular_group_matches_groups_of_one(monkeypatch):
+    # a group whose images are regular in part: the regular cases keep their
+    # residuals and the others report 1.0, each as in a group of one
+    regular = verify.is_regular
+
+    def some(x):
+        return regular(x) & (np.trace(x, axis1=-2, axis2=-1).real > 0)
+
+    monkeypatch.setattr(verify, "is_regular", some)
+    monkeypatch.setattr(slodowy, "is_regular", some)
+    check = verify._SUITES["theorem_2_4_i"].check
+    cfg = SuiteConfig(k=3, trials=1, seed=9)
+    alone = [check(cfg, _members("theorem_2_4_i", 3, [t]))[0] for t in range(24)]
+    assert check(cfg, _members("theorem_2_4_i", 3, range(24))) == alone
+    assert 0 < sum(pairs[2] == ("", 1.0) for pairs in alone) < 24
 
 
 @pytest.mark.parametrize("k", range(1, 6))
