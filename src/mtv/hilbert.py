@@ -196,7 +196,7 @@ def g_matrix(d: JetScheme, factor: int) -> Matrix:
 def _invertible(m: Matrix) -> bool:
     """Whether m, or every matrix of a stack, is numerically invertible."""
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(np.all(_rank(s, NONDEGENERACY_TOL) == s.shape[-1]))
+    return bool(np.asarray(_rank(s, NONDEGENERACY_TOL) == s.shape[-1]).all())
 
 
 def locally_nondegenerate(d: JetScheme) -> bool:

@@ -121,8 +121,7 @@ def ad_operator(x: Matrix) -> Matrix:
 def _rank(s: np.ndarray, tol: float) -> int | np.ndarray:
     """Numerical rank: the count of singular values s above tol * max(s_0, 1);
     of a stack (..., k) of spectra, one count per spectrum."""
-    s0 = s[..., :1]
-    ranks = (s > tol * np.where(1.0 > s0, 1.0, s0)).sum(axis=-1)
+    ranks = (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1)  # s_0 is never NaN
     return int(ranks) if s.ndim == 1 else ranks
 
 

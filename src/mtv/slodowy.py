@@ -109,8 +109,8 @@ def _add_f_powers(out: Matrix, coeffs) -> Matrix:
 
 def slice_embed(s: SlicePoint) -> Matrix:
     """e + sum_j c_j f^j as a dense matrix, one per point of a stack."""
-    out = np.empty(s.coeffs.shape[:-1] + (s.k, s.k), dtype=complex)
-    out[...] = principal_triple(s.k).e
+    e = principal_triple(s.k).e
+    out = e.copy() if s.coeffs.ndim == 1 else np.repeat(e[np.newaxis], len(s.coeffs), axis=0)
     return _add_f_powers(out, s.coeffs)
 
 
@@ -123,12 +123,13 @@ def _slice_from_power_sums(target: np.ndarray, k: int) -> SlicePoint:
     pivots = _trace_pivots(k)
     partial = np.empty(target.shape[:-1] + (k, k), dtype=complex)
     partial[...] = principal_triple(k).e
+    flat = partial.reshape(target.shape[:-1] + (k * k,))  # a view
     coeffs = np.zeros(target.shape, dtype=complex)
     for m, values in enumerate(_f_power_diagonals(k), 1):
         t_m = np.trace(np.linalg.matrix_power(partial, m), axis1=-2, axis2=-1)
         c = coeffs.T[m - 1] = (target.T[m - 1] - t_m) / pivots[m - 1]  # a stack axis trails
         # superdiagonal m - 1 of each partial, a view of its flat entries
-        partial.reshape(-1, k * k)[:, m - 1 :: k + 1][:, : k - m + 1] += c[..., None] * values
+        flat[..., m - 1 : k * (k - m + 1) : k + 1] += c[..., None] * values
     return SlicePoint(k=k, coeffs=coeffs)
 
 
@@ -140,7 +141,7 @@ def slice_representative(x: Matrix) -> SlicePoint:
     Works through power traces (see `_slice_from_power_sums`).
     """
     x = as_matrix(x, stacked=1)
-    if not np.all(is_regular(x)):
+    if not np.asarray(is_regular(x)).all():
         raise RegularityError("slice representative requires a regular matrix")
     return _slice_from_power_sums(power_traces(x), x.shape[-1])
 
