@@ -338,11 +338,11 @@ def _scheme_conjugator(d: JetScheme, x: SlicePoint) -> tuple[Matrix, Matrix]:
     return _conjugator(x, np.array([p.z for p in d.pieces]), [p.length for p in d.pieces])
 
 
-def slice_conjugator(d: JetScheme, x: SlicePoint | None = None) -> Matrix:
+def slice_conjugator(d: JetScheme) -> Matrix:
     """A deterministic invertible C with slice_embed(X) = C J(D) C^{-1},
     where X = scheme_slice_point(d), the slice point with the scheme's
-    characteristic polynomial; a caller that has it passes it as x."""
-    return _scheme_conjugator(d, scheme_slice_point(d) if x is None else x)[0]
+    characteristic polynomial."""
+    return _scheme_conjugator(d, scheme_slice_point(d))[0]
 
 
 def scheme_slice_point(d: JetScheme) -> SlicePoint:

@@ -22,7 +22,7 @@ import operator
 import time
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -73,7 +73,6 @@ from .uspace import (
     phi_e_class,
     u11_from_tstar,
     u11_to_tstar,
-    u_build,
     u_equivalence_residual,
     u_moment,
     u_symplectic,
@@ -217,6 +216,13 @@ def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
                   orientation=orientation)
 
 
+def _wpoint_draws(k: int, trial: int, rng: np.random.Generator) -> tuple:
+    """A trial's W point, incoming at even trials, as the one-factor class: its
+    signature, slice point and factor, drawn as `sample_wpoint` draws them."""
+    g = sample_group(k, rng)
+    return ((1, 0), (0, 1))[trial % 2], sample_slice_point(k, rng), (g,)
+
+
 def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
     return WTangent(a=sample_disc(rng, k, k), dc=sample_disc(rng, k))
 
@@ -231,12 +237,9 @@ def sample_uclass(k: int, b: int, bprime: int, rng: np.random.Generator) -> UCla
     return UClass(b=b, bprime=bprime, gs=gs, X=x)
 
 
-def sample_utangent(m: UClass, rng: np.random.Generator) -> UTangent:
-    k = m.X.k
-    return UTangent(
-        a_list=tuple(sample_disc(rng, k, k) for _ in range(m.n_factors)),
-        dc=sample_disc(rng, k),
-    )
+def sample_utangent(k: int, n_factors: int, rng: np.random.Generator) -> UTangent:
+    return UTangent(a_list=tuple(sample_disc(rng, k, k) for _ in range(n_factors)),
+                    dc=sample_disc(rng, k))
 
 
 def _centralizer_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -318,8 +321,8 @@ def sample_jetscheme(
 # together with two stacked chart-constant tangents carried to the form's
 # coordinates at each (`frame_at`).  Its base is a stack of n >= 1 trials;
 # coordinates come as whole copies of n, move by move, and the base is
-# broadcast over the copies.  W is the one-factor class `u_build([p])`, so
-# `UChart` is its chart too.
+# broadcast over the copies.  W is the one-factor class, so `UChart` is its
+# chart too.
 # A group coordinate s enters through e^s: `_exp_transport` gives e^s and
 # the carried group directions from one block-triangular exponential.
 
@@ -497,9 +500,10 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
 # the suite's unnamed residual, named parts are also reported in `details`.
 # For suites that loop over trials, `case` is the trial index.  A stacked
 # check draws each case's inputs from its own stream, in the order of one
-# case, then evaluates the group as one stack; `_each` runs a check that
-# yields the pairs of one case over its group.  A negative control takes its
-# own RNG stream and returns one residual.
+# case, as plain arrays, then builds each group's class or point once from
+# the stacked draws and evaluates it; `_each` runs a check that yields the
+# pairs of one case over its group.  A negative control takes its own RNG
+# stream and returns one residual.
 
 _Residuals = Iterator[tuple[str, float]]
 
@@ -547,28 +551,26 @@ def _matrix_units(k: int) -> np.ndarray:
     return np.eye(k * k, dtype=complex).reshape(k * k, k, k)
 
 
-def _orientation(trial: int) -> str:
-    return INCOMING if trial % 2 == 0 else OUTGOING
+def _by_key(drawn: list, evaluate) -> list:
+    """evaluate(key, *stacked draws) once per key of the drawn (key, *draws)
+    tuples, on that key's draws in order; the values come back in the order
+    drawn.  A class is keyed by its signature, a scheme by its piece lengths."""
+    return _grouped([key for key, *_ in drawn],
+                    lambda g: evaluate(drawn[g[0]][0], *_stack([drawn[j][1:] for j in g])))
 
 
-def _by_shape(drawn: list, evaluate) -> list:
-    """evaluate(*stacked inputs) once per group of drawn input tuples whose
-    leading W point has one orientation, or class or scheme one signature
-    and one list of piece lengths; the values come back in the order drawn."""
-    shapes = [x.orientation if isinstance(x, WPoint) else
-              (x.b, x.bprime, *(p.length for p in getattr(x, "pieces", ()))) for x, *_ in drawn]
-    return _grouped(shapes, lambda g: evaluate(*_stack([drawn[j] for j in g])))
+def _on_class(evaluate):
+    """An evaluation for `_by_key` on (signature, slice point, factors, *inputs)
+    draws: evaluate(m, *inputs), m the class built once from the stacked draws."""
+    return lambda sig, x, gs, *inputs: evaluate(UClass(*sig, gs, x), *inputs)
 
 
 def _worst_incoming_k3(rng: np.random.Generator, draw, evaluate) -> float:
-    """The largest |value| that evaluate(points, *inputs) gives on four
-    incoming k = 3 W points, stacked with the inputs that draw(point, rng)
-    draws for each right after the point."""
-    drawn = []
-    for _ in range(4):
-        p = sample_wpoint(3, INCOMING, rng)
-        drawn.append((p, *draw(p, rng)))
-    return max(abs(value) for value in evaluate(*_stack(drawn)))
+    """The largest |value| that `_by_key` gives with evaluate on four incoming
+    k = 3 W points (those of trial 0), each drawn with the inputs that
+    draw(rng) draws right after the point."""
+    drawn = [(*_wpoint_draws(3, 0, rng), *draw(rng)) for _ in range(4)]
+    return max(abs(value) for value in _by_key(drawn, evaluate))
 
 
 def _polarization_gap(c: Matrix, x: Matrix, m: int) -> np.ndarray:
@@ -600,11 +602,9 @@ def _negative_polarization(rng) -> float:
 
 def _check_hamiltonian_w(cfg, members) -> list:
     k = members[0][1]
-    drawn = []
-    for rng, _, trial in members:  # each member's draws in the order of one case
-        m = u_build([sample_wpoint(k, _orientation(trial), rng)])
-        drawn.append((m, sample_disc(rng, k, k), sample_utangent(m, rng),
-                      np.array(rng.integers(1, k + 1))))
+    drawn = [(*_wpoint_draws(k, trial, rng), sample_disc(rng, k, k),
+              sample_utangent(k, 1, rng), np.array(rng.integers(1, k + 1)))
+             for rng, _, trial in members]  # each member's draws in the order of one case
 
     def conditions(m, xi, v, degree):
         (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
@@ -612,20 +612,20 @@ def _check_hamiltonian_w(cfg, members) -> list:
         return [[("", abs(a - b)), ("", abs(c - d))]
                 for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
 
-    return _by_shape(drawn, conditions)
+    return _by_key(drawn, _on_class(conditions))
 
 
 def _negative_hamiltonian_w(rng) -> float:
     # the group condition with the pairing's sign flipped
-    def flipped(p, xi, v):
-        [(lhs, dmu)] = fd_moment_conditions(u_build([p]), 0, v, xi=xi)
+    def flipped(m, xi, v):
+        [(lhs, dmu)] = fd_moment_conditions(m, 0, v, xi=xi)
         return [a + b for a, b in zip(lhs, pairing(dmu, xi).tolist())]
 
     return _worst_incoming_k3(
-        rng, lambda p, rng: (sample_disc(rng, 3, 3), sample_utangent(u_build([p]), rng)), flipped)
+        rng, lambda rng: (sample_disc(rng, 3, 3), sample_utangent(3, 1, rng)), _on_class(flipped))
 
 
-def _d_omega(chart, base, tans, form=u_symplectic) -> list[float]:
+def _d_omega(base, tans, chart=UChart, form=u_symplectic) -> list[float]:
     """|d form| at each point of a stacked base, on its three stacked tangents."""
     return [abs(d) for d in fd_exterior_derivative(form, chart(base), *tans)]
 
@@ -640,23 +640,24 @@ def _check_closedness(cfg, members) -> list:
     k = members[0][1]
     ws, us, fs = [], [], []
     for rng, _, trial in members:  # each member's draws in the order of one case
-        w = u_build([sample_wpoint(k, _orientation(trial), rng)])
-        ws.append((w, [sample_utangent(w, rng) for _ in range(3)]))
-        m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 2)), rng)
-        us.append((m, [sample_utangent(m, rng) for _ in range(3)]))
+        ws.append((*_wpoint_draws(k, trial, rng),
+                   [sample_utangent(k, 1, rng) for _ in range(3)]))
+        sig = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        us.append((sig, *_uclass_draws(k, sum(sig), rng),
+                   [sample_utangent(k, sum(sig), rng) for _ in range(3)]))
         d = sample_jetscheme(k, 1, 0, rng)
-        fs.append((d, [FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(d.pieces)))
-                       for _ in range(3)]))
-    values = (_by_shape(ws, partial(_d_omega, UChart)), _by_shape(us, partial(_d_omega, UChart)),
-              _by_shape(fs, partial(_d_omega, FChart, form=f_presymplectic)))
+        fs.append((tuple(p.length for p in d.pieces), d, [
+            FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(d.pieces)))
+            for _ in range(3)]))
+    values = (_by_key(ws, _on_class(_d_omega)), _by_key(us, _on_class(_d_omega)),
+              _by_key(fs, lambda _, d, tans: _d_omega(d, tans, FChart, f_presymplectic)))
     return [list(zip(("w", "u", "f"), triple)) for triple in zip(*values)]
 
 
 def _negative_closedness(rng) -> float:
     # the literal moment-wedge form of W is not closed
-    return _worst_incoming_k3(
-        rng, lambda p, rng: [sample_utangent(u_build([p]), rng) for _ in range(3)],
-        lambda p, *tans: _d_omega(UChart, u_build([p]), tans, _literal_wedge))
+    return _worst_incoming_k3(rng, lambda rng: [sample_utangent(3, 1, rng) for _ in range(3)],
+                              _on_class(lambda m, *tans: _d_omega(m, tans, form=_literal_wedge)))
 
 
 def _two_codings(m: UClass, u: UTangent, v: UTangent) -> list[float]:
@@ -665,19 +666,26 @@ def _two_codings(m: UClass, u: UTangent, v: UTangent) -> list[float]:
     return [abs(a - b) / max(1.0, abs(a)) for a, b in zip(lhs, rhs)]
 
 
+def _w_codings(sig, x, gs, u, v) -> list[tuple]:
+    """(canonical, bracket, literal, Maurer-Cartan) values of W's forms per point,
+    all read at one W point built from the stacked draws."""
+    p = WPoint(g=gs[0], X=x, orientation=INCOMING if sig == (1, 0) else OUTGOING)
+    forms = w_symplectic, w_symplectic_bracket_form, w_symplectic_moment_wedge, maurer_cartan_term
+    return list(zip(*(f(p, u, v).tolist() for f in forms)))
+
+
 def _check_form_identity(cfg, members) -> list:
     k = members[0][1]
     us, ws = [], []
-    for rng, _, trial in members:
-        m = sample_uclass(k, int(rng.integers(1, 3)), int(rng.integers(0, 3)), rng)
-        us.append((m, sample_utangent(m, rng), sample_utangent(m, rng)))
-        ws.append((sample_wpoint(k, _orientation(trial), rng),
+    for rng, _, trial in members:  # each member's draws in the order of one case
+        sig = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        us.append((sig, *_uclass_draws(k, sum(sig), rng),
+                   *(sample_utangent(k, sum(sig), rng) for _ in range(2))))
+        ws.append((*_wpoint_draws(k, trial, rng),
                    sample_wtangent(k, rng), sample_wtangent(k, rng)))
-    w_forms = w_symplectic, w_symplectic_bracket_form, w_symplectic_moment_wedge, maurer_cartan_term
     out = []
     for gap, (canon, bracket, literal, mc) in zip(
-            _by_shape(us, _two_codings),
-            _by_shape(ws, lambda *pt: list(zip(*(f(*pt).tolist() for f in w_forms))))):
+            _by_key(us, _on_class(_two_codings)), _by_key(ws, _w_codings)):
         scale = max(1.0, abs(canon))
         out.append([("u_two_codings", gap), ("w_two_codings", abs(canon - bracket) / scale),
                     ("literal_discrepancy_identity", abs(literal - canon - mc) / scale)])
@@ -685,12 +693,10 @@ def _check_form_identity(cfg, members) -> list:
 
 
 def _negative_form_identity(rng) -> float:
-    def literal_gap(p, *tans):
-        return [a - b for a, b in zip(w_symplectic_moment_wedge(p, *tans).tolist(),
-                                      w_symplectic(p, *tans).tolist())]
-
+    # the literal form differs from the canonical one by the Maurer-Cartan term
     return _worst_incoming_k3(
-        rng, lambda p, rng: (sample_wtangent(3, rng), sample_wtangent(3, rng)), literal_gap)
+        rng, lambda rng: (sample_wtangent(3, rng), sample_wtangent(3, rng)),
+        lambda *draws: [literal - canon for canon, _, literal, _ in _w_codings(*draws)])
 
 
 def _check_axiom_d(cfg, rng, k, trial) -> _Residuals:
@@ -960,12 +966,16 @@ def _check_fitting_orbits(cfg, rng, k, case) -> _Residuals:
     # a second sample of the same Jordan type must give conjugate moments
     schemes2 = _jordan_type_schemes(k, trial_rng(cfg.seed, "fitting_orbits2", k))
     mistakes += int(np.sum(~adjoint_orbits_match(moments, f_moment(schemes2))))
-    # the moment map is equivariant: mu(g0 . d) = g0 mu(d) g0^{-1}, per scheme
+    # the action and the moment map are equivariant, per scheme: the first
+    # factor G(g0 . d) = g0 G(d), and mu(g0 . d) = g0 mu(d) g0^{-1}
     g0 = sample_group(k, rng)
-    expected = g0 @ moments @ np.linalg.inv(g0)
-    miss = np.abs(f_moment([act_on_scheme(d, [g0]) for d in schemes]) - expected)
-    scale = np.maximum(1.0, np.max(np.abs(expected), axis=(1, 2)))
-    mistakes += int(np.sum(np.max(miss, axis=(1, 2)) / scale > EQUIVARIANCE_TOL))
+    moved = [act_on_scheme(d, [g0]) for d in schemes]
+    first = [np.array([g_matrices(d)[0] for d in ds]) for ds in (moved, schemes)]
+    for got, expected in ((first[0], g0 @ first[1]),
+                          (f_moment(moved), g0 @ moments @ np.linalg.inv(g0))):
+        miss = np.abs(got - expected)
+        scale = np.maximum(1.0, np.max(np.abs(expected), axis=(1, 2)))
+        mistakes += int(np.sum(np.max(miss, axis=(1, 2)) / scale > EQUIVARIANCE_TOL))
     # kernel dichotomy on constructed examples
     rng2 = trial_rng(cfg.seed, "fitting_orbits-kernel", k)
     d_split = sample_jetscheme(k, 1, 0, rng2, lengths=[1] * k)

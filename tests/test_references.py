@@ -694,12 +694,12 @@ def _stacked_derivative(form, chart, trials):
 
 def _w_trial(k, orientation, rng):
     w = u_build([sample_wpoint(k, orientation, rng)])
-    return w, [sample_utangent(w, rng) for _ in range(3)]
+    return w, [sample_utangent(w.X.k, w.n_factors, rng) for _ in range(3)]
 
 
 def _u_trial(k, b, bprime, rng):
     m = sample_uclass(k, b, bprime, rng)
-    return m, [sample_utangent(m, rng) for _ in range(3)]
+    return m, [sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)]
 
 
 def _f_trial(k, lengths, rng):
@@ -777,7 +777,7 @@ def test_displaced_point_below_det_tol_refused_by_both_codings():
     m = u_build([WPoint(g=g, X=SlicePoint(3, np.zeros(3)), orientation=INCOMING)])
     u = UTangent(a_list=(np.diag([1.0, 0.0, 0.0]).astype(complex),), dc=np.zeros(3, dtype=complex))
     rng = trial_rng(26, "det-tol", 0)
-    v, w = (sample_utangent(m, rng) for _ in range(2))
+    v, w = (sample_utangent(m.X.k, m.n_factors, rng) for _ in range(2))
     v, w = (UTangent(a_list=(t.a_list[0] - np.trace(t.a_list[0]) / 3 * np.eye(3),), dc=t.dc)
             for t in (v, w))
     with pytest.raises(SingularMatrixError):

@@ -175,7 +175,7 @@ class TestMomentsAndAxiomD:
             m = sample_uclass(k, b, bp, rng)
             for i in range(m.n_factors):
                 xi = sample_disc(rng, k, k)
-                v = sample_utangent(m, rng)
+                v = sample_utangent(m.X.k, m.n_factors, rng)
                 degree = int(rng.integers(1, k + 1))
                 (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
                     one(m), i, one(v), xi=one(xi), degree=[degree]
@@ -310,13 +310,13 @@ def test_gluing_size_mismatch_refused(use, rng):
 class TestUSymplectic:
     def test_antisymmetry(self, rng):
         m = sample_uclass(2, 2, 1, rng)
-        u = sample_utangent(m, rng)
+        u = sample_utangent(m.X.k, m.n_factors, rng)
         assert abs(u_symplectic(m, u, u)) < 1e-13
 
     def test_single_factor_reduces_to_w(self, rng):
         m = sample_uclass(3, 1, 0, rng)
-        u = sample_utangent(m, rng)
-        v = sample_utangent(m, rng)
+        u = sample_utangent(m.X.k, m.n_factors, rng)
+        v = sample_utangent(m.X.k, m.n_factors, rng)
         p = WPoint(g=m.gs[0], X=m.X, orientation=INCOMING)
         wu = WTangent(a=u.a_list[0], dc=u.dc)
         wv = WTangent(a=v.a_list[0], dc=v.dc)
@@ -325,15 +325,15 @@ class TestUSymplectic:
     def test_two_codings_agree(self, rng):
         for b, bp in [(2, 0), (1, 1), (2, 1), (1, 2)]:
             m = sample_uclass(3, b, bp, rng)
-            u = sample_utangent(m, rng)
-            v = sample_utangent(m, rng)
+            u = sample_utangent(m.X.k, m.n_factors, rng)
+            v = sample_utangent(m.X.k, m.n_factors, rng)
             lhs = u_symplectic(m, u, v)
             rhs = u_symplectic_single_slice_form(m, u, v)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_refuses_wrong_length_velocity(self, rng):
         m = sample_uclass(3, 1, 1, rng)
-        u = sample_utangent(m, rng)
+        u = sample_utangent(m.X.k, m.n_factors, rng)
         for dc in (u.dc[:2], np.append(u.dc, 0.0)):
             bad = UTangent(a_list=u.a_list, dc=dc)
             with pytest.raises(ValidationError):
@@ -345,14 +345,14 @@ class TestUSymplectic:
         # like WTangent, the directions may be given as nested lists
         for b, bp in [(1, 0), (0, 1), (1, 2)]:
             m = sample_uclass(3, b, bp, rng)
-            u = sample_utangent(m, rng)
-            v = sample_utangent(m, rng)
+            u = sample_utangent(m.X.k, m.n_factors, rng)
+            v = sample_utangent(m.X.k, m.n_factors, rng)
             listed = UTangent(a_list=tuple(a.tolist() for a in u.a_list), dc=u.dc.tolist())
             assert u_symplectic(m, listed, v) == u_symplectic(m, u, v)
 
     def test_closed(self, rng):
         m = sample_uclass(2, 1, 1, rng)
-        tans = [sample_utangent(m, rng) for _ in range(3)]
+        tans = [sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)]
         [d_omega] = fd_exterior_derivative(u_symplectic, UChart(one(m)), *one(tans))
         assert abs(d_omega) < 1e-4
 

@@ -27,8 +27,8 @@ from mtv.verify import (
     symmetrized_form_value,
     trial_rng,
 )
-from mtv.uspace import u_build, u_symplectic
-from mtv.wspace import INCOMING
+from mtv.uspace import UClass, u_build, u_symplectic
+from mtv.wspace import INCOMING, WPoint
 
 from conftest import one
 
@@ -93,7 +93,7 @@ class TestFiniteDifferences:
         rng = trial_rng(2, "fd", 0)
         m = u_build([sample_wpoint(2, INCOMING, rng)])
         chart = UChart(one(m))
-        tans = one([sample_utangent(m, rng) for _ in range(3)])
+        tans = one([sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)])
 
         def const_form(point, u, v):
             # constant coefficients in the (untransported) slice coordinates,
@@ -108,7 +108,7 @@ class TestFiniteDifferences:
         rng = trial_rng(4, "fd", 0)
         m = u_build([sample_wpoint(3, INCOMING, rng)])
         chart = UChart(one(m))
-        tans = one([sample_utangent(m, rng) for _ in range(3)])
+        tans = one([sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)])
         weight = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
         def broken(point, u, v):
@@ -133,7 +133,7 @@ class TestFiniteDifferences:
         rng = trial_rng(3, "fd", 0)
         m = u_build([sample_wpoint(3, INCOMING, rng)])
         chart = UChart(one(m))
-        tans = one([sample_utangent(m, rng) for _ in range(3)])
+        tans = one([sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)])
         monkeypatch.setattr(verify, "FD_STEP", 2e-4)
         r1 = abs(fd_exterior_derivative(u_symplectic, chart, *tans)[0])
         monkeypatch.setattr(verify, "FD_STEP", 1e-4)
@@ -265,21 +265,33 @@ def test_free_action_fails_without_singular_refusal(monkeypatch):
     assert res.max_residual == 1.0 and not res.passed
 
 
-def test_jet_noise_in_the_action_fails_both_scheme_suites(monkeypatch):
-    # an action on jets that ignores its group elements and adds noise to
-    # every jet: fitting_orbits' equivariance part sees it on the Jordan
-    # types whose moment is not z I, and hilbert_round_trip on every scheme
+def _jet_noise():
+    """An action on jets that ignores its group elements and adds noise to every jet."""
     noise = np.random.default_rng(0)
+    return lambda d, gs: dataclasses.replace(d, pieces=tuple(
+        dataclasses.replace(p, jets=tuple(j + noise.standard_normal(j.shape) for j in p.jets))
+        for p in d.pieces))
 
-    def noisy(d, gs):
-        return dataclasses.replace(d, pieces=tuple(
-            dataclasses.replace(p, jets=tuple(j + noise.standard_normal(j.shape) for j in p.jets))
-            for p in d.pieces))
 
-    monkeypatch.setattr(verify, "act_on_scheme", noisy)
+def test_jet_noise_in_the_action_fails_both_scheme_suites(monkeypatch):
+    # fitting_orbits' equivariance parts see it, and hilbert_round_trip on
+    # every scheme
+    monkeypatch.setattr(verify, "act_on_scheme", _jet_noise())
     cfg = SuiteConfig(k=3, trials=5, seed=1, suites=("fitting_orbits", "hilbert_round_trip"))
     for res in run_suite(cfg).suites:
         assert res.max_residual > res.tolerance and not res.passed, res.name
+
+
+def test_jet_noise_in_the_action_is_counted_on_every_jordan_type(monkeypatch):
+    # the action's own definition, G(g0 . d) = g0 G(d) on the first factor,
+    # counts each of the 3 + 6 Jordan types at k = 2, 3; the moment's
+    # equivariance counts all but the one type per size whose moment is z I
+    # whatever the jets, ((0,1),(0,1)) and ((0,1),(0,1),(0,1))
+    monkeypatch.setattr(verify, "act_on_scheme", _jet_noise())
+    cfg = SuiteConfig(k=3, trials=1, seed=1)
+    members = [(trial_rng(1, "fitting_orbits", k), k, k) for k in verify._JORDAN_TYPES]
+    counts = verify._SUITES["fitting_orbits"].check(cfg, members)
+    assert counts == [[("mispredictions", 3 + 2)], [("mispredictions", 6 + 5)]]
 
 
 def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
@@ -308,6 +320,35 @@ def _members(name, k, trials):
 
 def _bytes(values):
     return np.array(values, dtype=complex).tobytes()
+
+
+def test_stacked_checks_build_once_per_key_and_evaluation(monkeypatch):
+    # a W check or its negative control builds each key's class or point once
+    # from the stacked draws, and a chart-displaced class once per evaluation:
+    # no construction holds a single member
+    built = []
+    for cls in (UClass, WPoint):
+        def counted(self, init=cls.__post_init__):
+            built.append(np.ndim(self.gs[0] if isinstance(self, UClass) else self.g))
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    cfg = SuiteConfig(k=3, trials=1, seed=9)
+    # the bounds are keys times constructions per key.  hamiltonian_w: 2 W
+    # signatures, each built and moved along its tangent; closedness: 2 W and
+    # 4 class signatures, each built and displaced by the chart; form_identity:
+    # 2 W points and 6 class signatures, each built once.  A negative control
+    # has one key: hamiltonian_w's class built and moved, closedness' built,
+    # displaced and read as a W point, form_identity's one W point.
+    checks = {"hamiltonian_w": (2 * 2, 2), "closedness": ((2 + 4) * 2, 3),
+              "form_identity": (2 + 6, 1)}
+    for name, (in_check, in_negative) in checks.items():
+        suite = verify._SUITES[name]
+        for run, bound in ((lambda: suite.check(cfg, _members(name, 3, range(24))), in_check),
+                           (lambda: suite.negative(trial_rng(9, f"{name}-neg", 0)), in_negative)):
+            built.clear()
+            run()
+            assert 0 < len(built) <= bound and set(built) == {3}, (name, built)
 
 
 def test_partly_regular_group_matches_groups_of_one(monkeypatch):
@@ -341,7 +382,7 @@ def test_grouped_cases_match_groups_of_one(k):
     rng = trial_rng(9, "stacked-fd", k)
     for b, bp in verify._SIGNATURES:
         ms = [sample_uclass(k, b, bp, rng) for _ in range(3)]
-        tans = [[sample_utangent(m, rng) for _ in range(3)] for m in ms]
+        tans = [[sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)] for m in ms]
         stacked = fd_exterior_derivative(
             u_symplectic, UChart(verify._stack(ms)), *verify._stack(tans))
         alone = [fd_exterior_derivative(u_symplectic, UChart(one(m)), *one(t))[0]

@@ -122,7 +122,7 @@ class TestWSymplectic:
         for orientation in (INCOMING, OUTGOING):
             m = u_build([sample_wpoint(3, orientation, rng)])
             xi = rand_complex(rng, 3, 3, scale=0.7)
-            v = sample_utangent(m, rng)
+            v = sample_utangent(m.X.k, m.n_factors, rng)
             [(lhs, dmu)] = fd_moment_conditions(one(m), 0, one(v), xi=one(xi))
             assert abs(lhs[0] - pairing(dmu[0], xi)) < 1e-5
 
@@ -130,7 +130,7 @@ class TestWSymplectic:
         rng = trial_rng(2, "w-closed", 0)
         for orientation in (INCOMING, OUTGOING):
             m = u_build([sample_wpoint(3, orientation, rng)])
-            tans = [sample_utangent(m, rng) for _ in range(3)]
+            tans = [sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)]
             [d_omega] = fd_exterior_derivative(u_symplectic, UChart(one(m)), *one(tans))
             assert abs(d_omega) < 1e-4
 
@@ -138,7 +138,7 @@ class TestWSymplectic:
         # negative control: the literal wedge fails the exterior derivative
         rng = trial_rng(3, "w-neg", 0)
         m = u_build([sample_wpoint(3, INCOMING, rng)])
-        tans = [sample_utangent(m, rng) for _ in range(3)]
+        tans = [sample_utangent(m.X.k, m.n_factors, rng) for _ in range(3)]
         [d_omega] = fd_exterior_derivative(_literal_wedge, UChart(one(m)), *one(tans))
         assert abs(d_omega) > 1e-2
 
@@ -189,7 +189,7 @@ class TestAbelianAction:
         rng = trial_rng(4, "a-ham", 0)
         for orientation in (INCOMING, OUTGOING):
             m = u_build([sample_wpoint(3, orientation, rng)])
-            v = sample_utangent(m, rng)
+            v = sample_utangent(m.X.k, m.n_factors, rng)
             for degree in (1, 2, 3):
                 [(lhs, dp)] = fd_moment_conditions(one(m), 0, one(v), degree=[degree])
                 assert abs(lhs[0] - dp[0]) < 1e-5
