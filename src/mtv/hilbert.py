@@ -331,18 +331,12 @@ def _conjugator(x: SlicePoint, zs: np.ndarray, lengths: Sequence[int]) -> tuple[
 
 
 def _scheme_conjugator(d: JetScheme, x: SlicePoint) -> tuple[Matrix, Matrix]:
-    """`slice_conjugator` with x given, and the block reversal Q of d."""
+    """A deterministic invertible C with slice_embed(x) = C J(D) C^{-1}, for x
+    with the scheme's characteristic polynomial, and the block reversal Q of d."""
     if not has_distinct_base_points(d):
         raise DegenerateSchemeError(
             "base points collide: no slice conjugator (scheme not transverse)")
     return _conjugator(x, np.array([p.z for p in d.pieces]), [p.length for p in d.pieces])
-
-
-def slice_conjugator(d: JetScheme) -> Matrix:
-    """A deterministic invertible C with slice_embed(X) = C J(D) C^{-1},
-    where X = scheme_slice_point(d), the slice point with the scheme's
-    characteristic polynomial."""
-    return _scheme_conjugator(d, scheme_slice_point(d))[0]
 
 
 def scheme_slice_point(d: JetScheme) -> SlicePoint:

@@ -185,8 +185,12 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
 
 def sample_disc(rng: np.random.Generator, *shape, radius: float = 1.0) -> np.ndarray:
     """Uniform samples from the complex disc of the given radius: one draw u of
-    2 * prod(shape) doubles gives radii radius * sqrt(u[0]) and angles 2 pi u[1]."""
-    u = rng.random((2,) + shape)
+    2 * prod(shape) doubles gives radii radius * sqrt(u[0]) and angles 2 pi u[1].
+    Every sampler here takes one stream or a list of n streams; with a list, each
+    stream draws as a one-stream call does, and the values come stacked on a
+    leading axis of n with the bits of n such calls."""
+    u = (np.array([r.random((2,) + shape) for r in rng]).swapaxes(0, 1) if isinstance(rng, list)
+         else rng.random((2,) + shape))
     return radius * np.sqrt(u[0]) * np.exp(1j * (2 * np.pi * u[1]))
 
 
@@ -198,11 +202,15 @@ def _slice_scales(k: int) -> np.ndarray:
     return scales
 
 
-def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
+def _slice_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
     """Slice coefficients from the complex unit disc, scaled per basis
     element (the f-power entries grow like i(k-i) products) so the embedded
     matrix stays O(1) and absolute tolerances are meaningful."""
-    return SlicePoint(k=k, coeffs=sample_disc(rng, k) * _slice_scales(k))
+    return sample_disc(rng, k) * _slice_scales(k)
+
+
+def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
+    return SlicePoint(k=k, coeffs=_slice_coefficients(k, rng))
 
 
 def sample_group(k: int, rng: np.random.Generator) -> Matrix:
@@ -211,16 +219,16 @@ def sample_group(k: int, rng: np.random.Generator) -> Matrix:
     return expm(sample_disc(rng, k, k) * 0.5 / np.sqrt(k))
 
 
-def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
-    return WPoint(g=sample_group(k, rng), X=sample_slice_point(k, rng),
-                  orientation=orientation)
-
-
-def _wpoint_draws(k: int, trial: int, rng: np.random.Generator) -> tuple:
-    """A trial's W point, incoming at even trials, as the one-factor class: its
-    signature, slice point and factor, drawn as `sample_wpoint` draws them."""
+def _wpoint_draws(k: int, rng: np.random.Generator) -> tuple:
+    """A W point's slice coefficients and its factor, as the one-factor class's
+    draws; the group element is drawn first."""
     g = sample_group(k, rng)
-    return ((1, 0), (0, 1))[trial % 2], sample_slice_point(k, rng), (g,)
+    return _slice_coefficients(k, rng), (g,)
+
+
+def sample_wpoint(k: int, orientation: str, rng: np.random.Generator) -> WPoint:
+    x, (g,) = _wpoint_draws(k, rng)
+    return WPoint(g=g, X=SlicePoint(k, x), orientation=orientation)
 
 
 def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
@@ -228,13 +236,17 @@ def sample_wtangent(k: int, rng: np.random.Generator) -> WTangent:
 
 
 def _uclass_draws(k: int, n_factors: int, rng: np.random.Generator) -> tuple:
-    """The slice point and the factors of a class, in the order drawn."""
-    return sample_slice_point(k, rng), tuple(sample_group(k, rng) for _ in range(n_factors))
+    """The slice coefficients and the factors of a class, in the order drawn."""
+    return _slice_coefficients(k, rng), tuple(sample_group(k, rng) for _ in range(n_factors))
+
+
+def _class(sig: tuple[int, int], x: np.ndarray, gs: tuple[Matrix, ...]) -> UClass:
+    """The class of a signature on drawn slice coefficients and factors, stacks included."""
+    return UClass(*sig, gs, SlicePoint(x.shape[-1], x))
 
 
 def sample_uclass(k: int, b: int, bprime: int, rng: np.random.Generator) -> UClass:
-    x, gs = _uclass_draws(k, b + bprime, rng)
-    return UClass(b=b, bprime=bprime, gs=gs, X=x)
+    return _class((b, bprime), *_uclass_draws(k, b + bprime, rng))
 
 
 def sample_utangent(k: int, n_factors: int, rng: np.random.Generator) -> UTangent:
@@ -244,7 +256,7 @@ def sample_utangent(k: int, n_factors: int, rng: np.random.Generator) -> UTangen
 
 def _centralizer_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
     """The k coefficients a_m of the polynomial gradient of `sample_centralizer_element`."""
-    return np.array([complex(sample_disc(rng)) for _ in range(k)])
+    return np.array([sample_disc(rng) for _ in range(k)]).T
 
 
 def _centralizer_element(x_emb: Matrix, coefficients: np.ndarray) -> Matrix:
@@ -499,11 +511,12 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
 # and returns one list of (part, residual) pairs per case; the part "" is
 # the suite's unnamed residual, named parts are also reported in `details`.
 # For suites that loop over trials, `case` is the trial index.  A stacked
-# check draws each case's inputs from its own stream, in the order of one
-# case, as plain arrays, then builds each group's class or point once from
-# the stacked draws and evaluates it; `_each` runs a check that yields the
-# pairs of one case over its group.  A negative control takes its own RNG
-# stream and returns one residual.
+# check draws step by step, each step one sampler call on its members'
+# streams (per key, a signature, where the step depends on it), so every
+# stream draws as one case does; each key's class or point is built once
+# from the stacked arrays.  `_each` runs a check that yields the pairs of one
+# case over its group.  A negative control takes its own RNG stream and
+# returns one residual.
 
 _Residuals = Iterator[tuple[str, float]]
 
@@ -512,13 +525,14 @@ def _each(check: Callable[..., _Residuals]):
     return lambda cfg, members: [list(check(cfg, *member)) for member in members]
 
 
-def _grouped(keys: list, evaluate: Callable[[list[int]], list]) -> list:
-    """evaluate(positions) once per distinct key, on the positions of that key
-    in order, with the values put back in position order."""
+def _grouped(keys: list, evaluate: Callable[..., list], *lists) -> list:
+    """evaluate(key, *lists taken at the positions of the key, in order) once
+    per distinct key, with the values put back in position order."""
     groups: dict = {}
     for j, key in enumerate(keys):
         groups.setdefault(key, []).append(j)
-    values = dict(pair for group in groups.values() for pair in zip(group, evaluate(group)))
+    values = dict(pair for key, group in groups.items() for pair in zip(
+        group, evaluate(key, *([seq[j] for j in group] for seq in lists))))
     return [values[j] for j in range(len(keys))]
 
 
@@ -551,26 +565,16 @@ def _matrix_units(k: int) -> np.ndarray:
     return np.eye(k * k, dtype=complex).reshape(k * k, k, k)
 
 
-def _by_key(drawn: list, evaluate) -> list:
-    """evaluate(key, *stacked draws) once per key of the drawn (key, *draws)
-    tuples, on that key's draws in order; the values come back in the order
-    drawn.  A class is keyed by its signature, a scheme by its piece lengths."""
-    return _grouped([key for key, *_ in drawn],
-                    lambda g: evaluate(drawn[g[0]][0], *_stack([drawn[j][1:] for j in g])))
-
-
-def _on_class(evaluate):
-    """An evaluation for `_by_key` on (signature, slice point, factors, *inputs)
-    draws: evaluate(m, *inputs), m the class built once from the stacked draws."""
-    return lambda sig, x, gs, *inputs: evaluate(UClass(*sig, gs, x), *inputs)
+def _w_signatures(members: list) -> list[tuple[int, int]]:
+    """The signature of each member's W point, its draws' key: incoming at even trials."""
+    return [((1, 0), (0, 1))[trial % 2] for _, _, trial in members]
 
 
 def _worst_incoming_k3(rng: np.random.Generator, draw, evaluate) -> float:
-    """The largest |value| that `_by_key` gives with evaluate on four incoming
-    k = 3 W points (those of trial 0), each drawn with the inputs that
-    draw(rng) draws right after the point."""
-    drawn = [(*_wpoint_draws(3, 0, rng), *draw(rng)) for _ in range(4)]
-    return max(abs(value) for value in _by_key(drawn, evaluate))
+    """The largest |value| of evaluate((1, 0), *draws) on the stacked draws of four incoming
+    k = 3 W points, each with the inputs draw(rng) draws after it, all from one stream."""
+    drawn = _stack([(*_wpoint_draws(3, rng), *draw(rng)) for _ in range(4)])
+    return max(abs(value) for value in evaluate((1, 0), *drawn))
 
 
 def _polarization_gap(c: Matrix, x: Matrix, m: int) -> np.ndarray:
@@ -584,7 +588,7 @@ def _polarization_gap(c: Matrix, x: Matrix, m: int) -> np.ndarray:
 
 def _check_polarization(cfg, members) -> list:
     k = members[0][1]
-    x = np.stack([sample_disc(rng, k, k) for rng, _, _ in members])
+    x = sample_disc([rng for rng, _, _ in members], k, k)
     out = [[] for _ in members]
     for m in range(1, k + 1):
         c = polarized_gradient(InvariantPolynomial(m), x)
@@ -602,27 +606,26 @@ def _negative_polarization(rng) -> float:
 
 def _check_hamiltonian_w(cfg, members) -> list:
     k = members[0][1]
-    drawn = [(*_wpoint_draws(k, trial, rng), sample_disc(rng, k, k),
-              sample_utangent(k, 1, rng), np.array(rng.integers(1, k + 1)))
-             for rng, _, trial in members]  # each member's draws in the order of one case
 
-    def conditions(m, xi, v, degree):
+    def conditions(sig, rngs):
+        m = _class(sig, *_wpoint_draws(k, rngs))
+        xi, v = sample_disc(rngs, k, k), sample_utangent(k, 1, rngs)
         (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(
-            m, 0, v, xi=xi, degree=degree.tolist())
+            m, 0, v, xi=xi, degree=[int(rng.integers(1, k + 1)) for rng in rngs])
         return [[("", abs(a - b)), ("", abs(c - d))]
                 for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
 
-    return _by_key(drawn, _on_class(conditions))
+    return _grouped(_w_signatures(members), conditions, [rng for rng, _, _ in members])
 
 
 def _negative_hamiltonian_w(rng) -> float:
     # the group condition with the pairing's sign flipped
-    def flipped(m, xi, v):
-        [(lhs, dmu)] = fd_moment_conditions(m, 0, v, xi=xi)
+    def flipped(sig, x, gs, xi, v):
+        [(lhs, dmu)] = fd_moment_conditions(_class(sig, x, gs), 0, v, xi=xi)
         return [a + b for a, b in zip(lhs, pairing(dmu, xi).tolist())]
 
     return _worst_incoming_k3(
-        rng, lambda rng: (sample_disc(rng, 3, 3), sample_utangent(3, 1, rng)), _on_class(flipped))
+        rng, lambda rng: (sample_disc(rng, 3, 3), sample_utangent(3, 1, rng)), flipped)
 
 
 def _d_omega(base, tans, chart=UChart, form=u_symplectic) -> list[float]:
@@ -637,27 +640,24 @@ def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
 
 
 def _check_closedness(cfg, members) -> list:
-    k = members[0][1]
-    ws, us, fs = [], [], []
-    for rng, _, trial in members:  # each member's draws in the order of one case
-        ws.append((*_wpoint_draws(k, trial, rng),
-                   [sample_utangent(k, 1, rng) for _ in range(3)]))
-        sig = int(rng.integers(1, 3)), int(rng.integers(0, 2))
-        us.append((sig, *_uclass_draws(k, sum(sig), rng),
-                   [sample_utangent(k, sum(sig), rng) for _ in range(3)]))
-        d = sample_jetscheme(k, 1, 0, rng)
-        fs.append((tuple(p.length for p in d.pieces), d, [
-            FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(d.pieces)))
-            for _ in range(3)]))
-    values = (_by_key(ws, _on_class(_d_omega)), _by_key(us, _on_class(_d_omega)),
-              _by_key(fs, lambda _, d, tans: _d_omega(d, tans, FChart, f_presymplectic)))
-    return [list(zip(("w", "u", "f"), triple)) for triple in zip(*values)]
+    k, rngs = members[0][1], [rng for rng, _, _ in members]
+    w = _grouped(_w_signatures(members), lambda sig, rs: _d_omega(
+        _class(sig, *_wpoint_draws(k, rs)), [sample_utangent(k, 1, rs) for _ in range(3)]), rngs)
+    sigs = [(int(rng.integers(1, 3)), int(rng.integers(0, 2))) for rng in rngs]
+    u = _grouped(sigs, lambda sig, rs: _d_omega(
+        sample_uclass(k, *sig, rs), [sample_utangent(k, sum(sig), rs) for _ in range(3)]), rngs)
+    ds = [sample_jetscheme(k, 1, 0, rng) for rng in rngs]
+    f = _grouped([tuple(p.length for p in d.pieces) for d in ds], lambda lengths, ds, rs: _d_omega(
+        _stack(ds), [FTangent(rho=sample_disc(rs, k, k), dz=sample_disc(rs, len(lengths)))
+                     for _ in range(3)], FChart, f_presymplectic), ds, rngs)
+    return [list(zip(("w", "u", "f"), triple)) for triple in zip(w, u, f)]
 
 
 def _negative_closedness(rng) -> float:
     # the literal moment-wedge form of W is not closed
-    return _worst_incoming_k3(rng, lambda rng: [sample_utangent(3, 1, rng) for _ in range(3)],
-                              _on_class(lambda m, *tans: _d_omega(m, tans, form=_literal_wedge)))
+    return _worst_incoming_k3(
+        rng, lambda rng: [sample_utangent(3, 1, rng) for _ in range(3)],
+        lambda sig, x, gs, *tans: _d_omega(_class(sig, x, gs), tans, form=_literal_wedge))
 
 
 def _two_codings(m: UClass, u: UTangent, v: UTangent) -> list[float]:
@@ -668,24 +668,21 @@ def _two_codings(m: UClass, u: UTangent, v: UTangent) -> list[float]:
 
 def _w_codings(sig, x, gs, u, v) -> list[tuple]:
     """(canonical, bracket, literal, Maurer-Cartan) values of W's forms per point,
-    all read at one W point built from the stacked draws."""
-    p = WPoint(g=gs[0], X=x, orientation=INCOMING if sig == (1, 0) else OUTGOING)
+    all read at the one W point of the drawn signature, slice coefficients and factor."""
+    p = WPoint(gs[0], SlicePoint(x.shape[-1], x), INCOMING if sig == (1, 0) else OUTGOING)
     forms = w_symplectic, w_symplectic_bracket_form, w_symplectic_moment_wedge, maurer_cartan_term
     return list(zip(*(f(p, u, v).tolist() for f in forms)))
 
 
 def _check_form_identity(cfg, members) -> list:
-    k = members[0][1]
-    us, ws = [], []
-    for rng, _, trial in members:  # each member's draws in the order of one case
-        sig = int(rng.integers(1, 3)), int(rng.integers(0, 3))
-        us.append((sig, *_uclass_draws(k, sum(sig), rng),
-                   *(sample_utangent(k, sum(sig), rng) for _ in range(2))))
-        ws.append((*_wpoint_draws(k, trial, rng),
-                   sample_wtangent(k, rng), sample_wtangent(k, rng)))
+    k, rngs = members[0][1], [rng for rng, _, _ in members]
+    sigs = [(int(rng.integers(1, 3)), int(rng.integers(0, 3))) for rng in rngs]
+    u = _grouped(sigs, lambda sig, rs: _two_codings(
+        sample_uclass(k, *sig, rs), *(sample_utangent(k, sum(sig), rs) for _ in range(2))), rngs)
+    w = _grouped(_w_signatures(members), lambda sig, rs: _w_codings(
+        sig, *_wpoint_draws(k, rs), sample_wtangent(k, rs), sample_wtangent(k, rs)), rngs)
     out = []
-    for gap, (canon, bracket, literal, mc) in zip(
-            _by_key(us, _on_class(_two_codings)), _by_key(ws, _w_codings)):
+    for gap, (canon, bracket, literal, mc) in zip(u, w):
         scale = max(1.0, abs(canon))
         out.append([("u_two_codings", gap), ("w_two_codings", abs(canon - bracket) / scale),
                     ("literal_discrepancy_identity", abs(literal - canon - mc) / scale)])
@@ -711,23 +708,23 @@ def _negative_axiom_d(rng) -> float:
     return _invariant_spread(moments)
 
 
-def _matched_glue_pair(
-    k: int, sig1: tuple[int, int], sig2: tuple[int, int], rng: np.random.Generator
-) -> tuple[UClass, int, UClass, int]:
-    """Sample (m1, p_out, m2, q_in) satisfying the moment matching exactly:
-    the q-th factor of m2 is g_{p'}^{-1} z with z in Z(X)."""
-    b1, bp1 = sig1
-    b2, bp2 = sig2
-    m1 = sample_uclass(k, b1, bp1, rng)
-    x = slice_embed(m1.X)
-    p_out = b1 + int(rng.integers(0, bp1))
-    z = sample_centralizer_element(x, rng)
-    h_q = np.linalg.inv(m1.gs[p_out]) @ z
-    q_in = int(rng.integers(0, b2))
-    gs2 = [sample_group(k, rng) for _ in range(b2 + bp2)]
-    gs2[q_in] = h_q
-    m2 = UClass(b=b2, bprime=bp2, gs=tuple(gs2), X=m1.X)
-    return m1, p_out, m2, q_in
+def _matched_glue_pairs(k: int, sig1: tuple, sig2: tuple, rngs: list) -> list[tuple]:
+    """(m1, p_out, m2, q_in) per stream, satisfying the moment matching exactly:
+    the q-th factor of m2 is g_{p'}^{-1} z with z in Z(X).  Each stream draws
+    m1, p_out, z's coefficients, q_in and m2's factors, in this order."""
+    (b1, bp1), (b2, bp2) = sig1, sig2
+    x, gs1 = _uclass_draws(k, b1 + bp1, rngs)
+    p_out = [b1 + int(rng.integers(0, bp1)) for rng in rngs]
+    coefficients = _centralizer_coefficients(k, rngs)
+    q_in = [int(rng.integers(0, b2)) for rng in rngs]
+    gs2 = [sample_group(k, rngs) for _ in range(b2 + bp2)]
+    pairs = []
+    for j, (p, q) in enumerate(zip(p_out, q_in)):
+        m1 = UClass(b=b1, bprime=bp1, gs=tuple(g[j] for g in gs1), X=SlicePoint(k, x[j]))
+        h = [g[j] for g in gs2]
+        h[q] = np.linalg.inv(m1.gs[p]) @ _centralizer_element(slice_embed(m1.X), coefficients[j])
+        pairs.append((m1, p, UClass(b=b2, bprime=bp2, gs=tuple(h), X=m1.X), q))
+    return pairs
 
 
 _GLUE_SIGNATURE_PAIRS = (
@@ -740,9 +737,21 @@ _GLUE_SIGNATURE_PAIRS = (
 )
 
 
-def _check_gluing(cfg, rng, k, trial) -> _Residuals:
-    sig1, sig2 = _GLUE_SIGNATURE_PAIRS[trial % len(_GLUE_SIGNATURE_PAIRS)]
-    m1, p_out, m2, q_in = _matched_glue_pair(k, sig1, sig2, rng)
+def _check_gluing(cfg, members) -> list:
+    k = members[0][1]
+
+    def check(sigs, rngs):  # one signature pair's draws stacked, its evaluation per case
+        pairs = _matched_glue_pairs(k, *sigs, rngs)
+        g0 = sample_group(k, rngs)  # re-gauges the matched pair
+        # re-gauges a spectator factor of m1, drawn only when m1 has one
+        g1 = sample_group(k, rngs) if sum(sigs[0]) > 1 else [None] * len(rngs)
+        return [list(_glue_residuals(*sigs, *pair, *gs)) for pair, *gs in zip(pairs, g0, g1)]
+
+    return _grouped([_GLUE_SIGNATURE_PAIRS[trial % len(_GLUE_SIGNATURE_PAIRS)]
+                     for _, _, trial in members], check, [rng for rng, _, _ in members])
+
+
+def _glue_residuals(sig1, sig2, m1, p_out, m2, q_in, g0, g1) -> _Residuals:
     glued = glue(m1, p_out, m2, q_in)
     expect_sig = (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1)
     if (glued.b, glued.bprime) != expect_sig:
@@ -751,22 +760,16 @@ def _check_gluing(cfg, rng, k, trial) -> _Residuals:
     yield "", axiom_d_residual(glued)
     # invariance under the receiving factor
     for receiver in range(1, glued.n_factors):
-        alt = glue(m1, p_out, m2, q_in, receiver)
-        yield "", u_equivalence_residual(glued, alt)
+        yield "", u_equivalence_residual(glued, glue(m1, p_out, m2, q_in, receiver))
     # invariance under re-gauging the matched pair
-    g0 = sample_group(k, rng)
     reglued = glue(g_action(m1, p_out, g0), p_out, g_action(m2, q_in, g0), q_in)
     yield "", u_equivalence_residual(glued, reglued)
     # invariance under re-gauging a spectator factor of m1
     if m1.n_factors > 1:
         spect = 0 if p_out != 0 else 1
-        g1 = sample_group(k, rng)
         glued_alt = glue(g_action(m1, spect, g1), p_out, m2, q_in)
         # undo the spectator action on the result and compare
-        if spect < m1.b:
-            idx = spect
-        else:
-            idx = m2.b - 1 + spect - (1 if spect > p_out else 0)
+        idx = spect if spect < m1.b else m2.b - 1 + spect - (1 if spect > p_out else 0)
         undone = g_action(glued_alt, idx, np.linalg.inv(g1))
         yield "", u_equivalence_residual(glued, undone)
     # cylinder test for the (1,1) x (1,0) pair
@@ -778,7 +781,7 @@ def _check_gluing(cfg, rng, k, trial) -> _Residuals:
 
 def _negative_gluing(rng) -> float:
     # mismatched moments must raise
-    m1, p_out, m2, q_in = _matched_glue_pair(3, (1, 1), (1, 1), rng)
+    [(m1, p_out, m2, q_in)] = _matched_glue_pairs(3, (1, 1), (1, 1), [rng])
     m2_bad = replace(m2, gs=(m2.gs[0] @ (np.eye(3) + 0.2 * sample_disc(rng, 3, 3)),) + m2.gs[1:])
     try:
         glue(m1, p_out, m2_bad, q_in)
@@ -793,24 +796,23 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_theorem_2_4_i(cfg, members) -> list:
-    k = members[0][1]
-    (x, gs), coefficients, (x_o, gs_o) = _stack([  # each member's draws in the order of one case
-        (_uclass_draws(k, 2, rng), _centralizer_coefficients(k, rng), _uclass_draws(k, 2, rng))
-        for rng, _, _ in members])
-    m = UClass(b=1, bprime=1, gs=gs, X=x)
+    k, rngs = members[0][1], [rng for rng, _, _ in members]
+    (x, gs), coefficients, (x_o, gs_o) = (
+        _uclass_draws(k, 2, rngs), _centralizer_coefficients(k, rngs), _uclass_draws(k, 2, rngs))
+    m = _class((1, 1), x, gs)
     g1, y1 = u11_to_tstar(m)
     z = _centralizer_element(slice_embed(m.X), coefficients)  # an equivalent (g_1 z, z^{-1} g_2)
-    g2, y2 = u11_to_tstar(UClass(b=1, bprime=1, gs=(gs[0] @ z, np.linalg.inv(z) @ gs[1]), X=x))
+    g2, y2 = u11_to_tstar(UClass(b=1, bprime=1, gs=(gs[0] @ z, np.linalg.inv(z) @ gs[1]), X=m.X))
     back = np.ones(len(y1))  # a case whose image the inverse refuses fails
     try:
         back[:] = u_equivalence_residual(m, u11_from_tstar(g1, y1))
     except RegularityError:  # the inverse takes regular images only: invert those alone
         ok = is_regular(y1)
         if ok.any():
-            kept = UClass(b=1, bprime=1, gs=tuple(g[ok] for g in gs), X=SlicePoint(k, x.coeffs[ok]))
+            kept = _class((1, 1), x[ok], tuple(g[ok] for g in gs))
             back[ok] = u_equivalence_residual(kept, u11_from_tstar(g1[ok], y1[ok]))
     # injectivity: an independent class maps to a different image
-    go, yo = u11_to_tstar(UClass(b=1, bprime=1, gs=gs_o, X=x_o))
+    go, yo = u11_to_tstar(_class((1, 1), x_o, gs_o))
     sep_g, sep_y = _gap(g1, go), _gap(y1, yo)
     columns = _gap(g1, g2), _gap(y1, y2), back, np.where(sep_y > sep_g, sep_y, sep_g)
     return [[("", a), ("", b), ("", c), ("min_pair_separation", sep)]
@@ -834,12 +836,11 @@ def _slice_reversal_misses(k: int) -> int:
 
 
 def _check_axiom_e(cfg, members) -> list:
-    k = members[0][1]
-    g, s, g0, a, h1, h2, (x_m, gs_m), g1 = _stack([(  # each member's draws in case order
-        sample_group(k, rng), sample_slice_point(k, rng), sample_group(k, rng),
-        sample_disc(rng, k, k), sample_group(k, rng), sample_group(k, rng),
-        _uclass_draws(k, 3, rng), sample_group(k, rng)) for rng, _, _ in members])
-    p = WPoint(g=g, X=s, orientation=INCOMING)
+    k, rngs = members[0][1], [rng for rng, _, _ in members]
+    p, g0, a, h1, h2, m, g1 = (
+        sample_wpoint(k, INCOMING, rngs), sample_group(k, rngs), sample_disc(rngs, k, k),
+        sample_group(k, rngs), sample_group(k, rngs), sample_uclass(k, 2, 1, rngs),
+        sample_group(k, rngs))
     # phi_E keeps X as it is, which holds because the reversal fixes the
     # slice matrix (a plain transpose would not)
     x = slice_embed(p.X)
@@ -859,7 +860,6 @@ def _check_axiom_e(cfg, members) -> list:
     columns += [failed] * _slice_reversal_misses(k)
     # class-level reversal: signature shift, anti-equivariance on the
     # moved factor, plain equivariance on the untouched ones
-    m = UClass(b=2, bprime=1, gs=gs_m, X=x_m)
     q_cls = phi_e_class(m)
     if (q_cls.b, q_cls.bprime) != (1, 2):
         columns.append(failed)
@@ -1045,7 +1045,7 @@ _SUITES = {
         ),
     ),
     "axiom_d": _Suite(_each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
-    "gluing": _Suite(_each(_check_gluing), _negative_gluing, 1e-9, 1.0),
+    "gluing": _Suite(_check_gluing, _negative_gluing, 1e-9, 1.0),
     "theorem_2_4_i": _Suite(
         _check_theorem_2_4_i, _negative_theorem_2_4_i, 1e-9, 1e-6,
         parts=(("", "max", None), ("min_pair_separation", "min", 1e-6)),
@@ -1074,8 +1074,8 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
     for case in suite.sizes or range(cfg.trials):
         rng = trial_rng(cfg.seed, name, case)
         members.append((rng, case if suite.sizes else _draw_k(rng, cfg.k, suite.k_cap), case))
-    residuals = _grouped([k for _, k, _ in members],
-                         lambda group: suite.check(cfg, [members[j] for j in group]))
+    residuals = _grouped([k for _, k, _ in members], lambda _, group: suite.check(cfg, group),
+                         members)
     acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
     folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
     for pairs in residuals:

@@ -7,7 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from mtv import verify  # noqa: E402
+from mtv import hilbert, verify  # noqa: E402
 
 
 @pytest.fixture
@@ -23,6 +23,13 @@ def one(x):
     """x as a stack of one trial (a class, scheme, tangent, list of tangents
     or matrix), as the finite-difference routines take it."""
     return verify._stack([x])
+
+
+def slice_conjugator(d):
+    """The conjugator C with slice_embed(X) = C J(D) C^{-1} that `hilb_to_u`
+    uses, X = scheme_slice_point(d) the slice point with the scheme's
+    characteristic polynomial."""
+    return hilbert._scheme_conjugator(d, hilbert.scheme_slice_point(d))[0]
 
 
 # Five well-separated eigenvalues: enough for every Jordan type up to k = 5.

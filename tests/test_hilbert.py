@@ -31,7 +31,6 @@ from mtv.hilbert import (
     normalize_scheme,
     orbit_invariant,
     orbit_invariant_equal,
-    slice_conjugator,
     u_to_hilb,
 )
 from mtv.lie import pairing
@@ -45,7 +44,7 @@ from mtv.uspace import UClass, u_equivalent, u_moment
 from mtv.verify import sample_group, sample_jetscheme
 from mtv.wspace import INCOMING, WPoint, WTangent, w_symplectic
 
-from conftest import rand_complex
+from conftest import rand_complex, slice_conjugator
 
 
 @pytest.fixture

@@ -26,7 +26,13 @@ import pytest
 
 from scipy.linalg import expm
 
-from conftest import JORDAN_BASE_POINTS, jordan_configurations, jordan_matrix, one
+from conftest import (
+    JORDAN_BASE_POINTS,
+    jordan_configurations,
+    jordan_matrix,
+    one,
+    slice_conjugator,
+)
 
 from mtv.errors import (
     ConditioningError,
@@ -65,7 +71,6 @@ from mtv.hilbert import (
     normalize_scheme,
     orbit_invariant,
     scheme_slice_point,
-    slice_conjugator,
     u_to_hilb,
 )
 from mtv.lie import (

@@ -1,9 +1,14 @@
-"""The stack-aware class routines against one call per trial.
+"""The stack-aware class routines and samplers against one call per trial.
 
 Each routine that takes a leading trial axis must give, for a stack of three
 trials, the bytes of three calls on the single trials, and must refuse a
 stack with one bad member with the typed error that member raises alone.
+Each sampler that takes a list of streams must give the bytes of one call
+per stream, and leave every stream where that call leaves it.
 """
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,10 +33,14 @@ from mtv.verify import (
     _centralizer_coefficients,
     _centralizer_element,
     _stack,
+    _uclass_draws,
     sample_disc,
     sample_group,
+    sample_slice_point,
     sample_uclass,
+    sample_utangent,
     sample_wpoint,
+    sample_wtangent,
     trial_rng,
 )
 from mtv.slodowy import slice_embed
@@ -74,6 +83,59 @@ def _matrices(rng, k):
     xs = [sample_disc(rng, k, k) for _ in range(4)]
     xs += [g @ np.diag(eig) @ np.linalg.inv(g), np.eye(k, k=1) + 0j]
     return [xs[:3], xs[3:]]
+
+
+# Each sampler that takes a list of streams, as a call (stream or streams, k).
+SAMPLERS = {
+    "disc": lambda rng, k: sample_disc(rng, k, k),
+    "disc_scalar": lambda rng, k: sample_disc(rng),
+    "disc_radius": lambda rng, k: sample_disc(rng, k, radius=0.4),
+    "slice_point": lambda rng, k: sample_slice_point(k, rng),
+    "group": lambda rng, k: sample_group(k, rng),
+    "utangent": lambda rng, k: sample_utangent(k, 3, rng),
+    "wtangent": lambda rng, k: sample_wtangent(k, rng),
+    "uclass_draws": lambda rng, k: _uclass_draws(k, 2, rng),
+    "centralizer_coefficients": lambda rng, k: _centralizer_coefficients(k, rng),
+}
+
+
+class _Stub:
+    """A duck-typed stream: it has `random(shape)` only, besides the state read here."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self._random = rng.random
+
+    def random(self, shape):
+        return self._random(shape)
+
+
+def _arrays(draw) -> list:
+    """The arrays and numbers of a draw, field by field, in order."""
+    if isinstance(draw, (np.ndarray, np.generic)):
+        return [draw]
+    if isinstance(draw, (tuple, list)):
+        return [a for part in draw for a in _arrays(part)]
+    if dataclasses.is_dataclass(draw):
+        return _arrays([getattr(draw, f.name) for f in dataclasses.fields(draw)])
+    return []
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("stream", [lambda rng: rng, _Stub], ids=["generator", "stub"])
+def test_samplers_take_a_list_of_streams(k, name, stream):
+    for n in (1, 3):
+        rngs = [trial_rng(35, name, n * 10 + t) for t in range(n)]
+        copies = copy.deepcopy(rngs)
+        stacked = SAMPLERS[name]([stream(rng) for rng in rngs], k)
+        alone = [SAMPLERS[name](stream(rng), k) for rng in copies]
+        parts = list(zip(*map(_arrays, alone)))
+        assert len(_arrays(stacked)) == len(parts) > 0
+        for got, want in zip(_arrays(stacked), parts):
+            _same(got, want)
+        # each stream made the draws of its one-stream call, no more
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in copies]
 
 
 @pytest.mark.parametrize("k", KS)

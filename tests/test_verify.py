@@ -308,9 +308,9 @@ def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
     assert main(argv) == 1
 
 
-# The suites whose check draws every case of a group and evaluates the group
-# as one stack.
-_STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity",
+# The suites whose check draws every case of a group as one stack (gluing then
+# evaluates case by case).
+_STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity", "gluing",
                    "theorem_2_4_i", "axiom_e")
 
 
