@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mtv.hilbert import adjoint_orbits_match
+from mtv.verify import jordan_configurations
 
-from conftest import jordan_configurations, jordan_matrix
+from conftest import jordan_matrix
 
 # Jordan configurations of size 2..5 with a block of length at least 2
 CHAINED = [c for k in range(2, 6) for c in jordan_configurations(k) if max(map(max, c)) >= 2]

@@ -26,13 +26,7 @@ import pytest
 
 from scipy.linalg import expm
 
-from conftest import (
-    JORDAN_BASE_POINTS,
-    jordan_configurations,
-    jordan_matrix,
-    one,
-    slice_conjugator,
-)
+from conftest import jordan_matrix, one, slice_conjugator
 
 from mtv.errors import (
     ConditioningError,
@@ -98,6 +92,7 @@ from mtv.slodowy import (
 from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_build, u_symplectic
 from mtv.verify import (
     FD_STEP,
+    JORDAN_BASE_POINTS,
     FChart,
     UChart,
     _SIGNATURES,
@@ -105,6 +100,7 @@ from mtv.verify import (
     _matrix_units,
     _stack,
     fd_exterior_derivative,
+    jordan_configurations,
     sample_disc,
     sample_group,
     sample_jetscheme,

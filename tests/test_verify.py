@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from mtv import slodowy, uspace, verify
 from mtv.cli import main
 from mtv.errors import DimensionMismatchError, ValidationError
 from mtv.hilbert import FTangent, f_presymplectic
-from mtv.lie import as_matrix
+from mtv.lie import as_matrix, pairing
 from mtv.slodowy import slice_embed
 from mtv.verify import (
     SUITE_NAMES,
@@ -18,6 +20,7 @@ from mtv.verify import (
     UChart,
     fd_exterior_derivative,
     fd_moment_conditions,
+    jordan_configurations,
     run_suite,
     sample_disc,
     sample_jetscheme,
@@ -141,6 +144,20 @@ class TestFiniteDifferences:
         assert r2 < r1
         assert r1 / r2 == pytest.approx(4.0, rel=0.35)
 
+    @pytest.mark.parametrize("i", [0, 1], ids=["incoming", "outgoing"])
+    def test_moment_conditions_scale_quadratically(self, i, monkeypatch):
+        # halving the step cuts the group and the abelian residual by about 4
+        rng = trial_rng(3, "fd-moment", i)
+        m = one(sample_uclass(3, 1, 1, rng))
+        v, xi = one(sample_utangent(3, 2, rng)), one(sample_disc(rng, 3, 3))
+        residuals = []
+        for step in (2e-4, 1e-4):
+            monkeypatch.setattr(verify, "FD_STEP", step)
+            (lhs, dmu), (lhs_a, dp) = fd_moment_conditions(m, i, v, xi=xi, degree=[3])
+            residuals.append((abs(lhs[0] - pairing(dmu, xi)[0]), abs(lhs_a[0] - dp[0])))
+        for r1, r2 in zip(*residuals):
+            assert r1 / r2 == pytest.approx(4.0, rel=0.35)
+
 
 def _symmetrized_by_permutations(x, y, degree):
     """p(X, ..., X, Y) as the plain average of trace products over all m!
@@ -189,6 +206,71 @@ def test_exp_transport_matches_frechet(norm, left):
             frechet = expm_frechet(s, a, compute_expm=False)
             ref = frechet @ expm(-s) if left else expm(-s) @ frechet
             assert np.max(np.abs(t - ref)) < 1e-13
+
+
+def test_suite_names_keep_their_order():
+    # the benchmark's op cycling and the replay-fitting set index this tuple
+    assert SUITE_NAMES == (
+        "polarization", "hamiltonian_w", "closedness", "form_identity", "axiom_d", "gluing",
+        "theorem_2_4_i", "axiom_e", "hilbert_round_trip", "fitting_orbits", "free_action")
+
+
+def test_jordan_types_are_counted_by_a001970():
+    assert [len(jordan_configurations(k)) for k in range(1, 6)] == [1, 3, 6, 14, 27]
+
+
+# The Jordan types that fitting_orbits listed by hand before they were
+# generated, as (base point index, block length) per block.
+_LISTED_JORDAN_TYPES = {
+    2: (((0, 1), (1, 1)), ((0, 2),), ((0, 1), (0, 1))),
+    3: (((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 1)), ((0, 3),), ((0, 1), (0, 1), (1, 1)),
+        ((0, 2), (0, 1)), ((0, 1), (0, 1), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_LISTED_JORDAN_TYPES))
+def test_generated_jordan_types_match_the_listed_ones(k):
+    # each type as the multiset of block lengths per eigenvalue
+    def per_eigenvalue(blocks):
+        lengths = {}
+        for z, l in blocks:
+            lengths.setdefault(z, []).append(l)
+        return tuple(sorted(tuple(sorted(ls, reverse=True)) for ls in lengths.values()))
+
+    generated = Counter(tuple(sorted(c)) for c in jordan_configurations(k))
+    assert generated == Counter(map(per_eigenvalue, _LISTED_JORDAN_TYPES[k]))
+
+
+@pytest.mark.parametrize("fold", ["max", "min", "sum"])
+def test_nan_residual_makes_its_part_nan(fold, monkeypatch):
+    # Python's max and min keep their other argument against a NaN; the
+    # runner must not, wherever the NaN comes in the case order
+    for values in ([1.0, math.nan, 2.0], [math.nan, 1.0, 2.0], [2.0, 1.0, math.nan]):
+        suite = verify._Suite(lambda k, rngs, cases: [[("", 0.0), ("part", v)] for v in values],
+                              lambda rng: 1.0, 10.0, 0.0,
+                              parts=(("", "max", None), ("part", fold, 0.5)))
+        monkeypatch.setitem(verify._SUITES, "axiom_d", suite)
+        res = run_suite(SuiteConfig(k=2, trials=3, seed=1, suites=("axiom_d",))).suites[0]
+        assert math.isnan(res.details["part"]) and not res.passed, values
+        assert math.isnan(res.max_residual) == (fold != "min")
+
+
+def _nan_per_class(m, *_):
+    """NaN for each class of a stack, as a residual of one class or a stack of them."""
+    return np.full(np.shape(m.gs[0])[:-2], np.nan)[()]
+
+
+@pytest.mark.parametrize("routine, names", [
+    ("axiom_d_residual", ("axiom_d",)),
+    ("u_equivalence_residual", ("theorem_2_4_i", "gluing")),
+], ids=["axiom_d_residual", "u_equivalence_residual"])
+def test_nan_residual_fails_its_suite(routine, names, monkeypatch):
+    # the report reads NaN, the suite fails and `mtv verify` exits 1
+    monkeypatch.setattr(verify, routine, _nan_per_class)
+    for res in run_suite(SuiteConfig(k=3, trials=6, seed=1, suites=names)).suites:
+        assert math.isnan(res.max_residual) and not res.passed, res.name
+    argv = ["verify", "--suite", names[0], "--k", "3", "--trials", "6", "--seed", "1"]
+    assert main(argv) == 1
 
 
 class TestRunSuite:
@@ -286,11 +368,10 @@ def test_jet_noise_in_the_action_is_counted_on_every_jordan_type(monkeypatch):
     # the action's own definition, G(g0 . d) = g0 G(d) on the first factor,
     # counts each of the 3 + 6 Jordan types at k = 2, 3; the moment's
     # equivariance counts all but the one type per size whose moment is z I
-    # whatever the jets, ((0,1),(0,1)) and ((0,1),(0,1),(0,1))
+    # whatever the jets, ((1, 1),) and ((1, 1, 1),)
     monkeypatch.setattr(verify, "act_on_scheme", _jet_noise())
-    cfg = SuiteConfig(k=3, trials=1, seed=1)
-    members = [(trial_rng(1, "fitting_orbits", k), k, k) for k in verify._JORDAN_TYPES]
-    counts = verify._SUITES["fitting_orbits"].check(cfg, members)
+    suite = verify._SUITES["fitting_orbits"]
+    counts = [suite.check(k, [trial_rng(1, "fitting_orbits", k)], [k])[0] for k in suite.sizes]
     assert counts == [[("mispredictions", 3 + 2)], [("mispredictions", 6 + 5)]]
 
 
@@ -314,8 +395,9 @@ _STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity
                    "theorem_2_4_i", "axiom_e")
 
 
-def _members(name, k, trials):
-    return [(trial_rng(9, name, t), k, t) for t in trials]
+def _streams(name, trials):
+    """The streams and the trial indices of a group, the two last arguments of a check."""
+    return [trial_rng(9, name, t) for t in trials], list(trials)
 
 
 def _bytes(values):
@@ -333,7 +415,6 @@ def test_stacked_checks_build_once_per_key_and_evaluation(monkeypatch):
             init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    cfg = SuiteConfig(k=3, trials=1, seed=9)
     # the bounds are keys times constructions per key.  hamiltonian_w: 2 W
     # signatures, each built and moved along its tangent; closedness: 2 W and
     # 4 class signatures, each built and displaced by the chart; form_identity:
@@ -344,7 +425,7 @@ def test_stacked_checks_build_once_per_key_and_evaluation(monkeypatch):
               "form_identity": (2 + 6, 1)}
     for name, (in_check, in_negative) in checks.items():
         suite = verify._SUITES[name]
-        for run, bound in ((lambda: suite.check(cfg, _members(name, 3, range(24))), in_check),
+        for run, bound in ((lambda: suite.check(3, *_streams(name, range(24))), in_check),
                            (lambda: suite.negative(trial_rng(9, f"{name}-neg", 0)), in_negative)):
             built.clear()
             run()
@@ -362,9 +443,8 @@ def test_partly_regular_group_matches_groups_of_one(monkeypatch):
     monkeypatch.setattr(verify, "is_regular", some)
     monkeypatch.setattr(slodowy, "is_regular", some)
     check = verify._SUITES["theorem_2_4_i"].check
-    cfg = SuiteConfig(k=3, trials=1, seed=9)
-    alone = [check(cfg, _members("theorem_2_4_i", 3, [t]))[0] for t in range(24)]
-    assert check(cfg, _members("theorem_2_4_i", 3, range(24))) == alone
+    alone = [check(3, *_streams("theorem_2_4_i", [t]))[0] for t in range(24)]
+    assert check(3, *_streams("theorem_2_4_i", range(24))) == alone
     assert 0 < sum(pairs[2] == ("", 1.0) for pairs in alone) < 24
 
 
@@ -372,11 +452,10 @@ def test_partly_regular_group_matches_groups_of_one(monkeypatch):
 def test_grouped_cases_match_groups_of_one(k):
     # every stacked suite: a group of n cases of size k gives, value for
     # value, the residuals of n groups of one, each drawn from its own stream
-    cfg = SuiteConfig(k=k, trials=1, seed=9)
     for name in _STACKED_SUITES:
         check = verify._SUITES[name].check
-        alone = [check(cfg, _members(name, k, [t]))[0] for t in range(24)]
-        assert check(cfg, _members(name, k, range(24))) == alone
+        alone = [check(k, *_streams(name, [t]))[0] for t in range(24)]
+        assert check(k, *_streams(name, range(24))) == alone
     # the stacked routines against one call per class, at every signature
     # (every factor for the moment conditions) and every piece pattern
     rng = trial_rng(9, "stacked-fd", k)
