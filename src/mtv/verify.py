@@ -273,11 +273,11 @@ def sample_jetscheme(
 #
 # A chart turns a tangent into the coordinate displacement h * direction
 # (`displace`) and maps a stack of coordinates to the stacked points there
-# together with two stacked chart-constant tangents carried to the form's
-# coordinates at each (`frame_at`).  Its base is a stack of n >= 1 trials;
-# coordinates come as whole copies of n, move by move, and the base is
-# broadcast over the copies.  W is the one-factor class, so `UChart` is its
-# chart too.
+# together with any number of stacked chart-constant tangents carried to the
+# form's coordinates at each (`frame_at`).  Its base is a stack of n >= 1
+# trials; coordinates come as whole copies of n, move by move, and the base
+# is broadcast over the copies.  W is the one-factor class, so `UChart` is
+# its chart too.
 # A group coordinate s enters through e^s: `_exp_transport` gives e^s and
 # the carried group directions from one block-triangular exponential.
 
@@ -289,8 +289,11 @@ def _exp_transport(
     chart-constant direction a: e^(-s) L(s, a) for a right chart and
     L(s, a) e^(-s) for a left one, L the Frechet derivative of exp.  The
     first block row of exp([[s, a_1, ..., a_n], [0, s, ...], ..., [..., s]])
-    is (e^s, L(s, a_1), ..., L(s, a_n)) (Van Loan 1978).  s and the a_i are
-    stacks (..., k, k), one block per point."""
+    is (e^s, L(s, a_1), ..., L(s, a_n)) (Van Loan 1978); with no direction it
+    is expm(s) alone.  s and the a_i are stacks (..., k, k), one block per
+    point."""
+    if not directions:
+        return expm(s), []
     if left:  # L(s, a) e^(-s) is the transpose of the right form at (s^T, a^T)
         s, *directions = (m.swapaxes(-1, -2) for m in (s, *directions))
         es, moved = _exp_transport(s, tuple(directions))
@@ -336,14 +339,15 @@ class UChart:
         self.m = m
         self.k = m.X.k
 
-    def frame_at(self, coords, u: UTangent, v: UTangent) -> tuple[UClass, UTangent, UTangent]:
+    def frame_at(self, coords, *tangents: UTangent) -> tuple:
         s_list, dc = coords
-        moved = [_exp_transport(s, (a, b)) for s, a, b in zip(s_list, u.a_list, v.a_list)]
+        moved = [_exp_transport(s, tuple(a))
+                 for s, *a in zip(s_list, *(t.a_list for t in tangents))]
         gs = tuple(_over_copies(g, es, np.matmul) for g, (es, _) in zip(self.m.gs, moved))
         x = SlicePoint(self.k, _over_copies(self.m.X.coeffs, dc, np.add))
-        point = replace(self.m, gs=gs, X=x)
-        au, av = zip(*(pair for _, pair in moved))
-        return point, UTangent(a_list=au, dc=u.dc), UTangent(a_list=av, dc=v.dc)
+        carried = zip(*(a for _, a in moved))  # per tangent, its directions on every factor
+        return (replace(self.m, gs=gs, X=x),
+                *(UTangent(a_list=a, dc=t.dc) for a, t in zip(carried, tangents)))
 
     def displace(self, direction: UTangent, h: float) -> tuple[list[Matrix], np.ndarray]:
         return ([h * a for a in direction.a_list], h * direction.dc)
@@ -356,14 +360,15 @@ class FChart:
     def __init__(self, d: JetScheme):
         self.d = d
 
-    def frame_at(self, coords, u: FTangent, v: FTangent) -> tuple[JetScheme, FTangent, FTangent]:
+    def frame_at(self, coords, *tangents: FTangent) -> tuple:
         s, dz = coords
         # the group displacement acts on the left, on whole copies of the base
-        es, (ru, rv) = _exp_transport(s, (u.rho, v.rho), left=True)
+        es, rhos = _exp_transport(s, tuple(t.rho for t in tangents), left=True)
         copies = _stack([self.d] * (len(s) // len(self.d.pieces[0].z)), np.concatenate)
         moved = act_on_scheme(copies, [es])
         pieces = tuple(replace(p, z=p.z + dz[..., i]) for i, p in enumerate(moved.pieces))
-        return replace(moved, pieces=pieces), FTangent(rho=ru, dz=u.dz), FTangent(rho=rv, dz=v.dz)
+        return (replace(moved, pieces=pieces),
+                *(FTangent(rho=r, dz=t.dz) for r, t in zip(rhos, tangents)))
 
     def displace(self, direction: FTangent, h: float) -> tuple[Matrix, np.ndarray]:
         return (h * direction.rho, h * direction.dz)
@@ -401,8 +406,8 @@ def fd_moment_conditions(
     of a class, for each condition asked for, in this order: the group action
     of xi (field g_i^{-1} xi g_i incoming, -xi outgoing; moment `u_moment`)
     and the abelian action of P_degree (field C = grad P(X) incoming,
-    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m displaced by
-    p FD_STEP v for each point p of `_STENCIL`.  m, v and xi carry a leading
+    g_i^{-1} C g_i outgoing; moment P(X)).  Both read m moved by `UChart`
+    to p FD_STEP v for each point p of `_STENCIL`.  m, v and xi carry a leading
     axis of n >= 1 trials, with one degree per trial; a pair holds n values
     of omega in a list and n differences, stacked (group) or in a list
     (abelian)."""
@@ -410,10 +415,8 @@ def fd_moment_conditions(
     g, n = m.gs[i], len(m.X.coeffs)
     # the points displaced by each step in turn, n to a step
     steps = [p * FD_STEP for p in _STENCIL]
-    coeffs = np.concatenate([m.X.coeffs + h * v.dc for h in steps])
-    moved = replace(m, gs=tuple(
-        _over_copies(g_j, expm(np.concatenate([h * a for h in steps])), np.matmul)
-        for g_j, a in zip(m.gs, v.a_list)), X=SlicePoint(m.X.k, coeffs))
+    chart = UChart(m)
+    moved, = chart.frame_at(_stack([chart.displace(v, h) for h in steps], np.concatenate))
     fund, d_moments = [], []  # factor i's part of each fundamental field; the moment's quotients
     if xi is not None:
         mu = u_moment(moved, i)
@@ -454,22 +457,22 @@ def symmetrized_form_value(x: Matrix, y: Matrix, degree: int) -> complex | np.nd
 # ----------------------------------------------------------------------
 # suites
 #
-# A check takes (k, rngs, cases): the size of a group and the RNG stream and
-# the index of each of its cases (for suites that loop over trials, the
-# trial index), and returns one list of (part, residual) pairs per case; the
-# part "" is the suite's unnamed residual, named parts are also reported in
-# `details`.  A stacked check draws step by step, each step one sampler call
-# on the group's streams (per key, a signature, where the step depends on
-# it), so every stream draws as one case does; each key's class or point is
-# built once from the stacked arrays.  `_each` runs a check that yields the
-# pairs of one case, check(k, rng, case), over its group.  A negative control
-# takes its own RNG stream and returns one residual.
+# A check takes (k, keys, rngs): the size of a group and the key and the RNG
+# stream of each of its cases, and returns one list of (part, residual) pairs
+# per case; the part "" is the suite's unnamed residual, named parts are also
+# reported in `details`.  A case's key is the suite's data (`_Suite.keys`, a
+# signature where the suite has a table of them).  A stacked check draws step
+# by step, each step one sampler call on the group's streams (per key where
+# the step depends on it), so every stream draws as one case does; each key's
+# class or point is built once from the stacked arrays.  `_each` runs a check
+# that yields the pairs of one case, check(k, key, rng), over its group.  A
+# negative control takes its own RNG stream and returns one residual.
 
 _Residuals = Iterator[tuple[str, float]]
 
 
 def _each(check: Callable[..., _Residuals]):
-    return lambda k, rngs, cases: [list(check(k, rng, case)) for rng, case in zip(rngs, cases)]
+    return lambda k, keys, rngs: [list(check(k, key, rng)) for key, rng in zip(keys, rngs)]
 
 
 def _grouped(keys: list, evaluate: Callable[..., list], *lists) -> list:
@@ -483,7 +486,7 @@ def _grouped(keys: list, evaluate: Callable[..., list], *lists) -> list:
     return [values[j] for j in range(len(keys))]
 
 
-# Every (b, b') with 1 <= b + b' <= 4.
+# Every (b, b') with 1 <= b + b' <= 4: axiom_d's and free_action's keys.
 _SIGNATURES = tuple(
     (b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1
 )
@@ -496,11 +499,13 @@ class _Suite:
     tolerance: float  # reported bound of max_residual
     neg_threshold: float
     k_cap: int = 4
+    # case c's key is keys[c % len(keys)]
+    keys: tuple = (None,)
     # (part, fold, bound): "max" and "sum" parts must stay below the bound,
     # "min" parts above it; bound None means the tolerance
     parts: tuple[tuple[str, str, float | None], ...] = (("", "max", None),)
-    # a case suite: one case per matrix size, from the stream (suite, size),
-    # in place of one case per trial at a drawn size
+    # a case suite: one case per matrix size up to the configured k, from the
+    # stream (suite, size), in place of one case per trial at a drawn size
     sizes: tuple[int, ...] = ()
 
 
@@ -510,11 +515,6 @@ _FOLDS = {"max": (max, 0.0), "min": (min, np.inf), "sum": (operator.add, 0)}
 def _matrix_units(k: int) -> np.ndarray:
     """The k^2 matrix units E_ab, row-major in (a, b), as one (k^2, k, k) stack."""
     return np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-
-
-def _w_signatures(trials: list) -> list[tuple[int, int]]:
-    """The signature of each trial's W point, its draws' key: incoming at even trials."""
-    return [((1, 0), (0, 1))[trial % 2] for trial in trials]
 
 
 def _worst_incoming_k3(rng: np.random.Generator, draw, evaluate) -> float:
@@ -533,9 +533,9 @@ def _polarization_gap(c: Matrix, x: Matrix, m: int) -> np.ndarray:
     return np.max(np.abs(gaps), axis=-1)
 
 
-def _check_polarization(k, rngs, trials) -> list:
+def _check_polarization(k, keys, rngs) -> list:
     x = sample_disc(rngs, k, k)
-    out = [[] for _ in trials]
+    out = [[] for _ in rngs]
     for m in range(1, k + 1):
         c = polarized_gradient(InvariantPolynomial(m), x)
         brackets = np.max(np.abs(commutator(c, x)), axis=(-2, -1))
@@ -550,7 +550,7 @@ def _negative_polarization(rng) -> float:
     return float(_polarization_gap(1.1 * polarized_gradient(InvariantPolynomial(2), x), x, 2))
 
 
-def _check_hamiltonian_w(k, rngs, trials) -> list:
+def _check_hamiltonian_w(k, keys, rngs) -> list:
     def conditions(sig, rngs):
         m = _class(sig, *_wpoint_draws(k, rngs))
         xi, v = sample_disc(rngs, k, k), sample_utangent(k, 1, rngs)
@@ -559,7 +559,7 @@ def _check_hamiltonian_w(k, rngs, trials) -> list:
         return [[("", abs(a - b)), ("", abs(c - d))]
                 for a, b, c, d in zip(lhs, pairing(dmu, xi).tolist(), lhs_a, dp)]
 
-    return _grouped(_w_signatures(trials), conditions, rngs)
+    return _grouped(keys, conditions, rngs)
 
 
 def _negative_hamiltonian_w(rng) -> float:
@@ -583,8 +583,8 @@ def _literal_wedge(m: UClass, u: UTangent, v: UTangent):
     return w_symplectic_moment_wedge(p, *(WTangent(a=t.a_list[0], dc=t.dc) for t in (u, v)))
 
 
-def _check_closedness(k, rngs, trials) -> list:
-    w = _grouped(_w_signatures(trials), lambda sig, rs: _d_omega(
+def _check_closedness(k, keys, rngs) -> list:
+    w = _grouped(keys, lambda sig, rs: _d_omega(
         _class(sig, *_wpoint_draws(k, rs)), [sample_utangent(k, 1, rs) for _ in range(3)]), rngs)
     sigs = [(int(rng.integers(1, 3)), int(rng.integers(0, 2))) for rng in rngs]
     u = _grouped(sigs, lambda sig, rs: _d_omega(
@@ -617,11 +617,11 @@ def _w_codings(sig, x, gs, u, v) -> list[tuple]:
     return list(zip(*(f(p, u, v).tolist() for f in forms)))
 
 
-def _check_form_identity(k, rngs, trials) -> list:
+def _check_form_identity(k, keys, rngs) -> list:
     sigs = [(int(rng.integers(1, 3)), int(rng.integers(0, 3))) for rng in rngs]
     u = _grouped(sigs, lambda sig, rs: _two_codings(
         sample_uclass(k, *sig, rs), *(sample_utangent(k, sum(sig), rs) for _ in range(2))), rngs)
-    w = _grouped(_w_signatures(trials), lambda sig, rs: _w_codings(
+    w = _grouped(keys, lambda sig, rs: _w_codings(
         sig, *_wpoint_draws(k, rs), sample_wtangent(k, rs), sample_wtangent(k, rs)), rngs)
     out = []
     for gap, (canon, bracket, literal, mc) in zip(u, w):
@@ -638,9 +638,8 @@ def _negative_form_identity(rng) -> float:
         lambda *draws: [literal - canon for canon, _, literal, _ in _w_codings(*draws)])
 
 
-def _check_axiom_d(k, rng, trial) -> _Residuals:
-    b, bp = _SIGNATURES[trial % len(_SIGNATURES)]
-    yield "", axiom_d_residual(sample_uclass(k, b, bp, rng))
+def _check_axiom_d(k, sig, rng) -> _Residuals:
+    yield "", axiom_d_residual(sample_uclass(k, *sig, rng))
 
 
 def _negative_axiom_d(rng) -> float:
@@ -669,17 +668,7 @@ def _matched_glue_pairs(k: int, sig1: tuple, sig2: tuple, rngs: list) -> list[tu
     return pairs
 
 
-_GLUE_SIGNATURE_PAIRS = (
-    ((1, 1), (1, 0)),
-    ((1, 1), (1, 1)),
-    ((0, 1), (2, 0)),
-    ((2, 1), (1, 1)),
-    ((1, 2), (2, 0)),
-    ((0, 2), (1, 1)),
-)
-
-
-def _check_gluing(k, rngs, trials) -> list:
+def _check_gluing(k, keys, rngs) -> list:
     def check(sigs, rngs):  # one signature pair's draws stacked, its evaluation per case
         pairs = _matched_glue_pairs(k, *sigs, rngs)
         g0 = sample_group(k, rngs)  # re-gauges the matched pair
@@ -687,8 +676,7 @@ def _check_gluing(k, rngs, trials) -> list:
         g1 = sample_group(k, rngs) if sum(sigs[0]) > 1 else [None] * len(rngs)
         return [list(_glue_residuals(*sigs, *pair, *gs)) for pair, *gs in zip(pairs, g0, g1)]
 
-    return _grouped([_GLUE_SIGNATURE_PAIRS[trial % len(_GLUE_SIGNATURE_PAIRS)] for trial in trials],
-                    check, rngs)
+    return _grouped(keys, check, rngs)
 
 
 def _glue_residuals(sig1, sig2, m1, p_out, m2, q_in, g0, g1) -> _Residuals:
@@ -735,7 +723,7 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _largest(a - b, axes=a.ndim - 1)
 
 
-def _check_theorem_2_4_i(k, rngs, trials) -> list:
+def _check_theorem_2_4_i(k, keys, rngs) -> list:
     (x, gs), coefficients, (x_o, gs_o) = (
         _uclass_draws(k, 2, rngs), _centralizer_coefficients(k, rngs), _uclass_draws(k, 2, rngs))
     m = _class((1, 1), x, gs)
@@ -774,7 +762,7 @@ def _slice_reversal_misses(k: int) -> int:
     return sum(not is_in_slice(_reverse(principal_triple(k).e + f_j)) for f_j in _f_powers(k))
 
 
-def _check_axiom_e(k, rngs, trials) -> list:
+def _check_axiom_e(k, keys, rngs) -> list:
     p, g0, a, h1, h2, m, g1 = (
         sample_wpoint(k, INCOMING, rngs), sample_group(k, rngs), sample_disc(rngs, k, k),
         sample_group(k, rngs), sample_group(k, rngs), sample_uclass(k, 2, 1, rngs),
@@ -794,7 +782,7 @@ def _check_axiom_e(k, rngs, trials) -> list:
     columns.append(_gap(theta(theta(a)), a))
     columns.append(_gap(theta(h1 @ h2, "group"), theta(h1, "group") @ theta(h2, "group")))
     # conjugator maps the opposite slice into the slice
-    failed = np.ones(len(trials))
+    failed = np.ones(len(rngs))
     columns += [failed] * _slice_reversal_misses(k)
     # class-level reversal: signature shift, anti-equivariance on the
     # moved factor, plain equivariance on the untouched ones
@@ -836,19 +824,15 @@ def _scheme_distance(d1: JetScheme, d2: JetScheme) -> float:
     return max(dz, jet_err / scale)
 
 
-_HILBERT_SIGNATURES = ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2))
-
-
-def _check_hilbert_round_trip(k, rng, trial) -> _Residuals:
-    b, bp = _HILBERT_SIGNATURES[trial % len(_HILBERT_SIGNATURES)]
-    d = sample_jetscheme(k, b, bp, rng)
+def _check_hilbert_round_trip(k, sig, rng) -> _Residuals:
+    d = sample_jetscheme(k, *sig, rng)
     m = hilb_to_u(d)
     d_back = u_to_hilb(m)
     yield "", _scheme_distance(normalize_scheme(d), d_back)
     m_back = hilb_to_u(d_back)
     yield "", u_equivalence_residual(m, m_back)
     # equivariance: group action on jets matches the class action
-    gs = [sample_group(k, rng) for _ in range(b + bp)]
+    gs = [sample_group(k, rng) for _ in range(sum(sig))]
     lhs = hilb_to_u(act_on_scheme(d, gs))
     rhs = m
     for j, g in enumerate(gs):
@@ -907,7 +891,7 @@ def _jordan_type_schemes(k: int, rng: np.random.Generator) -> list[JetScheme]:
     ]
 
 
-def _check_fitting_orbits(k, rng, case) -> _Residuals:
+def _check_fitting_orbits(k, key, rng) -> _Residuals:
     schemes = _jordan_type_schemes(k, rng)
     moments = f_moment(schemes)
     invariants = [orbit_invariant(d) for d in schemes]
@@ -955,14 +939,13 @@ def _accepts_first_factor(m: UClass, g: Matrix) -> float:
     return 1.0
 
 
-def _check_free_action(k, rng, trial) -> _Residuals:
+def _check_free_action(k, sig, rng) -> _Residuals:
     # The first-factor action is free by construction: h g_1 = g_1 z_1 with
     # the other factors fixed and prod z_i = 1 forces every z_i = 1, hence
     # h = 1, once each factor is invertible.  So the part that can fail is
     # the refusal of a singular factor, which every h = 1 + v w^T with
     # w^T g_1 = 0 would fix.
-    b, bp = _SIGNATURES[trial % len(_SIGNATURES)]
-    m = sample_uclass(k, b, bp, rng)
+    m = sample_uclass(k, *sig, rng)
     yield "", _accepts_first_factor(m, m.gs[0] @ np.diag([1.0] * (k - 1) + [0.0]))
 
 
@@ -978,35 +961,43 @@ _SUITES = {
         _check_polarization, _negative_polarization, 1e-9, 1e-9, k_cap=5,
         parts=(("identity_residual", "max", None), ("bracket_residual", "max", 1e-10)),
     ),
-    "hamiltonian_w": _Suite(_check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2),
+    # W's signature is a key: incoming at even trials
+    "hamiltonian_w": _Suite(
+        _check_hamiltonian_w, _negative_hamiltonian_w, 1e-5, 1e-2, keys=((1, 0), (0, 1))),
     "closedness": _Suite(
-        _check_closedness, _negative_closedness, 1e-4, 1e-2, k_cap=3,
+        _check_closedness, _negative_closedness, 1e-4, 1e-2, k_cap=3, keys=((1, 0), (0, 1)),
         parts=(("w", "max", None), ("u", "max", None), ("f", "max", None)),
     ),
     "form_identity": _Suite(
-        _check_form_identity, _negative_form_identity, 1e-10, 1e-2,
+        _check_form_identity, _negative_form_identity, 1e-10, 1e-2, keys=((1, 0), (0, 1)),
         parts=(
             ("u_two_codings", "max", None),
             ("w_two_codings", "max", None),
             ("literal_discrepancy_identity", "max", None),
         ),
     ),
-    "axiom_d": _Suite(_each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5),
-    "gluing": _Suite(_check_gluing, _negative_gluing, 1e-9, 1.0),
+    "axiom_d": _Suite(
+        _each(_check_axiom_d), _negative_axiom_d, 1e-10, 1e-2, k_cap=5, keys=_SIGNATURES),
+    "gluing": _Suite(_check_gluing, _negative_gluing, 1e-9, 1.0, keys=(
+        ((1, 1), (1, 0)), ((1, 1), (1, 1)), ((0, 1), (2, 0)),
+        ((2, 1), (1, 1)), ((1, 2), (2, 0)), ((0, 2), (1, 1)),
+    )),
     "theorem_2_4_i": _Suite(
         _check_theorem_2_4_i, _negative_theorem_2_4_i, 1e-9, 1e-6,
         parts=(("", "max", None), ("min_pair_separation", "min", 1e-6)),
     ),
     "axiom_e": _Suite(_check_axiom_e, _negative_axiom_e, 1e-10, 1e-2),
     "hilbert_round_trip": _Suite(
-        _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3
+        _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3,
+        keys=((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)),
     ),
     "fitting_orbits": _Suite(
         _each(_check_fitting_orbits), _negative_fitting_orbits, 0.5, 1.0,
         parts=(("mispredictions", "sum", None),), sizes=(2, 3),
     ),
     # acceptances are counted 0 or 1: 0.5 separates them
-    "free_action": _Suite(_each(_check_free_action), _negative_free_action, 0.5, 0.5, k_cap=5),
+    "free_action": _Suite(
+        _each(_check_free_action), _negative_free_action, 0.5, 0.5, k_cap=5, keys=_SIGNATURES),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -1031,6 +1022,11 @@ class SuiteConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ValidationError(f"unknown suite: {name}")
+        if len(set(self.suites)) < len(self.suites):
+            raise ValidationError("a suite is named twice")
+        largest = max(max(s.sizes or (s.k_cap,)) for s in _SUITES.values())
+        if self.k > largest:  # it would run as k = largest
+            raise ValidationError(f"k must be at most {largest}, the largest size a suite takes")
 
 
 @dataclass
@@ -1058,15 +1054,16 @@ class Report:
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteResult:
     """Run one suite: take each case's size (a case suite's own, or one drawn
-    from the case's stream), check the cases of each size as one group, fold
-    each residual part over the cases in case order, evaluate the negative
-    control and apply the pass rule."""
+    from the case's stream) and key, check the cases of each size as one
+    group, fold each residual part over the cases in case order, evaluate the
+    negative control and apply the pass rule."""
     t0 = time.perf_counter()
     suite = _SUITES[name]
-    cases = suite.sizes or range(cfg.trials)
+    cases = [k for k in suite.sizes if k <= cfg.k] if suite.sizes else range(cfg.trials)
     rngs = [trial_rng(cfg.seed, name, case) for case in cases]
-    ks = suite.sizes or [_draw_k(rng, cfg.k, suite.k_cap) for rng in rngs]
-    residuals = _grouped(ks, suite.check, rngs, cases)
+    ks = cases if suite.sizes else [_draw_k(rng, cfg.k, suite.k_cap) for rng in rngs]
+    keys = [suite.keys[case % len(suite.keys)] for case in cases]
+    residuals = _grouped(ks, suite.check, keys, rngs)
     acc = {part: _FOLDS[fold][1] for part, fold, _ in suite.parts}
     folds = {part: _FOLDS[fold][0] for part, fold, _ in suite.parts}
     # a NaN value makes its part NaN for good, and then the max residual:

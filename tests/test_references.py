@@ -7,9 +7,10 @@ symmetrization oracle, the offset loops over a scheme's Jordan blocks, the
 four written-out rank cutoffs, the per-candidate cyclic-frame search, the
 union-find and pairwise codings of the clustering rule, the sort_pieces
 piece order, the index loop of the exterior derivative and its per-point
-coding, which the stacked evaluation of the six chart points replaced, and
-the per-pair adjoint-orbit test, which the broadcast one replaced, and the
-padded broadcast one, which the per-row rank profiles replaced, and the
+coding, which the stacked evaluation of the six chart points replaced, the
+plain-`expm` displacement of the moment conditions, which `UChart` replaced,
+and the per-pair adjoint-orbit test, which the broadcast one replaced, and
+the padded broadcast one, which the per-row rank profiles replaced, and the
 regular-slice kernels: the two-kron ad operator, the per-vector Krylov frame
 and the power-sum solve that embedded a validated slice point at each step.
 The one-pass correspondence is pinned to the codings it replaced: `u_to_hilb`
@@ -69,13 +70,16 @@ from mtv.hilbert import (
 )
 from mtv.lie import (
     RANK_TOL,
+    InvariantPolynomial,
     _krylov_frame,
     ad_operator,
     as_matrix,
     centralizer_basis,
     check_same_size,
     centralizer_dimension,
+    inv_poly_eval,
     pairing,
+    polarized_gradient,
     power_traces,
 )
 from mtv.slodowy import (
@@ -89,17 +93,23 @@ from mtv.slodowy import (
     slice_embed,
     slice_point,
 )
-from mtv.uspace import UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_build, u_symplectic
+from mtv.uspace import (
+    UClass, UTangent, _cyclic_candidates, _cyclic_frame, u_build, u_moment, u_symplectic)
 from mtv.verify import (
     FD_STEP,
     JORDAN_BASE_POINTS,
     FChart,
     UChart,
     _SIGNATURES,
+    _STENCIL,
+    _central_difference,
+    _exp_transport,
     _literal_wedge,
     _matrix_units,
+    _over_copies,
     _stack,
     fd_exterior_derivative,
+    fd_moment_conditions,
     jordan_configurations,
     sample_disc,
     sample_group,
@@ -750,6 +760,62 @@ def test_stacked_exterior_derivative_matches_per_point_coding(k):
         for value, (point, tans) in zip(got, trials):
             per_point = _PER_POINT_CHARTS[chart](point)
             assert value == _fd_exterior_derivative_per_point(form, per_point, *tans, FD_STEP)
+
+
+def _fd_moment_conditions_plain_expm(m, i, v, xi=None, degree=None):
+    # the moment conditions with the factors displaced by their own plain expm
+    incoming = m.orientation(i) == INCOMING  # checks i before the factor is read
+    g, n = m.gs[i], len(m.X.coeffs)
+    # the points displaced by each step in turn, n to a step
+    steps = [p * FD_STEP for p in _STENCIL]
+    coeffs = np.concatenate([m.X.coeffs + h * v.dc for h in steps])
+    moved = replace(m, gs=tuple(
+        _over_copies(g_j, expm(np.concatenate([h * a for h in steps])), np.matmul)
+        for g_j, a in zip(m.gs, v.a_list)), X=SlicePoint(m.X.k, coeffs))
+    fund, d_moments = [], []  # factor i's part of each fundamental field; the moment's quotients
+    if xi is not None:
+        mu = u_moment(moved, i)
+        fund.append(np.linalg.inv(g) @ xi @ g if incoming else -xi)
+        d_moments.append(_central_difference(mu.reshape(len(steps), n, *mu.shape[1:])))
+    if degree is not None:
+        polys = [InvariantPolynomial(d) for d in degree]
+        c = np.array([polarized_gradient(p, x) for p, x in zip(polys, slice_embed(m.X))])
+        values = [inv_poly_eval(p, x) for p, x in zip(polys * len(steps), slice_embed(moved.X))]
+        fund.append(c if incoming else np.linalg.inv(g) @ c @ g)
+        d_moments.append([_central_difference(values[j::n]) for j in range(n)])
+    zero = np.zeros_like(g)
+    omegas = [u_symplectic(m, UTangent(tuple(a if j == i else zero for j in range(m.n_factors)),
+                                       np.zeros_like(m.X.coeffs)), v).tolist() for a in fund]
+    return list(zip(omegas, d_moments))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_moment_conditions_match_the_plain_expm_displacement(k):
+    # UChart moves the points of the moment conditions to the same bits as
+    # the plain expm it replaced, on every factor of every signature, for a
+    # stack of three trials
+    rng = trial_rng(27, "moment-conditions", k)
+    for b, bprime in _SIGNATURES:
+        m = _stack([sample_uclass(k, b, bprime, rng) for _ in range(3)])
+        v = _stack([sample_utangent(k, b + bprime, rng) for _ in range(3)])
+        xi = sample_disc(rng, 3, k, k)
+        degree = [int(d) for d in rng.integers(1, k + 1, size=3)]
+        for i in range(b + bprime):
+            got = fd_moment_conditions(m, i, v, xi=xi, degree=degree)
+            want = _fd_moment_conditions_plain_expm(m, i, v, xi=xi, degree=degree)
+            assert len(got) == len(want) == 2
+            for (omega, d_mu), (omega_ref, d_mu_ref) in zip(got, want):
+                assert np.array(omega).tobytes() == np.array(omega_ref).tobytes()
+                assert np.array(d_mu).tobytes() == np.array(d_mu_ref).tobytes()
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_exp_transport_of_no_direction_is_expm(left):
+    rng = trial_rng(27, "transport-none", int(left))
+    for k in (1, 2, 3, 5):
+        for s in (sample_disc(rng, k, k), sample_disc(rng, 4, k, k)):
+            es, moved = _exp_transport(s, (), left=left)
+            assert es.tobytes() == expm(s).tobytes() and moved == []
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -51,6 +51,19 @@ class TestConfig:
                 with pytest.raises(ValidationError):
                     SuiteConfig(**{field: bad})
 
+    def test_rejects_a_k_no_suite_takes(self):
+        # no suite draws or lists a size above 5, so k = 9 would run as k = 5
+        SuiteConfig(k=5)
+        for k in (6, 9):
+            with pytest.raises(ValidationError, match="at most 5"):
+                SuiteConfig(k=k, trials=20, seed=1)
+        assert main(["verify", "--k", "6", "--trials", "1"]) == 2
+
+    def test_rejects_a_suite_named_twice(self):
+        with pytest.raises(ValidationError, match="twice"):
+            SuiteConfig(suites=("axiom_d", "axiom_d"))
+        assert main(["verify", "--suite", "axiom_d", "--suite", "axiom_d", "--trials", "1"]) == 2
+
     def test_numpy_integers_become_ints(self):
         cfg = SuiteConfig(k=np.int64(2), trials=np.int32(3), seed=np.uint8(7))
         assert (cfg.k, cfg.trials, cfg.seed) == (2, 3, 7)
@@ -371,8 +384,20 @@ def test_jet_noise_in_the_action_is_counted_on_every_jordan_type(monkeypatch):
     # whatever the jets, ((1, 1),) and ((1, 1, 1),)
     monkeypatch.setattr(verify, "act_on_scheme", _jet_noise())
     suite = verify._SUITES["fitting_orbits"]
-    counts = [suite.check(k, [trial_rng(1, "fitting_orbits", k)], [k])[0] for k in suite.sizes]
+    counts = [suite.check(k, [None], [trial_rng(1, "fitting_orbits", k)])[0] for k in suite.sizes]
     assert counts == [[("mispredictions", 3 + 2)], [("mispredictions", 6 + 5)]]
+
+
+@pytest.mark.parametrize("k, sizes", [(1, []), (2, [2]), (3, [2, 3]), (5, [2, 3])])
+def test_fitting_orbits_runs_its_sizes_up_to_k(monkeypatch, k, sizes):
+    # a case suite runs the sizes it lists up to k, and none at k = 1
+    seen = []
+    check = verify._SUITES["fitting_orbits"].check
+    monkeypatch.setitem(verify._SUITES, "fitting_orbits", dataclasses.replace(
+        verify._SUITES["fitting_orbits"], check=lambda k, *rest: seen.append(k) or check(k, *rest)))
+    res = run_suite(SuiteConfig(k=k, trials=7, seed=1, suites=("fitting_orbits",))).suites[0]
+    assert (seen, res.trials) == (sizes, len(sizes))
+    assert res.passed and res.max_residual == 0
 
 
 def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
@@ -396,8 +421,49 @@ _STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity
 
 
 def _streams(name, trials):
-    """The streams and the trial indices of a group, the two last arguments of a check."""
-    return [trial_rng(9, name, t) for t in trials], list(trials)
+    """The keys and the streams of a group, the two last arguments of a check."""
+    keys = verify._SUITES[name].keys
+    return [keys[t % len(keys)] for t in trials], [trial_rng(9, name, t) for t in trials]
+
+
+# The key of trial t, as each check picked it before keys were suite data:
+# W's signature by trial parity, and a signature table read at t modulo its
+# length.
+_W_SIGNATURES = ((1, 0), (0, 1))
+_UP_TO_FOUR_FACTORS = tuple((b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1)
+_SIGNATURE_TABLES = {
+    "hamiltonian_w": _W_SIGNATURES, "closedness": _W_SIGNATURES, "form_identity": _W_SIGNATURES,
+    "axiom_d": _UP_TO_FOUR_FACTORS, "free_action": _UP_TO_FOUR_FACTORS,
+    "gluing": (((1, 1), (1, 0)), ((1, 1), (1, 1)), ((0, 1), (2, 0)),
+               ((2, 1), (1, 1)), ((1, 2), (2, 0)), ((0, 2), (1, 1))),
+    "hilbert_round_trip": ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_case_gets_its_key_from_the_suite(monkeypatch, name):
+    # a stub check records the key the runner hands each case, found by its
+    # stream; every case of a case suite gets None
+    streams, keys = [], {}
+
+    def stream(*args):
+        streams.append(trial_rng(*args))
+        return streams[-1]
+
+    def stub(k, group_keys, rngs):
+        for key, rng in zip(group_keys, rngs):
+            keys[next(c for c, r in enumerate(streams) if r is rng)] = key
+        return [[] for _ in rngs]
+
+    monkeypatch.setattr(verify, "trial_rng", stream)
+    suite = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, dataclasses.replace(suite, check=stub))
+    run_suite(SuiteConfig(k=5, trials=28, seed=4, suites=(name,)))
+    if suite.sizes:
+        assert keys == {c: None for c in range(len(suite.sizes))}
+        return
+    table = _SIGNATURE_TABLES.get(name, (None,))
+    assert keys == {t: table[t % len(table)] for t in range(28)}
 
 
 def _bytes(values):
