@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Sequence
 
@@ -142,44 +143,50 @@ def _piece_key(p: LocalPiece) -> tuple[float, float, int]:
     return (p.z.real, p.z.imag, p.length)
 
 
-def _blocks(lengths: Sequence[int]) -> list[range]:
-    """Each piece's block of consecutive coordinates of C^k, in piece order."""
-    blocks, start = [], 0
+@lru_cache(maxsize=None)
+def _block_parts(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, Matrix]:
+    """For pieces of these lengths, each a block of consecutive coordinates of
+    C^k, as read-only arrays: where J has its ones (a (k, k) mask, above the
+    diagonal inside each block), the sum v of the block-end basis vectors,
+    which is cyclic for J at distinct base points, and the block reversal Q,
+    with Q J Q = J^T per block."""
+    k = sum(lengths)
+    ones = np.zeros((k, k), dtype=bool)
+    v = np.zeros(k, dtype=complex)
+    q = np.zeros((k, k), dtype=complex)
+    start = 0
     for length in lengths:
-        blocks.append(range(start, start + length))
+        blk = range(start, start + length)
+        ones[blk[:-1], blk[1:]] = True
+        v[blk[-1]] = 1.0
+        q[blk, blk[::-1]] = 1.0
         start += length
-    return blocks
+    for a in (ones, v, q):
+        a.flags.writeable = False
+    return ones, v, q
 
 
-def _jordan(zs: np.ndarray, lengths: Sequence[int]) -> Matrix:
-    """The direct sum of the Jordan blocks J_{z_i, l_i} of pieces with base
-    points zs (..., pieces) and these lengths (ones above the diagonal)."""
-    j = _eigen_shift(lengths, zs)
-    for blk in _blocks(lengths):
-        for a in blk[1:]:
-            j[..., a - 1, a] = 1.0
+def _jordan(roots: np.ndarray, ones: np.ndarray) -> Matrix:
+    """The Jordan matrix with the diagonal roots (..., k) and ones where the
+    mask `ones` (..., k, k) of `_block_parts` is set."""
+    k = roots.shape[-1]
+    j = np.where(ones, 1.0 + 0j, np.zeros(roots.shape + (k,), dtype=complex))
+    j.reshape(j.shape[:-2] + (k * k,))[..., :: k + 1] = roots
     return j
-
-
-def _reversal(lengths: Sequence[int]) -> Matrix:
-    """The block-diagonal reversal Q of blocks of these lengths: Q J Q = J^T per block."""
-    q = np.zeros((sum(lengths),) * 2, dtype=complex)
-    for blk in _blocks(lengths):
-        for a, b in zip(blk, reversed(blk)):
-            q[a, b] = 1.0
-    return q
 
 
 def jordan_of(d: JetScheme) -> Matrix:
     """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
     above the diagonal)."""
-    return _jordan(np.array([p.z for p in d.pieces]).T, [p.length for p in d.pieces])
+    lengths = [p.length for p in d.pieces]
+    roots = np.repeat(np.array([p.z for p in d.pieces]).T, lengths, axis=-1)
+    return _jordan(roots, _block_parts(tuple(lengths))[0])
 
 
 def block_reversal(d: JetScheme) -> Matrix:
     """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
     symmetric involution."""
-    return _reversal([p.length for p in d.pieces])
+    return _block_parts(tuple(p.length for p in d.pieces))[2].copy()
 
 
 def g_matrices(d: JetScheme) -> Matrix:
@@ -320,23 +327,11 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
                                            for m, jet in zip(mats, p.jets))) for p in d.pieces))
 
 
-def _conjugator(x: SlicePoint, zs: np.ndarray, lengths: Sequence[int]) -> tuple[Matrix, Matrix]:
-    """The conjugator C with slice_embed(x) = C J C^{-1} (Krylov frames of both sides)
-    and the block reversal Q, for distinct base points zs, these lengths and their x."""
-    # the sum of the block-end basis vectors is cyclic for J at distinct base points
-    v = np.zeros(sum(lengths), dtype=complex)
-    v[[blk[-1] for blk in _blocks(lengths)]] = 1.0
-    bj = _krylov_frame(_jordan(zs, lengths), v)
-    return _slice_frame(x) @ np.linalg.inv(bj), _reversal(lengths)
-
-
-def _scheme_conjugator(d: JetScheme, x: SlicePoint) -> tuple[Matrix, Matrix]:
-    """A deterministic invertible C with slice_embed(x) = C J(D) C^{-1}, for x
-    with the scheme's characteristic polynomial, and the block reversal Q of d."""
-    if not has_distinct_base_points(d):
-        raise DegenerateSchemeError(
-            "base points collide: no slice conjugator (scheme not transverse)")
-    return _conjugator(x, np.array([p.z for p in d.pieces]), [p.length for p in d.pieces])
+def _conjugator(x: SlicePoint, j: Matrix, v: np.ndarray) -> Matrix:
+    """The conjugator C with slice_embed(x) = C J C^{-1} (Krylov frames of
+    both sides), for J with the cyclic vector v and x with J's characteristic
+    polynomial; one per trial of stacks."""
+    return _slice_frame(x) @ np.linalg.inv(_krylov_frame(j, v))
 
 
 def scheme_slice_point(d: JetScheme) -> SlicePoint:
@@ -344,7 +339,7 @@ def scheme_slice_point(d: JetScheme) -> SlicePoint:
     return slice_coefficients_from_roots(roots, d.k)
 
 
-def hilb_to_u(d: JetScheme) -> UClass:
+def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     """The constructive correspondence from a nondegenerate transverse scheme
     to a quotient-class representative.
 
@@ -353,17 +348,39 @@ def hilb_to_u(d: JetScheme) -> UClass:
     these choices every incoming moment is G_j J G_j^{-1}, every outgoing
     moment is -(G_j J G_j^{-1})^T, and the jet-group ambiguity lands exactly
     in the centralizer equivalence of the class.
+
+    Of a sequence of schemes of one size and signature, with any piece
+    lengths, one stacked class: the factor matrices, J, Q and the block-end
+    vector are built per scheme, everything else once for the stack.  A
+    stack is refused as its first bad member is refused alone.
     """
-    # the conjugator refuses colliding base points, and between distinct
-    # ones no piece swap can stabilize D, so finite stabilizers suffice
-    gs = g_matrices(d)
+    single = isinstance(d, JetScheme)
+    ds = [d] if single else list(d)
+    if not ds:
+        raise ValidationError("need at least one scheme")
+    k, b, bprime = ds[0].k, ds[0].b, ds[0].bprime
+    if any((e.k, e.b, e.bprime) != (k, b, bprime) for e in ds):
+        raise ValidationError("stacked schemes must share their size and signature")
+
+    def join(parts, axis=0):  # the stack axis goes to `axis`
+        return parts[0] if single else np.array(parts).swapaxes(0, axis)
+
+    gs = join([g_matrices(e) for e in ds], axis=1)
     if not _invertible(gs):
         raise DegenerateSchemeError("correspondence requires a nondegenerate scheme")
-    x = scheme_slice_point(d)
-    conj, q = _scheme_conjugator(d, x)
-    gs[: d.b] = gs[: d.b] @ np.linalg.inv(conj)
-    gs[d.b :] = conj @ q @ gs[d.b :].swapaxes(-1, -2)
-    return UClass(b=d.b, bprime=d.bprime, gs=tuple(gs), X=x)
+    # the conjugator needs distinct base points, and between distinct ones no
+    # piece swap can stabilize D, so finite stabilizers suffice
+    if not all(map(has_distinct_base_points, ds)):
+        raise DegenerateSchemeError(
+            "base points collide: no slice conjugator (scheme not transverse)")
+    roots = join([np.array([p.z for p in e.pieces for _ in range(p.length)]) for e in ds])
+    ones, v, q = (join(parts) for parts in zip(*(
+        _block_parts(tuple(p.length for p in e.pieces)) for e in ds)))
+    x = slice_coefficients_from_roots(roots, k)
+    conj = _conjugator(x, _jordan(roots, ones), v)
+    gs[:b] = gs[:b] @ np.linalg.inv(conj)
+    gs[b:] = conj @ q @ gs[b:].swapaxes(-1, -2)
+    return UClass(b=b, bprime=bprime, gs=tuple(gs), X=x)
 
 
 def _cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
@@ -401,7 +418,8 @@ def u_to_hilb(m: UClass) -> JetScheme:
         raise ConditioningError("spectral clustering failed validation")
 
     # centers more than 2 ROOT_CLUSTER_RADIUS apart are distinct base points
-    conj, q = _conjugator(_slice_from_power_sums(recon, k), zs, lengths)
+    ones, v, q = _block_parts(tuple(lengths))
+    conj = _conjugator(_slice_from_power_sums(recon, k), _jordan(centers, ones), v)
     # row a of rows[j] is the jet vector a of factor j, over all pieces
     gs = np.array(m.gs)
     rows = np.empty_like(gs)

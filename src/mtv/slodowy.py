@@ -109,8 +109,8 @@ def _add_f_powers(out: Matrix, coeffs) -> Matrix:
 
 def slice_embed(s: SlicePoint) -> Matrix:
     """e + sum_j c_j f^j as a dense matrix, one per point of a stack."""
-    e = principal_triple(s.k).e
-    out = e.copy() if s.coeffs.ndim == 1 else np.repeat(e[np.newaxis], len(s.coeffs), axis=0)
+    out = np.empty(s.coeffs.shape[:-1] + (s.k, s.k), dtype=complex)
+    out[...] = principal_triple(s.k).e
     return _add_f_powers(out, s.coeffs)
 
 
@@ -156,13 +156,15 @@ def _slice_frame(s: SlicePoint) -> Matrix:
 def slice_coefficients_from_roots(roots: np.ndarray, k: int) -> SlicePoint:
     """Slice point with characteristic polynomial prod (t - root_i).
 
-    `roots` lists eigenvalues with multiplicity, length k; their exact power
-    sums go through the same solve as `slice_representative`.
+    `roots` lists eigenvalues with multiplicity, length k, or is a stack
+    (n, k) of such lists; their exact power sums go through the same solve
+    as `slice_representative`, one point per list.
     """
     roots = np.asarray(roots, dtype=complex)
-    if roots.shape != (k,):
+    if roots.shape[-1:] != (k,) or roots.ndim > 2:
         raise ValidationError("need k roots with multiplicity")
-    return _slice_from_power_sums(np.array([np.sum(roots**m) for m in range(1, k + 1)]), k)
+    sums = np.array([np.sum(roots**m, axis=-1) for m in range(1, k + 1)])
+    return _slice_from_power_sums(sums.T, k)
 
 
 def slice_project(x: Matrix) -> tuple[SlicePoint, float]:

@@ -89,7 +89,10 @@ class UTangent:
 
 def _largest(a: np.ndarray, axes: int = 2) -> np.ndarray:
     """The largest |entry| over the last `axes` axes: one per matrix (or vector) of a stack."""
-    return np.abs(a).max(axis=tuple(range(-axes, 0)))
+    return np.abs(a).max(axis=_LAST_AXES[axes])
+
+
+_LAST_AXES = tuple(tuple(range(-n, 0)) for n in range(4))  # the last n axes
 
 
 def _at_least(v, floor: float = 1.0):
@@ -275,12 +278,13 @@ def u_symplectic_single_slice_form(m: UClass, u: UTangent, v: UTangent) -> compl
 
 def _match_moments(m1: UClass, p_out: int, m2: UClass, q_in: int) -> None:
     """Raise GluingError unless the moment of factor p_out of m1 is minus
-    that of factor q_in of m2."""
+    that of factor q_in of m2; of stacked classes, trial by trial, each
+    against its own scale max(1, |mu1|)."""
     if m1.X.k != m2.X.k:
         raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
     mu1 = u_moment(m1, p_out)
     mu2 = u_moment(m2, q_in)
-    if np.max(np.abs(mu1 + mu2)) > GLUE_TOL * max(1.0, float(np.max(np.abs(mu1)))):
+    if np.count_nonzero(_largest(mu1 + mu2) > GLUE_TOL * _at_least(_largest(mu1))):
         raise GluingError("boundary moments do not match")
 
 
@@ -293,18 +297,19 @@ def glue(m1: UClass, p_out: int, m2: UClass, q_in: int, receiver: int = 0) -> UC
     pushed through the equivalence relation into the factor `receiver` of
     the glued tuple (incoming factors absorb it on the right, outgoing ones
     on the left), and the matched factors are dropped.  The resulting class
-    is independent of the receiving factor.
+    is independent of the receiving factor.  Of two stacked classes, one
+    glued class per trial; the stack is refused if any trial is.
     """
     if not (m1.b <= p_out < m1.n_factors):
         raise SignatureError("p_out must index an outgoing factor of m1")
     if not (0 <= q_in < m2.b):
         raise SignatureError("q_in must index an incoming factor of m2")
     _match_moments(m1, p_out, m2, q_in)
-    if np.max(np.abs(m1.X.coeffs - m2.X.coeffs)) > GLUE_TOL:
+    if np.count_nonzero(_largest(m1.X.coeffs - m2.X.coeffs, axes=1) > GLUE_TOL):
         raise GluingError("slice parts differ despite matched moments")
     x = slice_embed(m1.X)
     u = m1.gs[p_out] @ m2.gs[q_in]
-    if _centralizer_residual(u, x) > GLUE_TOL:
+    if np.count_nonzero(_centralizer_residual(u, x) > GLUE_TOL):
         raise GluingError("matched factors do not combine to a centralizer element")
 
     new_b = m1.b + m2.b - 1

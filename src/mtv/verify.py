@@ -134,6 +134,11 @@ def sample_disc(rng: np.random.Generator, *shape, radius: float = 1.0) -> np.nda
     leading axis of n with the bits of n such calls."""
     u = (np.array([r.random((2,) + shape) for r in rng]).swapaxes(0, 1) if isinstance(rng, list)
          else rng.random((2,) + shape))
+    return _disc(u, radius)
+
+
+def _disc(u: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """The disc points radius * sqrt(u[0]) * exp(2 pi i u[1]) of uniform doubles u."""
     return radius * np.sqrt(u[0]) * np.exp(1j * (2 * np.pi * u[1]))
 
 
@@ -198,8 +203,11 @@ def sample_utangent(k: int, n_factors: int, rng: np.random.Generator) -> UTangen
 
 
 def _centralizer_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
-    """The k coefficients a_m of the polynomial gradient of `sample_centralizer_element`."""
-    return np.array([sample_disc(rng) for _ in range(k)]).T
+    """The k coefficients a_m of the polynomial gradient of `sample_centralizer_element`,
+    from the unit disc: one `random((k, 2))` draw per stream, the draws of k shape-()
+    `sample_disc` calls."""
+    u = np.array([r.random((k, 2)) for r in rng]) if isinstance(rng, list) else rng.random((k, 2))
+    return _disc((u[..., 0], u[..., 1]))
 
 
 def _centralizer_element(x_emb: Matrix, coefficients: np.ndarray) -> Matrix:
@@ -223,11 +231,8 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
 def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
     """A random composition of k (piece lengths)."""
     lengths = []
-    rest = k
-    while rest > 0:
-        l = int(rng.integers(1, rest + 1))
-        lengths.append(l)
-        rest -= l
+    while sum(lengths) < k:
+        lengths.append(int(rng.integers(1, k - sum(lengths) + 1)))
     return lengths
 
 
@@ -486,6 +491,18 @@ def _grouped(keys: list, evaluate: Callable[..., list], *lists) -> list:
     return [values[j] for j in range(len(keys))]
 
 
+def _one_or_stack(seq):
+    """The one item of seq, or seq: a group of one runs the single-trial
+    routines, which cost less than a stack of one."""
+    return seq[0] if len(seq) == 1 else seq
+
+
+def _rows(columns: list) -> list:
+    """Each trial's unnamed residuals, from columns of per-trial values (the
+    numbers of a group of one, or arrays)."""
+    return [[("", value) for value in row] for row in zip(*(np.atleast_1d(c).tolist() for c in columns))]
+
+
 # Every (b, b') with 1 <= b + b' <= 4: axiom_d's and free_action's keys.
 _SIGNATURES = tuple(
     (b, bp) for b in range(5) for bp in range(5 - b) if b + bp >= 1
@@ -649,67 +666,71 @@ def _negative_axiom_d(rng) -> float:
     return _invariant_spread(moments)
 
 
-def _matched_glue_pairs(k: int, sig1: tuple, sig2: tuple, rngs: list) -> list[tuple]:
-    """(m1, p_out, m2, q_in) per stream, satisfying the moment matching exactly:
-    the q-th factor of m2 is g_{p'}^{-1} z with z in Z(X).  Each stream draws
-    m1, p_out, z's coefficients, q_in and m2's factors, in this order."""
+def _matched_glue_pairs(k: int, sig1: tuple, sig2: tuple, rngs: list) -> tuple[list, Callable]:
+    """The (p_out, q_in) of each stream, and pair((p_out, q_in), at) giving the (m1,
+    p_out, m2, q_in) of the stream at the index `at`, or of the streams at the positions
+    `at` stacked.  The pairs match exactly: the q-th factor of m2 is g_{p'}^{-1} z with
+    z in Z(X).  Each stream draws m1, p_out, z's coefficients, q_in and m2's factors."""
     (b1, bp1), (b2, bp2) = sig1, sig2
     x, gs1 = _uclass_draws(k, b1 + bp1, rngs)
     p_out = [b1 + int(rng.integers(0, bp1)) for rng in rngs]
     coefficients = _centralizer_coefficients(k, rngs)
     q_in = [int(rng.integers(0, b2)) for rng in rngs]
     gs2 = [sample_group(k, rngs) for _ in range(b2 + bp2)]
-    pairs = []
-    for j, (p, q) in enumerate(zip(p_out, q_in)):
-        m1 = UClass(b=b1, bprime=bp1, gs=tuple(g[j] for g in gs1), X=SlicePoint(k, x[j]))
-        h = [g[j] for g in gs2]
-        h[q] = np.linalg.inv(m1.gs[p]) @ _centralizer_element(slice_embed(m1.X), coefficients[j])
-        pairs.append((m1, p, UClass(b=b2, bprime=bp2, gs=tuple(h), X=m1.X), q))
-    return pairs
+
+    def pair(pq: tuple, at) -> tuple:
+        (p, q), m1 = pq, _class(sig1, x[at], tuple(g[at] for g in gs1))
+        h = [g[at] for g in gs2]
+        h[q] = np.linalg.inv(m1.gs[p]) @ _centralizer_element(slice_embed(m1.X), coefficients[at])
+        return m1, p, UClass(b=b2, bprime=bp2, gs=tuple(h), X=m1.X), q
+
+    return list(zip(p_out, q_in)), pair
 
 
 def _check_gluing(k, keys, rngs) -> list:
-    def check(sigs, rngs):  # one signature pair's draws stacked, its evaluation per case
-        pairs = _matched_glue_pairs(k, *sigs, rngs)
+    def check(sig1, sig2, rngs):  # one signature pair's draws, one stack per (p_out, q_in)
+        matched, pair = _matched_glue_pairs(k, sig1, sig2, rngs)
         g0 = sample_group(k, rngs)  # re-gauges the matched pair
         # re-gauges a spectator factor of m1, drawn only when m1 has one
-        g1 = sample_group(k, rngs) if sum(sigs[0]) > 1 else [None] * len(rngs)
-        return [list(_glue_residuals(*sigs, *pair, *gs)) for pair, *gs in zip(pairs, g0, g1)]
+        g1 = sample_group(k, rngs) if sum(sig1) > 1 else g0
 
-    return _grouped(keys, check, rngs)
+        def residuals(pq, at):
+            at = _one_or_stack(at)
+            m1, p_out, m2, q_in = pair(pq, at)
+            glued = glue(m1, p_out, m2, q_in)
+            if (glued.b, glued.bprime) != (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1):
+                return [[("", 1.0)] for _ in np.atleast_2d(m1.X.coeffs)]
+            columns = [axiom_d_residual(glued)]
+            # invariance under the receiving factor
+            for receiver in range(1, glued.n_factors):
+                columns.append(u_equivalence_residual(glued, glue(m1, p_out, m2, q_in, receiver)))
+            # invariance under re-gauging the matched pair
+            reglued = glue(g_action(m1, p_out, g0[at]), p_out, g_action(m2, q_in, g0[at]), q_in)
+            columns.append(u_equivalence_residual(glued, reglued))
+            # invariance under re-gauging a spectator factor of m1
+            if m1.n_factors > 1:
+                spect = 0 if p_out != 0 else 1
+                glued_alt = glue(g_action(m1, spect, g1[at]), p_out, m2, q_in)
+                # undo the spectator action on the result and compare
+                idx = spect if spect < m1.b else m2.b - 1 + spect - (1 if spect > p_out else 0)
+                undone = g_action(glued_alt, idx, np.linalg.inv(g1[at]))
+                columns.append(u_equivalence_residual(glued, undone))
+            # cylinder test for the (1,1) x (1,0) pair
+            if (sig1, sig2) == ((1, 1), (1, 0)):
+                gg, _ = u11_to_tstar(m1)
+                expected = UClass(b=1, bprime=0, gs=(gg @ m2.gs[0],), X=m1.X)
+                columns.append(u_equivalence_residual(glued, expected))
+            return _rows(columns)
 
+        return _grouped(matched, residuals, list(range(len(rngs))))
 
-def _glue_residuals(sig1, sig2, m1, p_out, m2, q_in, g0, g1) -> _Residuals:
-    glued = glue(m1, p_out, m2, q_in)
-    expect_sig = (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1)
-    if (glued.b, glued.bprime) != expect_sig:
-        yield "", 1.0
-        return
-    yield "", axiom_d_residual(glued)
-    # invariance under the receiving factor
-    for receiver in range(1, glued.n_factors):
-        yield "", u_equivalence_residual(glued, glue(m1, p_out, m2, q_in, receiver))
-    # invariance under re-gauging the matched pair
-    reglued = glue(g_action(m1, p_out, g0), p_out, g_action(m2, q_in, g0), q_in)
-    yield "", u_equivalence_residual(glued, reglued)
-    # invariance under re-gauging a spectator factor of m1
-    if m1.n_factors > 1:
-        spect = 0 if p_out != 0 else 1
-        glued_alt = glue(g_action(m1, spect, g1), p_out, m2, q_in)
-        # undo the spectator action on the result and compare
-        idx = spect if spect < m1.b else m2.b - 1 + spect - (1 if spect > p_out else 0)
-        undone = g_action(glued_alt, idx, np.linalg.inv(g1))
-        yield "", u_equivalence_residual(glued, undone)
-    # cylinder test for the (1,1) x (1,0) pair
-    if sig1 == (1, 1) and sig2 == (1, 0):
-        gg, _ = u11_to_tstar(m1)
-        expected = UClass(b=1, bprime=0, gs=(gg @ m2.gs[0],), X=m1.X)
-        yield "", u_equivalence_residual(glued, expected)
+    return _grouped(keys, lambda sigs, rngs: check(*sigs, rngs), rngs)
 
 
 def _negative_gluing(rng) -> float:
     # mismatched moments must raise
-    [(m1, p_out, m2, q_in)] = _matched_glue_pairs(3, (1, 1), (1, 1), [rng])
+    [pq], pair = _matched_glue_pairs(3, (1, 1), (1, 1), [rng])
+    m1, p_out, m2, q_in = pair(pq, 0)
     m2_bad = replace(m2, gs=(m2.gs[0] @ (np.eye(3) + 0.2 * sample_disc(rng, 3, 3)),) + m2.gs[1:])
     try:
         glue(m1, p_out, m2_bad, q_in)
@@ -796,7 +817,7 @@ def _check_axiom_e(k, keys, rngs) -> list:
     lhs_cls = phi_e_class(g_action(m, 0, g1))
     rhs_cls = g_action(q_cls, 0, g1)
     columns += map(_gap, lhs_cls.gs, rhs_cls.gs)
-    return [[("", value) for value in row] for row in zip(*(c.tolist() for c in columns))]
+    return _rows(columns)
 
 
 def _negative_axiom_e(rng) -> float:
@@ -814,31 +835,31 @@ def _scheme_distance(d1: JetScheme, d2: JetScheme) -> float:
     where an absolute bound reads roundoff as failure."""
     if [p.length for p in d1.pieces] != [p.length for p in d2.pieces]:
         return 1.0
-    dz = jet_err = 0.0
-    scale = 1.0
-    for p1, p2 in zip(d1.pieces, d2.pieces):
-        dz = max(dz, abs(p1.z - p2.z))
-        for j1, j2 in zip(p1.jets, p2.jets):
-            jet_err = max(jet_err, float(np.max(np.abs(j1 - j2))))
-            scale = max(scale, float(np.max(np.abs(j1))), float(np.max(np.abs(j2))))
-    return max(dz, jet_err / scale)
+    dz = max(abs(p1.z - p2.z) for p1, p2 in zip(d1.pieces, d2.pieces))
+    jets1, jets2 = (np.concatenate([np.ravel(p.jets) for p in d.pieces]) for d in (d1, d2))
+    scale = max(1.0, float(np.max(np.abs(jets1))), float(np.max(np.abs(jets2))))
+    return max(dz, float(np.max(np.abs(jets1 - jets2))) / scale)
 
 
-def _check_hilbert_round_trip(k, sig, rng) -> _Residuals:
-    d = sample_jetscheme(k, *sig, rng)
-    m = hilb_to_u(d)
-    d_back = u_to_hilb(m)
-    yield "", _scheme_distance(normalize_scheme(d), d_back)
-    m_back = hilb_to_u(d_back)
-    yield "", u_equivalence_residual(m, m_back)
-    # equivariance: group action on jets matches the class action
-    gs = [sample_group(k, rng) for _ in range(sum(sig))]
-    lhs = hilb_to_u(act_on_scheme(d, gs))
-    rhs = m
-    for j, g in enumerate(gs):
-        rhs = g_action(rhs, j, g)
-    for a, b in zip((*lhs.gs, lhs.X.coeffs), (*rhs.gs, rhs.X.coeffs)):
-        yield "", float(np.max(np.abs(a - b)))
+def _check_hilbert_round_trip(k, keys, rngs) -> list:
+    def round_trips(sig, rngs):  # one signature's schemes as one stack, read back per trial
+        ds = [sample_jetscheme(k, *sig, rng) for rng in rngs]
+        gs = [sample_group(k, rngs) for _ in range(sum(sig))]
+        m = hilb_to_u(_one_or_stack(ds))
+        d_back = [u_to_hilb(m)] if len(ds) == 1 else [
+            u_to_hilb(_class(sig, x, g)) for x, *g in zip(m.X.coeffs, *m.gs)]
+        distances = [_scheme_distance(normalize_scheme(d), e) for d, e in zip(ds, d_back)]
+        columns = [distances, u_equivalence_residual(m, hilb_to_u(_one_or_stack(d_back)))]
+        # equivariance: group action on jets matches the class action
+        acted = [act_on_scheme(d, [g[j] for g in gs]) for j, d in enumerate(ds)]
+        lhs, rhs = hilb_to_u(_one_or_stack(acted)), m
+        for j, g in enumerate(gs):
+            rhs = g_action(rhs, j, _one_or_stack(g))
+        columns += [_largest(a - b) for a, b in zip(lhs.gs, rhs.gs)]
+        columns.append(_largest(lhs.X.coeffs - rhs.X.coeffs, axes=1))
+        return _rows(columns)
+
+    return _grouped(keys, round_trips, rngs)
 
 
 def _negative_hilbert_round_trip(rng) -> float:
@@ -988,7 +1009,7 @@ _SUITES = {
     ),
     "axiom_e": _Suite(_check_axiom_e, _negative_axiom_e, 1e-10, 1e-2),
     "hilbert_round_trip": _Suite(
-        _each(_check_hilbert_round_trip), _negative_hilbert_round_trip, 1e-9, 1e-3,
+        _check_hilbert_round_trip, _negative_hilbert_round_trip, 1e-9, 1e-3,
         keys=((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)),
     ),
     "fitting_orbits": _Suite(

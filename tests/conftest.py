@@ -30,7 +30,8 @@ def slice_conjugator(d):
     """The conjugator C with slice_embed(X) = C J(D) C^{-1} that `hilb_to_u`
     uses, X = scheme_slice_point(d) the slice point with the scheme's
     characteristic polynomial."""
-    return hilbert._scheme_conjugator(d, hilbert.scheme_slice_point(d))[0]
+    ones, v, _ = hilbert._block_parts(tuple(p.length for p in d.pieces))
+    return hilbert._conjugator(hilbert.scheme_slice_point(d), hilbert.jordan_of(d), v)
 
 
 def jordan_matrix(config):

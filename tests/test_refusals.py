@@ -21,6 +21,7 @@ from mtv.hilbert import (
     act_on_scheme,
     adjoint_orbits_match,
     f_presymplectic,
+    hilb_to_u,
     jet_normalize,
     jet_scalar_inverse,
     normalize_scheme,
@@ -172,6 +173,9 @@ REFUSALS = [
      ValidationError, "finite"),
     ("root_count", lambda: slice_coefficients_from_roots(np.array([1.0, 2.0]), 3),
      ValidationError, "k roots"),
+    ("hilb_to_u_empty_stack", lambda: hilb_to_u([]), ValidationError, "at least one scheme"),
+    ("hilb_to_u_mixed_stack", lambda: hilb_to_u([_scheme(), _scheme(0, 1)]),
+     ValidationError, "share their size and signature"),
     ("uclass_factor_count", lambda: UClass(b=1, bprime=1, gs=(I2,), X=X2),
      ValidationError, "factor count"),
     ("uclass_factor_size", lambda: UClass(b=1, bprime=0, gs=(I3,), X=X2),

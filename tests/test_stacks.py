@@ -12,9 +12,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mtv.errors import RegularityError, SingularMatrixError
+from mtv.errors import DegenerateSchemeError, GluingError, RegularityError, SingularMatrixError
+from mtv.hilbert import LocalPiece, hilb_to_u
 from mtv.lie import _krylov_frame, ad_operator, centralizer_dimension, is_regular, power_traces
-from mtv.slodowy import _slice_from_power_sums, slice_representative
+from mtv.slodowy import SlicePoint, _slice_from_power_sums, slice_representative
 from mtv.uspace import (
     UClass,
     _cyclic_candidates,
@@ -23,6 +24,7 @@ from mtv.uspace import (
     _signed_moments,
     axiom_d_residual,
     g_action,
+    glue,
     phi_e_class,
     u11_from_tstar,
     u11_to_tstar,
@@ -32,10 +34,12 @@ from mtv.verify import (
     _SIGNATURES,
     _centralizer_coefficients,
     _centralizer_element,
+    _matched_glue_pairs,
     _stack,
     _uclass_draws,
     sample_disc,
     sample_group,
+    sample_jetscheme,
     sample_slice_point,
     sample_uclass,
     sample_utangent,
@@ -72,6 +76,12 @@ def _same_class(stacked: UClass, alone: list[UClass]):
     _same(stacked.X.coeffs, [m.X.coeffs for m in alone])
     for i, g in enumerate(stacked.gs):
         _same(g, [m.gs[i] for m in alone])
+
+
+def _members(m: UClass) -> list[UClass]:
+    """The single classes of a stacked class."""
+    return [UClass(m.b, m.bprime, tuple(g[j] for g in m.gs), SlicePoint(m.X.k, x))
+            for j, x in enumerate(m.X.coeffs)]
 
 
 def _matrices(rng, k):
@@ -136,6 +146,15 @@ def test_samplers_take_a_list_of_streams(k, name, stream):
             _same(got, want)
         # each stream made the draws of its one-stream call, no more
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in copies]
+
+
+@pytest.mark.parametrize("k", KS)
+def test_centralizer_coefficients_are_k_disc_draws(k):
+    # one random((k, 2)) draw gives the bits and the stream state of k
+    # shape-() disc draws, one per coefficient
+    rng, twin = trial_rng(36, "coefficients", k), trial_rng(36, "coefficients", k)
+    _same(_centralizer_coefficients(k, rng), [sample_disc(twin) for _ in range(k)])
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("k", KS)
@@ -206,6 +225,42 @@ def test_class_routines(k):
           [_centralizer_element(x, c) for x, c in zip(xs, cs)])
 
 
+def _lengths(k: int) -> list[list[int]]:
+    """Three piece patterns of size k: one piece, k pieces of length 1, and 1 + (k - 1)."""
+    return [[k], [1] * k, [1, k - 1] if k > 1 else [1]]
+
+
+@pytest.mark.parametrize("k", KS)
+def test_hilb_to_u_of_a_sequence(k):
+    # one stack per signature, its schemes with mixed piece lengths
+    rng = trial_rng(37, "stacked-hilb", k)
+    for b, bp in _SIGNATURES:
+        ds = [sample_jetscheme(k, b, bp, rng, lengths=lengths) for lengths in _lengths(k)]
+        _same_class(hilb_to_u(ds), [hilb_to_u(d) for d in ds])
+        _same_class(hilb_to_u(ds[1:2]), [hilb_to_u(ds[1])])
+
+
+# Signature pairs that glue, with every receiver count from 1 to 4.
+_GLUED = (((1, 1), (1, 0)), ((0, 1), (2, 0)), ((1, 1), (1, 1)), ((2, 1), (1, 1)),
+          ((1, 2), (2, 0)), ((0, 2), (1, 1)), ((2, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("k", KS)
+def test_glue_stack(k):
+    # every (p_out, q_in) drawn, stacked over its streams, glued at every receiver
+    for sigs in _GLUED:
+        matched, pair = _matched_glue_pairs(
+            k, *sigs, [trial_rng(38, f"stacked-glue-{sigs}", t) for t in range(8)])
+        for pq in set(matched):
+            at = [j for j, key in enumerate(matched) if key == pq]
+            m1, p, m2, q = pair(pq, at)
+            alone = [pair(pq, j) for j in at]
+            _same_class(m2, [a[2] for a in alone])
+            for receiver in range(sum(sigs[0]) + sum(sigs[1]) - 2):
+                _same_class(glue(m1, p, m2, q, receiver),
+                            [glue(*a, receiver) for a in alone])
+
+
 @pytest.mark.parametrize("k", range(2, 6))
 def test_stack_with_one_bad_member_refused_as_that_member(k):
     rng = trial_rng(34, "stacked-refusals", k)
@@ -224,9 +279,50 @@ def test_stack_with_one_bad_member_refused_as_that_member(k):
          singular, SingularMatrixError),
     ]
     for call, bad, error in cases:
-        with pytest.raises(error):
+        with pytest.raises(error) as alone:
             call(bad)
         stack = np.stack(good)
         stack[1] = bad
-        with pytest.raises(error):
+        with pytest.raises(error) as stacked:
             call(stack)
+        assert str(stacked.value) == str(alone.value)
+    # a scheme with colliding base points among transverse ones
+    schemes = [sample_jetscheme(k, 1, 1, rng, lengths=[1] * k) for _ in range(3)]
+    collided = dataclasses.replace(schemes[1], pieces=(
+        schemes[1].pieces[0], LocalPiece(schemes[1].pieces[0].z, 1, schemes[1].pieces[1].jets),
+        *schemes[1].pieces[2:]))
+    # a gluing pair whose matched moments differ
+    matched, pair = _matched_glue_pairs(
+        k, (1, 1), (1, 1), [trial_rng(34, "stacked-glue-refusal", t) for t in range(3)])
+    m1, p, m2, q = pair(matched[0], [0, 1, 2])
+    bent = m2.gs[q].copy()
+    bent[1] = bent[1] @ (np.eye(k) + 0.2 * sample_disc(rng, k, k))
+    m2 = dataclasses.replace(m2, gs=(bent,) + m2.gs[1:])
+    for call_alone, call_stack, error in (
+        (lambda: hilb_to_u(collided), lambda: hilb_to_u([schemes[0], collided, schemes[2]]),
+         DegenerateSchemeError),
+        (lambda: glue(_members(m1)[1], p, _members(m2)[1], q), lambda: glue(m1, p, m2, q),
+         GluingError),
+    ):
+        with pytest.raises(error) as alone:
+            call_alone()
+        with pytest.raises(error) as stacked:
+            call_stack()
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_glue_scales_each_trial_by_its_own_moment():
+    # trial 0's moment is about 1e6, so 1e-9 of it would pass trial 1's
+    # mismatch of about 1e-7; each trial must be held to its own bound
+    rngs = [trial_rng(39, "glue-scale", t) for t in range(2)]
+    (x, gs), g2 = _uclass_draws(3, 2, rngs), sample_group(3, rngs)
+    x[0] *= 1e6
+    h = np.linalg.inv(gs[1])  # matched: g_1 h = 1 lies in every centralizer
+    h[1] = h[1] @ (np.eye(3) + 1e-7 * sample_disc(rngs[1], 3, 3))
+    m1 = UClass(1, 1, gs, SlicePoint(3, x))
+    m2 = UClass(1, 1, (h, g2), m1.X)
+    (large1, small1), (large2, small2) = _members(m1), _members(m2)
+    glue(large1, 1, large2, 0)
+    for pair in ((small1, small2), (m1, m2)):
+        with pytest.raises(GluingError, match="moments do not match"):
+            glue(pair[0], 1, pair[1], 0)

@@ -414,10 +414,11 @@ def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
     assert main(argv) == 1
 
 
-# The suites whose check draws every case of a group as one stack (gluing then
-# evaluates case by case).
+# The suites whose check draws every case of a group as one stack and evaluates
+# it as one stack per key (gluing's and hilbert_round_trip's a group of one
+# unstacked).
 _STACKED_SUITES = ("polarization", "hamiltonian_w", "closedness", "form_identity", "gluing",
-                   "theorem_2_4_i", "axiom_e")
+                   "theorem_2_4_i", "axiom_e", "hilbert_round_trip")
 
 
 def _streams(name, trials):
