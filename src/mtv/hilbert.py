@@ -278,12 +278,13 @@ def _normal_jets(jets: np.ndarray) -> np.ndarray:
         return jets
     heads = jets[:-1]
     lead = np.abs(heads[:, 0])
-    above = lead > 1e-12 * np.maximum(1.0, lead.max(axis=-1, keepdims=True))
-    if not above.any(axis=-1).all():
+    largest = lead.max(axis=-1)
+    if not (largest > 1e-12 * np.maximum(1.0, largest)).all():
         raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
     # s with (jet * s)[j][r] = delta_{j,0}: the inverse of the pivot jet, taken
-    # per factor (a stacked inverse would round differently)
-    pivots = heads[np.arange(len(heads)), :, above.argmax(axis=-1)]
+    # per factor (a stacked inverse would round differently); the pivot r is
+    # the leading entry of largest modulus, so s stays as small as it can
+    pivots = heads[np.arange(len(heads)), :, lead.argmax(axis=-1)]
     s = np.array([jet_scalar_inverse(p) for p in pivots])
     product = np.eye(jets.shape[1], 1, dtype=complex)
     for s_m in s:
@@ -295,11 +296,13 @@ def _normal_jets(jets: np.ndarray) -> np.ndarray:
 
 def jet_normalize(piece: LocalPiece) -> LocalPiece:
     """Canonical representative modulo the jet group (scalar jets with unit
-    product).  Factors before the last are scaled so the first nonzero entry
-    of the leading vector is 1 and stays 0 in all higher coefficients; the
-    last factor absorbs the inverse product.  A single-factor jet group is
-    trivial, so (b, b') = (1, 0) pieces are returned unchanged.  A stack of
-    pieces is refused: it has one normal form per piece."""
+    product).  Factors before the last are scaled so the entry of largest
+    modulus of the leading vector (the first of equal ones) is 1 and stays 0
+    in all higher coefficients; a leading vector whose entries are all at
+    most 1e-12 (relative to 1) is refused.  The last factor absorbs the
+    inverse product.  A single-factor jet group is trivial, so (b, b') =
+    (1, 0) pieces are returned unchanged.  A stack of pieces is refused: it
+    has one normal form per piece."""
     if np.ndim(piece.z) or any(jet.ndim != 2 for jet in piece.jets):
         raise ValidationError("jet normalization takes one piece, not a stack")
     if piece.n_factors == 1:
@@ -352,7 +355,8 @@ def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     Of a sequence of schemes of one size and signature, with any piece
     lengths, one stacked class: the factor matrices, J, Q and the block-end
     vector are built per scheme, everything else once for the stack.  A
-    stack is refused as its first bad member is refused alone.
+    stack with a bad scheme is refused with the error that scheme raises
+    alone.
     """
     single = isinstance(d, JetScheme)
     ds = [d] if single else list(d)

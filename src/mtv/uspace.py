@@ -87,12 +87,12 @@ class UTangent:
     dc: np.ndarray
 
 
+_LAST_AXES = tuple(tuple(range(-n, 0)) for n in range(4))  # the last n axes
+
+
 def _largest(a: np.ndarray, axes: int = 2) -> np.ndarray:
     """The largest |entry| over the last `axes` axes: one per matrix (or vector) of a stack."""
     return np.abs(a).max(axis=_LAST_AXES[axes])
-
-
-_LAST_AXES = tuple(tuple(range(-n, 0)) for n in range(4))  # the last n axes
 
 
 def _at_least(v, floor: float = 1.0):

@@ -231,8 +231,11 @@ def sample_centralizer_element(x_emb: Matrix, rng: np.random.Generator) -> Matri
 def sample_lengths(k: int, rng: np.random.Generator) -> list[int]:
     """A random composition of k (piece lengths)."""
     lengths = []
-    while sum(lengths) < k:
-        lengths.append(int(rng.integers(1, k - sum(lengths) + 1)))
+    rest = k
+    while rest > 0:
+        l = int(rng.integers(1, rest + 1))
+        lengths.append(l)
+        rest -= l
     return lengths
 
 
@@ -700,27 +703,19 @@ def _check_gluing(k, keys, rngs) -> list:
             glued = glue(m1, p_out, m2, q_in)
             if (glued.b, glued.bprime) != (sig1[0] + sig2[0] - 1, sig1[1] + sig2[1] - 1):
                 return [[("", 1.0)] for _ in np.atleast_2d(m1.X.coeffs)]
-            columns = [axiom_d_residual(glued)]
-            # invariance under the receiving factor
-            for receiver in range(1, glued.n_factors):
-                columns.append(u_equivalence_residual(glued, glue(m1, p_out, m2, q_in, receiver)))
-            # invariance under re-gauging the matched pair
-            reglued = glue(g_action(m1, p_out, g0[at]), p_out, g_action(m2, q_in, g0[at]), q_in)
-            columns.append(u_equivalence_residual(glued, reglued))
-            # invariance under re-gauging a spectator factor of m1
+            # the same class glued at every other receiver, after re-gauging the
+            # matched pair, after re-gauging a spectator factor of m1 and undoing
+            # that on the result, and for (1,1) x (1,0) as the cylinder's image
+            others = [glue(m1, p_out, m2, q_in, receiver) for receiver in range(1, glued.n_factors)]
+            others.append(glue(g_action(m1, p_out, g0[at]), p_out, g_action(m2, q_in, g0[at]), q_in))
             if m1.n_factors > 1:
                 spect = 0 if p_out != 0 else 1
-                glued_alt = glue(g_action(m1, spect, g1[at]), p_out, m2, q_in)
-                # undo the spectator action on the result and compare
                 idx = spect if spect < m1.b else m2.b - 1 + spect - (1 if spect > p_out else 0)
-                undone = g_action(glued_alt, idx, np.linalg.inv(g1[at]))
-                columns.append(u_equivalence_residual(glued, undone))
-            # cylinder test for the (1,1) x (1,0) pair
+                moved = glue(g_action(m1, spect, g1[at]), p_out, m2, q_in)
+                others.append(g_action(moved, idx, np.linalg.inv(g1[at])))
             if (sig1, sig2) == ((1, 1), (1, 0)):
-                gg, _ = u11_to_tstar(m1)
-                expected = UClass(b=1, bprime=0, gs=(gg @ m2.gs[0],), X=m1.X)
-                columns.append(u_equivalence_residual(glued, expected))
-            return _rows(columns)
+                others.append(UClass(b=1, bprime=0, gs=(u11_to_tstar(m1)[0] @ m2.gs[0],), X=m1.X))
+            return _rows([axiom_d_residual(glued)] + [u_equivalence_residual(glued, o) for o in others])
 
         return _grouped(matched, residuals, list(range(len(rngs))))
 

@@ -223,6 +223,18 @@ class TestJetNormalize:
         # stored scalings is one, so the tensor is unchanged
         np.testing.assert_allclose(q.jets[1], [[6.0, 3.0]], atol=1e-14)
 
+    def test_pivot_is_the_largest_leading_entry(self):
+        # the second entry pivots, not the first nonzero one; among equal
+        # moduli the first pivots
+        x = np.array([[1e-3, 2.0], [0.5, 0.25]], dtype=complex)
+        y = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        q = jet_normalize(LocalPiece(z=0.0, length=2, jets=(x, y)))
+        np.testing.assert_allclose(q.jets[0], [[5e-4, 1.0], [0.25 - 0.0625e-3, 0.0]],
+                                   atol=1e-14)
+        tie = np.array([[2.0, -2.0j]], dtype=complex)
+        q = jet_normalize(LocalPiece(z=0.0, length=1, jets=(tie, y[:1])))
+        np.testing.assert_allclose(q.jets[0], [[1.0, -1.0j]], atol=1e-14)
+
     def test_leading_vector_below_pivot_cutoff(self):
         # nonzero, but every entry is under the 1e-12 pivot cutoff
         piece = LocalPiece(

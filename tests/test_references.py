@@ -987,7 +987,8 @@ def _jet_normalize_per_factor(piece):
         nz = np.nonzero(np.abs(lead) > 1e-12 * max(1.0, float(np.max(np.abs(lead)))))[0]
         if nz.size == 0:
             raise DegenerateSchemeError("leading jet vector is below the pivot cutoff")
-        s = jet_scalar_inverse(jet[:, int(nz[0])])
+        # the pivot: the entry of largest modulus, the first of equal ones
+        s = jet_scalar_inverse(jet[:, int(np.argmax(np.abs(lead)))])
         new_jets.append(_jet_scalar_multiply_per_entry(jet, s))
         product = _jet_scalar_multiply_per_entry(product[:, None], s).ravel()
     absorber = jet_scalar_inverse(product)

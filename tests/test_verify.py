@@ -400,6 +400,16 @@ def test_fitting_orbits_runs_its_sizes_up_to_k(monkeypatch, k, sizes):
     assert res.passed and res.max_residual == 0
 
 
+def test_hilbert_round_trip_at_a_once_small_jet_pivot():
+    # op seed 2018872835 (op 144 of verify-k5 seed 102), trial 29: a k = 4,
+    # (1, 2) scheme whose first leading entry above the cutoff was 1.08e-3.
+    # Pivoting on it scaled the jets to 1.69e8 and the round trip's class
+    # missed by 5.03e-9; the largest entry keeps the residual at roundoff
+    res = run_suite(SuiteConfig(k=5, trials=50, seed=2018872835,
+                                suites=("hilbert_round_trip",))).suites[0]
+    assert res.passed and res.max_residual < 1e-13
+
+
 def test_non_regular_image_fails_theorem_2_4_i(monkeypatch, capsys):
     # an image that the inverse cannot take fails its case with residual 1.0:
     # the suite reports it, and `mtv verify` exits 1, not 2 (the bad-input code)
