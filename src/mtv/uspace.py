@@ -145,6 +145,14 @@ def u_build(points: Sequence[WPoint]) -> UClass:
     )
 
 
+def _check_pair(m1: UClass, m2: UClass) -> None:
+    """Refuse two classes of different sizes, and two stacks of different layouts."""
+    if m1.X.k != m2.X.k:
+        raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
+    if (m1.X.coeffs.shape, m1.gs[0].shape) != (m2.X.coeffs.shape, m2.gs[0].shape):
+        raise DimensionMismatchError("the classes stack their factors or slice points differently")
+
+
 def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     """Numeric violation of the equivalence relation between two
     representatives: the max of the slice-part difference, the scaled
@@ -155,8 +163,7 @@ def u_equivalence_residual(m1: UClass, m2: UClass) -> float:
     residual per trial."""
     if (m1.b, m1.bprime) != (m2.b, m2.bprime):
         raise SignatureError("signatures differ")
-    if m1.X.k != m2.X.k:
-        raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
+    _check_pair(m1, m2)
     residual = _largest(m1.X.coeffs - m2.X.coeffs, axes=1)
     x = slice_embed(m1.X)
     x_scale = _at_least(_largest(x))
@@ -280,8 +287,7 @@ def _match_moments(m1: UClass, p_out: int, m2: UClass, q_in: int) -> None:
     """Raise GluingError unless the moment of factor p_out of m1 is minus
     that of factor q_in of m2; of stacked classes, trial by trial, each
     against its own scale max(1, |mu1|)."""
-    if m1.X.k != m2.X.k:
-        raise DimensionMismatchError(f"sizes differ: {m1.X.k} vs {m2.X.k}")
+    _check_pair(m1, m2)
     mu1 = u_moment(m1, p_out)
     mu2 = u_moment(m2, q_in)
     if np.count_nonzero(_largest(mu1 + mu2) > GLUE_TOL * _at_least(_largest(mu1))):

@@ -35,8 +35,8 @@ from mtv.slodowy import (
     slice_coefficients_from_roots,
     slice_point,
 )
-from mtv.uspace import (UClass, UTangent, a0_action, g_action, glue, u_build, u_moment,
-                        u_symplectic, w00_from_glue)
+from mtv.uspace import (UClass, UTangent, a0_action, g_action, glue, u_build,
+                        u_equivalence_residual, u_moment, u_symplectic, w00_from_glue)
 from mtv.verify import fd_moment_conditions, sample_jetscheme
 from mtv.wspace import INCOMING, WPoint, WTangent, phi_E_inverse, theta
 
@@ -184,6 +184,11 @@ REFUSALS = [
     ("u_symplectic_factor_count", lambda: u_symplectic(_class(1, 1), _tangent(1), _tangent(2)),
      ValidationError, "factor count"),
     ("glue_q_in", lambda: glue(_class(1, 1), 1, _class(1, 1), 1), SignatureError, "q_in"),
+    ("glue_stack_against_one", lambda: glue(_class(0, 1), 0, _stacked_class(), 0),
+     DimensionMismatchError, "stack"),
+    ("equivalence_stacked_layouts",
+     lambda: u_equivalence_residual(_stacked_class(), _stacked_class(stacked_x=False)),
+     DimensionMismatchError, "stack"),
     ("glue_slice_parts", _glue_scaled_moments, GluingError, "slice parts differ"),
     ("glue_centralizer", _glue_off_centralizer, GluingError, "centralizer"),
     ("w00_signatures", lambda: w00_from_glue(_class(1, 1), _class(1, 0)),
