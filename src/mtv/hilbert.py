@@ -365,6 +365,8 @@ def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     k, b, bprime = ds[0].k, ds[0].b, ds[0].bprime
     if any((e.k, e.b, e.bprime) != (k, b, bprime) for e in ds):
         raise ValidationError("stacked schemes must share their size and signature")
+    if any(np.ndim(p.z) or p.jets[0].ndim != 2 for e in ds for p in e.pieces):
+        raise ValidationError("the correspondence takes schemes, not stacked pieces")
 
     def join(parts, axis=0):  # the stack axis goes to `axis`
         return parts[0] if single else np.array(parts).swapaxes(0, axis)

@@ -65,6 +65,15 @@ def _stacked_scheme(n_pieces):
     return JetScheme(k=2, b=1, bprime=1, pieces=(piece,) * n_pieces)
 
 
+def _stacked_jets_scheme():
+    """A nondegenerate (1,1) scheme whose two pieces have stacked jets (2, 1, k)
+    and distinct stacked base points."""
+    e = np.eye(2)
+    pieces = (LocalPiece(z=np.array([0.5, 0.6]), length=1, jets=(np.stack([e[:1], e[:1]]),) * 2),
+              LocalPiece(z=np.array([-0.5, -0.6]), length=1, jets=(np.stack([e[1:], e[1:]]),) * 2))
+    return JetScheme(k=2, b=1, bprime=1, pieces=pieces)
+
+
 def _stacked_class(stacked_x=True):
     """A (1,0) class of two points at k = 2: factors of shape (2, k, k) and, if
     stacked_x, slice coefficients of shape (2, k), a layout that UClass accepts."""
@@ -176,6 +185,10 @@ REFUSALS = [
     ("hilb_to_u_empty_stack", lambda: hilb_to_u([]), ValidationError, "at least one scheme"),
     ("hilb_to_u_mixed_stack", lambda: hilb_to_u([_scheme(), _scheme(0, 1)]),
      ValidationError, "share their size and signature"),
+    ("hilb_to_u_stacked_pieces", lambda: hilb_to_u(_stacked_scheme(2)),
+     ValidationError, "not stacked pieces"),
+    ("hilb_to_u_stacked_jets", lambda: hilb_to_u(_stacked_jets_scheme()),
+     ValidationError, "not stacked pieces"),
     ("uclass_factor_count", lambda: UClass(b=1, bprime=1, gs=(I2,), X=X2),
      ValidationError, "factor count"),
     ("uclass_factor_size", lambda: UClass(b=1, bprime=0, gs=(I3,), X=X2),
