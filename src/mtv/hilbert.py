@@ -337,11 +337,6 @@ def _conjugator(x: SlicePoint, j: Matrix, v: np.ndarray) -> Matrix:
     return _slice_frame(x) @ np.linalg.inv(_krylov_frame(j, v))
 
 
-def scheme_slice_point(d: JetScheme) -> SlicePoint:
-    roots = np.concatenate([[p.z] * p.length for p in d.pieces])
-    return slice_coefficients_from_roots(roots, d.k)
-
-
 def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     """The constructive correspondence from a nondegenerate transverse scheme
     to a quotient-class representative.
@@ -365,7 +360,7 @@ def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     k, b, bprime = ds[0].k, ds[0].b, ds[0].bprime
     if any((e.k, e.b, e.bprime) != (k, b, bprime) for e in ds):
         raise ValidationError("stacked schemes must share their size and signature")
-    if any(np.ndim(p.z) or p.jets[0].ndim != 2 for e in ds for p in e.pieces):
+    if any(isinstance(p.z, np.ndarray) or p.jets[0].ndim != 2 for e in ds for p in e.pieces):
         raise ValidationError("the correspondence takes schemes, not stacked pieces")
 
     def join(parts, axis=0):  # the stack axis goes to `axis`

@@ -8,6 +8,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from mtv import hilbert, verify  # noqa: E402
+from mtv.slodowy import slice_coefficients_from_roots  # noqa: E402
 from mtv.verify import JORDAN_BASE_POINTS  # noqa: E402
 
 
@@ -28,10 +29,10 @@ def one(x):
 
 def slice_conjugator(d):
     """The conjugator C with slice_embed(X) = C J(D) C^{-1} that `hilb_to_u`
-    uses, X = scheme_slice_point(d) the slice point with the scheme's
-    characteristic polynomial."""
-    ones, v, _ = hilbert._block_parts(tuple(p.length for p in d.pieces))
-    return hilbert._conjugator(hilbert.scheme_slice_point(d), hilbert.jordan_of(d), v)
+    uses, X the slice point with the scheme's characteristic polynomial."""
+    lengths = [p.length for p in d.pieces]
+    x = slice_coefficients_from_roots(np.repeat([p.z for p in d.pieces], lengths), d.k)
+    return hilbert._conjugator(x, hilbert.jordan_of(d), hilbert._block_parts(tuple(lengths))[1])
 
 
 def jordan_matrix(config):

@@ -65,7 +65,6 @@ from mtv.hilbert import (
     locally_nondegenerate,
     normalize_scheme,
     orbit_invariant,
-    scheme_slice_point,
     u_to_hilb,
 )
 from mtv.lie import (

@@ -240,7 +240,7 @@ def test_hilb_to_u_of_a_sequence(k):
         _same_class(hilb_to_u(ds[1:2]), [hilb_to_u(ds[1])])
 
 
-# Signature pairs that glue, with every receiver count from 1 to 4.
+# Signature pairs that glue, leaving 1 to 5 factors to receive the centralizer element.
 _GLUED = (((1, 1), (1, 0)), ((0, 1), (2, 0)), ((1, 1), (1, 1)), ((2, 1), (1, 1)),
           ((1, 2), (2, 0)), ((0, 2), (1, 1)), ((2, 2), (1, 2)))
 
