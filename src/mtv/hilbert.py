@@ -53,7 +53,7 @@ NONDEGENERACY_TOL = 1e-9
 @dataclass(frozen=True)
 class LocalPiece:
     """One transverse piece: base point, length, and per-factor jets of shape
-    (length, k); a stack of n pieces of one length has z (n,), jets (n, length, k)."""
+    (length, k).  A stack of schemes is a sequence of them, never one piece."""
 
     z: complex
     length: int
@@ -64,27 +64,20 @@ class LocalPiece:
             raise ValidationError("piece length must be >= 1")
         if not self.jets:
             raise ValidationError("a piece needs one jet per factor, got none")
-        jets = []
-        k = None
-        for jet in self.jets:
-            arr = np.asarray(jet, dtype=complex)
-            if arr.ndim not in (2, 3) or arr.shape[-2] != self.length:
+        jets = [np.asarray(jet, dtype=complex) for jet in self.jets]
+        for arr in jets:  # the first jet is checked first, so the others compare with it
+            if arr.ndim != 2 or arr.shape[0] != self.length:
                 raise ValidationError(f"jet must have shape (length, k), got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError("jet entries must be finite")
-            if k is None:
-                k = arr.shape[-1]
-            elif arr.shape[-1] != k:
+            if arr.shape[1] != jets[0].shape[1]:
                 raise ValidationError("jets disagree on the ambient dimension")
-            if not (arr[0].any() if arr.ndim == 2 else arr[:, 0].any(axis=-1).all()):
+            if not arr[0].any():
                 raise DegenerateSchemeError("leading jet vector vanishes")
-            jets.append(arr)
-        z = self.z
-        z = z.astype(complex) if isinstance(z, np.ndarray) and z.ndim else complex(z)
-        if not (cmath.isfinite(z) if isinstance(z, complex) else np.isfinite(z).all()):
-            raise ValidationError("base point must be finite")
+        if isinstance(self.z, np.ndarray) and self.z.ndim or not cmath.isfinite(complex(self.z)):
+            raise ValidationError(f"base point must be one finite number, got {self.z!r}")
         object.__setattr__(self, "jets", tuple(jets))
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", complex(self.z))
 
     @property
     def k(self) -> int:
@@ -178,9 +171,8 @@ def _jordan(roots: np.ndarray, ones: np.ndarray) -> Matrix:
 def jordan_of(d: JetScheme) -> Matrix:
     """The direct sum of Jordan blocks J_{z_i, l_i} in piece order (ones
     above the diagonal)."""
-    lengths = [p.length for p in d.pieces]
-    roots = np.repeat(np.array([p.z for p in d.pieces]).T, lengths, axis=-1)
-    return _jordan(roots, _block_parts(tuple(lengths))[0])
+    lengths = tuple(p.length for p in d.pieces)
+    return _jordan(np.repeat([p.z for p in d.pieces], lengths), _block_parts(lengths)[0])
 
 
 def block_reversal(d: JetScheme) -> Matrix:
@@ -190,7 +182,7 @@ def block_reversal(d: JetScheme) -> Matrix:
 
 
 def g_matrices(d: JetScheme) -> Matrix:
-    """The factor matrices as one stack (factors, ..., k, k); the columns of each
+    """The factor matrices as one stack (factors, k, k); the columns of each
     are its factor's jet coefficient vectors, in piece order (as in `jordan_of`)."""
     return np.concatenate([p.jets for p in d.pieces], axis=-2).swapaxes(-1, -2).copy()
 
@@ -301,10 +293,7 @@ def jet_normalize(piece: LocalPiece) -> LocalPiece:
     in all higher coefficients; a leading vector whose entries are all at
     most 1e-12 (relative to 1) is refused.  The last factor absorbs the
     inverse product.  A single-factor jet group is trivial, so (b, b') =
-    (1, 0) pieces are returned unchanged.  A stack of pieces is refused: it
-    has one normal form per piece."""
-    if np.ndim(piece.z) or any(jet.ndim != 2 for jet in piece.jets):
-        raise ValidationError("jet normalization takes one piece, not a stack")
+    (1, 0) pieces are returned unchanged."""
     if piece.n_factors == 1:
         return piece
     return LocalPiece(piece.z, piece.length, tuple(_normal_jets(np.array(piece.jets))))
@@ -321,13 +310,12 @@ def act_on_scheme(d: JetScheme, gs: Sequence[Matrix]) -> JetScheme:
     coefficients by the inverse transpose."""
     if len(gs) != d.n_factors:
         raise ValidationError("need one group element per factor")
-    mats = [_group_element(g, stacked=1) for g in gs]
+    mats = [_group_element(g) for g in gs]
     if any(g.shape[-1] != d.k for g in mats):
         raise DimensionMismatchError(f"size mismatch: group elements of size {d.k} needed")
-    mats = [g if j < d.b else np.linalg.inv(g).swapaxes(-1, -2) for j, g in enumerate(mats)]
+    mats = [g if j < d.b else np.linalg.inv(g).T for j, g in enumerate(mats)]
     return JetScheme(k=d.k, b=d.b, bprime=d.bprime, pieces=tuple(LocalPiece(
-        z=p.z, length=p.length, jets=tuple((m @ jet.swapaxes(-1, -2)).swapaxes(-1, -2)
-                                           for m, jet in zip(mats, p.jets))) for p in d.pieces))
+        p.z, p.length, tuple((m @ jet.T).T for m, jet in zip(mats, p.jets))) for p in d.pieces))
 
 
 def _conjugator(x: SlicePoint, j: Matrix, v: np.ndarray) -> Matrix:
@@ -335,6 +323,16 @@ def _conjugator(x: SlicePoint, j: Matrix, v: np.ndarray) -> Matrix:
     both sides), for J with the cyclic vector v and x with J's characteristic
     polynomial; one per trial of stacks."""
     return _slice_frame(x) @ np.linalg.inv(_krylov_frame(j, v))
+
+
+def _schemes(d: JetScheme | Sequence[JetScheme]) -> list[JetScheme]:
+    """One scheme, or a sequence of schemes of one size and signature, as a list."""
+    ds = [d] if isinstance(d, JetScheme) else list(d)
+    if not ds:
+        raise ValidationError("need at least one scheme")
+    if any((e.k, e.b, e.bprime) != (ds[0].k, ds[0].b, ds[0].bprime) for e in ds):
+        raise ValidationError("stacked schemes must share their size and signature")
+    return ds
 
 
 def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
@@ -354,14 +352,8 @@ def hilb_to_u(d: JetScheme | Sequence[JetScheme]) -> UClass:
     alone.
     """
     single = isinstance(d, JetScheme)
-    ds = [d] if single else list(d)
-    if not ds:
-        raise ValidationError("need at least one scheme")
+    ds = _schemes(d)
     k, b, bprime = ds[0].k, ds[0].b, ds[0].bprime
-    if any((e.k, e.b, e.bprime) != (k, b, bprime) for e in ds):
-        raise ValidationError("stacked schemes must share their size and signature")
-    if any(isinstance(p.z, np.ndarray) or p.jets[0].ndim != 2 for e in ds for p in e.pieces):
-        raise ValidationError("the correspondence takes schemes, not stacked pieces")
 
     def join(parts, axis=0):  # the stack axis goes to `axis`
         return parts[0] if single else np.array(parts).swapaxes(0, axis)
@@ -448,22 +440,22 @@ class FTangent:
         object.__setattr__(self, "dz", np.asarray(self.dz, dtype=complex))
 
 
-def _fitting_frame(ds: Sequence[JetScheme]) -> tuple[Matrix, Matrix, Matrix]:
-    """For schemes of one size, the stack (n, k, k) of first factor matrices G,
-    their inverses and mu = G J(D) G^{-1}; refuses a singular G."""
-    g = np.array([g_matrices(d)[0] for d in ds])
+def _fitting_frame(g: Matrix, j: Matrix) -> tuple[Matrix, Matrix]:
+    """For a stack (..., k, k) of first factor matrices G and one of Jordan
+    matrices J, the inverses G^{-1} and mu = G J G^{-1}; refuses a singular G."""
     if not _invertible(g):
         raise DegenerateSchemeError("factor matrix is singular")
     ginv = np.linalg.inv(g)
-    return g, ginv, g @ np.array([jordan_of(d) for d in ds]) @ ginv
+    return ginv, g @ j @ ginv
 
 
 def f_moment(d: JetScheme | Sequence[JetScheme]) -> Matrix:
     """mu(D) = G(D) J(D) G(D)^{-1} for the first factor; of a sequence of
-    schemes of one size, one moment per scheme (n, k, k)."""
-    if isinstance(d, JetScheme):
-        return _fitting_frame([d])[2][0]
-    return _fitting_frame(d)[2]
+    schemes of one size and signature, one moment per scheme (n, k, k)."""
+    ds = _schemes(d)
+    mu = _fitting_frame(np.array([g_matrix(e, 0) for e in ds]),
+                        np.array([jordan_of(e) for e in ds]))[1]
+    return mu[0] if isinstance(d, JetScheme) else mu
 
 
 def _eigen_shift(lengths: Sequence[int], dz: np.ndarray) -> Matrix:
@@ -474,7 +466,15 @@ def _eigen_shift(lengths: Sequence[int], dz: np.ndarray) -> Matrix:
     return out.reshape(np.shape(dz)[:-1] + (k, k))
 
 
-def f_presymplectic(d: JetScheme, u: FTangent, v: FTangent) -> complex:
+def f_point(d: JetScheme) -> tuple[Matrix, np.ndarray, tuple[int, ...]]:
+    """A (1,0) scheme as the arrays that the Fitting form is coded on: its first
+    factor matrix G, base points z and piece lengths."""
+    if (d.b, d.bprime) != (1, 0):
+        raise SignatureError("the presymplectic form is defined for (1,0)")
+    return g_matrix(d, 0), np.array([p.z for p in d.pieces]), tuple(p.length for p in d.pieces)
+
+
+def f_presymplectic(d: JetScheme | tuple, u: FTangent, v: FTangent) -> complex | np.ndarray:
     """The closed extension of the canonical form to the Fitting locus for
     signature (1, 0):
 
@@ -482,29 +482,28 @@ def f_presymplectic(d: JetScheme, u: FTangent, v: FTangent) -> complex:
 
     with dmu(t) = [rho_t, mu] + G dJ_t G^{-1}.  Pure eigenvalue pairs give 0;
     the group action is Hamiltonian for mu with the same sign convention as
-    the canonical form on group x slice.
+    the canonical form on group x slice.  D may also be `f_point`'s arrays,
+    or a stack of them (G (..., k, k), z (..., pieces)): one value per point.
     """
     mu, wedge = _f_moment_wedge(d, u, v)
     return wedge - pairing(mu, commutator(u.rho, v.rho))
 
 
-def f_presymplectic_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> complex:
+def f_presymplectic_moment_wedge(d: JetScheme | tuple, u: FTangent, v: FTangent) -> complex:
     """The literal pairing-wedge <rho, dmu(v)> - <rho', dmu(u)>; differs from
     the closed form by the recorded term <mu, [rho_u, rho_v]>."""
     return _f_moment_wedge(d, u, v)[1]
 
 
-def _f_moment_wedge(d: JetScheme, u: FTangent, v: FTangent) -> tuple[Matrix, complex]:
+def _f_moment_wedge(d: JetScheme | tuple, u: FTangent, v: FTangent) -> tuple[Matrix, complex]:
     """mu = G J G^{-1} for the first factor matrix G, and the pairing-wedge
     <rho_u, dmu(v)> - <rho_v, dmu(u)>; refuses what both forms refuse."""
-    if (d.b, d.bprime) != (1, 0):
-        raise SignatureError("the presymplectic form is defined for (1,0)")
-    g, ginv, mu = (a[0] for a in _fitting_frame([d]))
+    g, z, lengths = f_point(d) if isinstance(d, JetScheme) else d
+    ginv, mu = _fitting_frame(g, _jordan(np.repeat(z, lengths, axis=-1), _block_parts(lengths)[0]))
     for t in (u, v):
-        if t.dz.shape[-1:] != (len(d.pieces),):
+        if t.dz.shape[-1:] != (len(lengths),):
             raise ValidationError("need one dz per piece")
         check_same_size(mu, t.rho)
-    lengths = [p.length for p in d.pieces]
     dmu_u, dmu_v = (commutator(t.rho, mu) + g @ _eigen_shift(lengths, t.dz) @ ginv for t in (u, v))
     return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
 
@@ -518,10 +517,9 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
         omega(E_ab, E_cd) = delta_bc mu_da - delta_da mu_bc,
         omega(E_ab, e_i) = (Q_i)_ba,    omega(e_i, e_j) = 0.
     """
-    if (d.b, d.bprime) != (1, 0):
-        raise SignatureError("the presymplectic form is defined for (1,0)")
-    g, ginv, mu = (a[0] for a in _fitting_frame([d]))
-    k, s = d.k, len(d.pieces)
+    g, _, lengths = f_point(d)
+    ginv, mu = _fitting_frame(g, jordan_of(d))
+    k, s = d.k, len(lengths)
     gram = np.zeros((k * k + s, k * k + s), dtype=complex)
     # entry (a k + b, c k + d) of the rho block as rho[a, b, c, d]; adding 0.0
     # turns -0 into +0, as the zero-started sums of the einsum codings did
@@ -529,7 +527,7 @@ def f_gram_matrix(d: JetScheme) -> np.ndarray:
     rho[:, range(k), range(k), :] = mu.T[:, None, :] + 0.0
     rho[range(k), :, :, range(k)] -= mu
     # row i of rho_dz holds (Q_i)_ba at column a k + b
-    q = g @ _eigen_shift([p.length for p in d.pieces], np.eye(s)) @ ginv
+    q = g @ _eigen_shift(lengths, np.eye(s)) @ ginv
     rho_dz = q.swapaxes(-1, -2).reshape(s, k * k)
     gram[: k * k, k * k :] = rho_dz.T
     gram[k * k :, : k * k] = -rho_dz
@@ -566,6 +564,8 @@ def adjoint_orbits_match(m1: Matrix, m2: Matrix) -> bool | np.ndarray:
     the rank stage gets its ranks at its own cluster centers once."""
     m1, m2 = (as_matrix(m, stacked=np.ndim(m) - 2) for m in (m1, m2))
     k = check_same_size(m1, m2)
+    if any(a != b and 1 not in (a, b) for a, b in zip(m1.shape[-3::-1], m2.shape[-3::-1])):
+        raise DimensionMismatchError(f"stacks do not broadcast: {m1.shape} vs {m2.shape}")
     shape = np.broadcast_shapes(m1.shape, m2.shape)[:-2]
     match = ~(np.max(np.abs(power_traces(m1) - power_traces(m2)), axis=-1) > 1e-6)
     match = np.broadcast_to(match, shape).copy()

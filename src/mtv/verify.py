@@ -37,6 +37,7 @@ from .hilbert import (
     adjoint_orbits_match,
     f_kernel_dimension,
     f_moment,
+    f_point,
     f_presymplectic,
     g_matrices,
     hilb_to_u,
@@ -320,12 +321,12 @@ def _exp_transport(
 
 
 def _stack(items: list, join=np.array):
-    """Same-kind items joined field by field: arrays and complex numbers by
-    `join` (`np.array` adds a leading axis, `np.concatenate` extends it),
-    through tuples, lists and dataclasses; any other field (a size, a
-    signature, an orientation) is the first item's."""
+    """Same-kind items joined field by field: arrays by `join` (`np.array`
+    adds a leading axis, `np.concatenate` extends it), through tuples, lists
+    and dataclasses; any other field (a size, a signature, an orientation) is
+    the first item's."""
     first = items[0]
-    if isinstance(first, (np.ndarray, complex)):
+    if isinstance(first, np.ndarray):
         return join(items)
     if isinstance(first, (tuple, list)):
         return type(first)(_stack(list(parts), join) for parts in zip(*items))
@@ -362,20 +363,19 @@ class UChart:
 
 
 class FChart:
-    """Chart on the Fitting locus for (1,0): left group displacement acting
-    on the jets plus per-piece base point shifts."""
+    """Chart on the Fitting locus for (1,0) schemes of one piece pattern, kept as
+    the stacked arrays of `f_point`: left group displacement plus base point shifts."""
 
-    def __init__(self, d: JetScheme):
-        self.d = d
+    def __init__(self, ds: list[JetScheme]):
+        self.g, self.z, self.lengths = _stack([f_point(d) for d in ds])
 
     def frame_at(self, coords, *tangents: FTangent) -> tuple:
         s, dz = coords
-        # the group displacement acts on the left, on whole copies of the base
+        # e^s acts on G one piece's columns at a time, as on jets (all at once rounds differently)
         es, rhos = _exp_transport(s, tuple(t.rho for t in tangents), left=True)
-        copies = _stack([self.d] * (len(s) // len(self.d.pieces[0].z)), np.concatenate)
-        moved = act_on_scheme(copies, [es])
-        pieces = tuple(replace(p, z=p.z + dz[..., i]) for i, p in enumerate(moved.pieces))
-        return (replace(moved, pieces=pieces),
+        g = _over_copies(self.g, es, lambda g, es: np.concatenate(
+            [es @ b for b in np.split(g, np.cumsum(self.lengths)[:-1], axis=-1)], axis=-1))
+        return ((g, _over_copies(self.z, dz, np.add), self.lengths),
                 *(FTangent(rho=r, dz=t.dz) for r, t in zip(rhos, tangents)))
 
     def displace(self, direction: FTangent, h: float) -> tuple[Matrix, np.ndarray]:
@@ -611,8 +611,8 @@ def _check_closedness(k, keys, rngs) -> list:
         sample_uclass(k, *sig, rs), [sample_utangent(k, sum(sig), rs) for _ in range(3)]), rngs)
     ds = [sample_jetscheme(k, 1, 0, rng) for rng in rngs]
     f = _grouped([tuple(p.length for p in d.pieces) for d in ds], lambda lengths, ds, rs: _d_omega(
-        _stack(ds), [FTangent(rho=sample_disc(rs, k, k), dz=sample_disc(rs, len(lengths)))
-                     for _ in range(3)], FChart, f_presymplectic), ds, rngs)
+        ds, [FTangent(rho=sample_disc(rs, k, k), dz=sample_disc(rs, len(lengths)))
+             for _ in range(3)], FChart, f_presymplectic), ds, rngs)
     return [list(zip(("w", "u", "f"), triple)) for triple in zip(w, u, f)]
 
 

@@ -22,8 +22,8 @@ def rand_complex(rng, *shape, scale=1.0):
 
 
 def one(x):
-    """x as a stack of one trial (a class, scheme, tangent, list of tangents
-    or matrix), as the finite-difference routines take it."""
+    """x as a stack of one trial (a class, tangent, list of tangents or
+    matrix), as the finite-difference routines take it."""
     return verify._stack([x])
 
 

@@ -643,6 +643,9 @@ class _PerPointUChart(UChart):
 
 
 class _PerPointFChart(FChart):
+    def __init__(self, d):
+        self.d = d
+
     def frame_at(self, coords, u, v):
         s, dz = coords
         # the group displacement acts on the left
@@ -697,9 +700,11 @@ def _trials(draw, n=3):
 
 
 def _stacked_derivative(form, chart, trials):
-    """fd_exterior_derivative on the stack of the (point, tangents) trials."""
+    """fd_exterior_derivative on the stack of the (point, tangents) trials; an
+    `FChart` takes the schemes as a list."""
     points, tans = zip(*trials)
-    return fd_exterior_derivative(form, chart(_stack(list(points))), *_stack(list(tans)))
+    base = list(points) if chart is FChart else _stack(list(points))
+    return fd_exterior_derivative(form, chart(base), *_stack(list(tans)))
 
 
 def _w_trial(k, orientation, rng):
@@ -1344,15 +1349,15 @@ def _fitting_schemes(rng, k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_stacked_fitting_frame_matches_per_scheme_frames(k):
     schemes = list(_fitting_schemes(trial_rng(33, "frame", k), k))
-    frame = _fitting_frame(schemes)
+    frame = _fitting_frame(np.array([g_matrix(d, 0) for d in schemes]),
+                           np.array([jordan_of(d) for d in schemes]))
     assert all(part.shape == (len(schemes), k, k) for part in frame)
     for i, d in enumerate(schemes):
-        want = _fitting_frame_per_scheme(d)
-        assert [part[i].tobytes() for part in frame] == [part.tobytes() for part in want]
-        assert [part[0].tobytes() for part in _fitting_frame([d])] == [
-            part.tobytes() for part in want]
-        assert f_moment(d).tobytes() == want[2].tobytes()
-    assert f_moment(schemes).tobytes() == frame[2].tobytes()
+        want = [part.tobytes() for part in _fitting_frame_per_scheme(d)[1:]]
+        assert [part[i].tobytes() for part in frame] == want
+        assert [part.tobytes() for part in _fitting_frame(g_matrix(d, 0), jordan_of(d))] == want
+        assert f_moment(d).tobytes() == want[1]
+    assert f_moment(schemes).tobytes() == frame[1].tobytes()
     if k > 1:  # one singular first factor refuses the whole stack
         bad = _collapsed(schemes[0], 0)
         with pytest.raises(DegenerateSchemeError, match="singular"):

@@ -20,11 +20,10 @@ from mtv.hilbert import (
     LocalPiece,
     act_on_scheme,
     adjoint_orbits_match,
+    f_moment,
     f_presymplectic,
     hilb_to_u,
-    jet_normalize,
     jet_scalar_inverse,
-    normalize_scheme,
     u_to_hilb,
 )
 from mtv.lie import AElement, InvariantPolynomial, as_matrix
@@ -54,24 +53,6 @@ def _scheme(b=1, bprime=0):
 
 
 SINGULAR2 = np.diag([1.0, 0.0])
-
-
-def _stacked_scheme(n_pieces):
-    """A scheme of stacked pieces (z of shape (2,), jets of shape (2, length, k)),
-    a layout that LocalPiece accepts."""
-    length = 2 // n_pieces
-    jets = np.stack([np.eye(length, 2), np.eye(length, 2)])
-    piece = LocalPiece(z=np.array([0.5, 0.6]), length=length, jets=(jets, jets))
-    return JetScheme(k=2, b=1, bprime=1, pieces=(piece,) * n_pieces)
-
-
-def _stacked_jets_scheme():
-    """A nondegenerate (1,1) scheme whose two pieces have stacked jets (2, 1, k)
-    and distinct stacked base points."""
-    e = np.eye(2)
-    pieces = (LocalPiece(z=np.array([0.5, 0.6]), length=1, jets=(np.stack([e[:1], e[:1]]),) * 2),
-              LocalPiece(z=np.array([-0.5, -0.6]), length=1, jets=(np.stack([e[1:], e[1:]]),) * 2))
-    return JetScheme(k=2, b=1, bprime=1, pieces=pieces)
 
 
 def _stacked_class(stacked_x=True):
@@ -147,26 +128,25 @@ REFUSALS = [
      SingularMatrixError, "singular"),
     ("act_on_scheme_size", lambda: act_on_scheme(_scheme(), [I3]),
      DimensionMismatchError, "size mismatch"),
-    ("act_on_scheme_size_in_stack", lambda: act_on_scheme(_scheme(), [np.stack([I3, I3])]),
-     DimensionMismatchError, "size mismatch"),
-    ("act_on_scheme_singular_in_stack",
-     lambda: act_on_scheme(_scheme(), [np.stack([I2, SINGULAR2])]),
-     SingularMatrixError, "singular"),
+    ("act_on_scheme_stacked_g", lambda: act_on_scheme(_scheme(), [np.stack([I2, I2])]),
+     ValidationError, "square matrix"),
     ("f_tangent_size",
      lambda: f_presymplectic(_scheme(), *[FTangent(rho=I3, dz=np.zeros(1))] * 2),
      DimensionMismatchError, "size mismatch"),
     ("orbit_test_size", lambda: adjoint_orbits_match(I2, I3),
      DimensionMismatchError, "size mismatch"),
+    ("orbit_test_stacks", lambda: adjoint_orbits_match(np.stack([I2] * 2), np.stack([I2] * 3)),
+     DimensionMismatchError, "do not broadcast"),
     ("as_matrix_not_finite", lambda: as_matrix([[np.inf, 0.0], [0.0, 1.0]]),
      ValidationError, "finite"),
     ("degree_exceeds_k",
      lambda: AElement(factors=((InvariantPolynomial(3),),)).degree_profile(2),
      ValidationError, "exceeds k"),
     ("json_number_too_large", _class_with_huge_entry, ValidationError, "malformed matrix"),
-    ("jet_normalize_stacked_piece", lambda: jet_normalize(_stacked_scheme(1).pieces[0]),
-     ValidationError, "not a stack"),
-    ("normalize_scheme_stacked_pieces", lambda: normalize_scheme(_stacked_scheme(2)),
-     ValidationError, "not a stack"),
+    ("piece_stacked_z", lambda: LocalPiece(z=np.array([0.5, 0.6]), length=1, jets=(JET,)),
+     ValidationError, "one finite number"),
+    ("piece_stacked_jets", lambda: LocalPiece(z=0.5, length=1, jets=(np.stack([JET, JET]),)),
+     ValidationError, "shape (length, k)"),
     ("u_to_hilb_stacked_class", lambda: u_to_hilb(_stacked_class()),
      ValidationError, "not a stack"),
     ("u_to_hilb_stacked_factors", lambda: u_to_hilb(_stacked_class(stacked_x=False)),
@@ -185,10 +165,10 @@ REFUSALS = [
     ("hilb_to_u_empty_stack", lambda: hilb_to_u([]), ValidationError, "at least one scheme"),
     ("hilb_to_u_mixed_stack", lambda: hilb_to_u([_scheme(), _scheme(0, 1)]),
      ValidationError, "share their size and signature"),
-    ("hilb_to_u_stacked_pieces", lambda: hilb_to_u(_stacked_scheme(2)),
-     ValidationError, "not stacked pieces"),
-    ("hilb_to_u_stacked_jets", lambda: hilb_to_u(_stacked_jets_scheme()),
-     ValidationError, "not stacked pieces"),
+    ("f_moment_empty_stack", lambda: f_moment([]), ValidationError, "at least one scheme"),
+    ("f_moment_mixed_stack",
+     lambda: f_moment([_scheme(), sample_jetscheme(3, 1, 0, np.random.default_rng(0))]),
+     ValidationError, "share their size and signature"),
     ("uclass_factor_count", lambda: UClass(b=1, bprime=1, gs=(I2,), X=X2),
      ValidationError, "factor count"),
     ("uclass_factor_size", lambda: UClass(b=1, bprime=0, gs=(I3,), X=X2),

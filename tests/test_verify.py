@@ -10,7 +10,7 @@ from scipy.linalg import expm, expm_frechet
 from mtv import slodowy, uspace, verify
 from mtv.cli import main
 from mtv.errors import DimensionMismatchError, ValidationError
-from mtv.hilbert import FTangent, f_presymplectic
+from mtv.hilbert import FTangent, JetScheme, f_presymplectic
 from mtv.lie import as_matrix, pairing
 from mtv.slodowy import slice_embed
 from mtv.verify import (
@@ -509,6 +509,26 @@ def test_stacked_checks_build_once_per_key_and_evaluation(monkeypatch):
             assert 0 < len(built) <= bound and set(built) == {3}, (name, built)
 
 
+def test_closedness_builds_schemes_only_in_the_sampler(monkeypatch):
+    # the "f" part draws each scheme with sample_jetscheme, which needs it for
+    # its conditioning test, and reads its arrays from then on: no other
+    # construction of a closedness group builds a JetScheme
+    inside, built = [False], []
+    init, sample = JetScheme.__post_init__, verify.sample_jetscheme
+
+    def sampled(*args):
+        inside[0] = True
+        try:
+            return sample(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(JetScheme, "__post_init__", lambda d: built.append(inside[0]) or init(d))
+    monkeypatch.setattr(verify, "sample_jetscheme", sampled)
+    verify._SUITES["closedness"].check(3, *_streams("closedness", range(24)))
+    assert len(built) >= 24 and all(built)
+
+
 def test_partly_regular_group_matches_groups_of_one(monkeypatch):
     # a group whose images are regular in part: the regular cases keep their
     # residuals and the others report 1.0, each as in a group of one
@@ -560,8 +580,7 @@ def test_grouped_cases_match_groups_of_one(k):
         ds = [sample_jetscheme(k, 1, 0, rng, lengths=lengths) for _ in range(3)]
         tans = [[FTangent(rho=sample_disc(rng, k, k), dz=sample_disc(rng, len(lengths)))
                  for _ in range(3)] for _ in ds]
-        stacked = fd_exterior_derivative(
-            f_presymplectic, FChart(verify._stack(ds)), *verify._stack(tans))
-        alone = [fd_exterior_derivative(f_presymplectic, FChart(one(d)), *one(t))[0]
+        stacked = fd_exterior_derivative(f_presymplectic, FChart(ds), *verify._stack(tans))
+        alone = [fd_exterior_derivative(f_presymplectic, FChart([d]), *one(t))[0]
                  for d, t in zip(ds, tans)]
         assert _bytes(stacked) == _bytes(alone)
