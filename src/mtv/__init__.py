@@ -23,7 +23,6 @@ from .errors import (
 from .lie import (
     AElement,
     InvariantPolynomial,
-    centralizer_basis,
     inv_poly_eval,
     is_regular,
     pairing,
@@ -58,7 +57,6 @@ from .uspace import (
     UTangent,
     W00Point,
     axiom_d_residual,
-    fibration_data,
     g_action,
     glue,
     perm_action,

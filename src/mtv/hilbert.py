@@ -74,10 +74,14 @@ class LocalPiece:
                 raise ValidationError("jets disagree on the ambient dimension")
             if not arr[0].any():
                 raise DegenerateSchemeError("leading jet vector vanishes")
-        if isinstance(self.z, np.ndarray) and self.z.ndim or not cmath.isfinite(complex(self.z)):
+        try:
+            z = None if isinstance(self.z, np.ndarray) and self.z.ndim else complex(self.z)
+        except (TypeError, ValueError):  # None, a list, a malformed string
+            z = None
+        if z is None or not cmath.isfinite(z):
             raise ValidationError(f"base point must be one finite number, got {self.z!r}")
         object.__setattr__(self, "jets", tuple(jets))
-        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "z", z)
 
     @property
     def k(self) -> int:
@@ -173,12 +177,6 @@ def jordan_of(d: JetScheme) -> Matrix:
     above the diagonal)."""
     lengths = tuple(p.length for p in d.pieces)
     return _jordan(np.repeat([p.z for p in d.pieces], lengths), _block_parts(lengths)[0])
-
-
-def block_reversal(d: JetScheme) -> Matrix:
-    """Block-diagonal reversal permutation Q with Q J Q = J^T per block;
-    symmetric involution."""
-    return _block_parts(tuple(p.length for p in d.pieces))[2].copy()
 
 
 def g_matrices(d: JetScheme) -> Matrix:
@@ -485,19 +483,6 @@ def f_presymplectic(d: JetScheme | tuple, u: FTangent, v: FTangent) -> complex |
     the canonical form on group x slice.  D may also be `f_point`'s arrays,
     or a stack of them (G (..., k, k), z (..., pieces)): one value per point.
     """
-    mu, wedge = _f_moment_wedge(d, u, v)
-    return wedge - pairing(mu, commutator(u.rho, v.rho))
-
-
-def f_presymplectic_moment_wedge(d: JetScheme | tuple, u: FTangent, v: FTangent) -> complex:
-    """The literal pairing-wedge <rho, dmu(v)> - <rho', dmu(u)>; differs from
-    the closed form by the recorded term <mu, [rho_u, rho_v]>."""
-    return _f_moment_wedge(d, u, v)[1]
-
-
-def _f_moment_wedge(d: JetScheme | tuple, u: FTangent, v: FTangent) -> tuple[Matrix, complex]:
-    """mu = G J G^{-1} for the first factor matrix G, and the pairing-wedge
-    <rho_u, dmu(v)> - <rho_v, dmu(u)>; refuses what both forms refuse."""
     g, z, lengths = f_point(d) if isinstance(d, JetScheme) else d
     ginv, mu = _fitting_frame(g, _jordan(np.repeat(z, lengths, axis=-1), _block_parts(lengths)[0]))
     for t in (u, v):
@@ -505,7 +490,7 @@ def _f_moment_wedge(d: JetScheme | tuple, u: FTangent, v: FTangent) -> tuple[Mat
             raise ValidationError("need one dz per piece")
         check_same_size(mu, t.rho)
     dmu_u, dmu_v = (commutator(t.rho, mu) + g @ _eigen_shift(lengths, t.dz) @ ginv for t in (u, v))
-    return mu, pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u)
+    return pairing(u.rho, dmu_v) - pairing(v.rho, dmu_u) - pairing(mu, commutator(u.rho, v.rho))
 
 
 def f_gram_matrix(d: JetScheme) -> np.ndarray:

@@ -125,15 +125,6 @@ def _rank(s: np.ndarray, tol: float) -> int | np.ndarray:
     return int(ranks) if s.ndim == 1 else ranks
 
 
-def centralizer_basis(x: Matrix) -> list[Matrix]:
-    """Orthonormal basis of Z(X) = ker(ad_X), via a rank-revealing SVD: the
-    conjugated rows of Vh past the rank."""
-    x = as_matrix(x)
-    k = x.shape[0]
-    _, s, vh = np.linalg.svd(ad_operator(x))
-    return [v.reshape(k, k) for v in vh[_rank(s, RANK_TOL) :].conj()]
-
-
 def centralizer_dimension(x: Matrix) -> int | np.ndarray:
     x = as_matrix(x, stacked=1)
     s = np.linalg.svd(ad_operator(x), compute_uv=False)

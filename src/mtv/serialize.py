@@ -14,7 +14,7 @@ from .hilbert import JetScheme, LocalPiece
 from .lie import Matrix, as_matrix
 from .slodowy import SlicePoint
 from .uspace import UClass
-from .wspace import INCOMING, OUTGOING, WPoint
+from .wspace import WPoint
 
 
 def _parses_input(fn):
@@ -91,18 +91,6 @@ def wpoint_to_json(p: WPoint) -> dict:
         "g": matrix_to_json(p.g),
         "X": slice_point_to_json(p.X),
     }
-
-
-@_parses_input
-def wpoint_from_json(data) -> WPoint:
-    orientation = data["orientation"]
-    if orientation not in (INCOMING, OUTGOING):
-        raise ValidationError("orientation must be 'in' or 'out'")
-    return WPoint(
-        g=matrix_from_json(data["g"]),
-        X=slice_point_from_json(data["X"]),
-        orientation=orientation,
-    )
 
 
 def uclass_to_json(m: UClass) -> dict:

@@ -192,36 +192,3 @@ def is_in_slice(x: Matrix) -> bool:
         return False
     scale = max(1.0, float(np.max(np.abs(x))))
     return residual <= SLICE_TOL * scale
-
-
-def slice_tangent_from_power_traces(s: SlicePoint, dt: np.ndarray) -> np.ndarray:
-    """Coefficient velocity dc given power-trace velocities dt.
-
-    Solves the triangular Jacobian d trace(S(c)^m) / dc_j = m * trace(S^(m-1) f^j).
-    """
-    k = s.k
-    dt = np.asarray(dt, dtype=complex)
-    fp = _f_powers(k)
-    x = slice_embed(s)
-    jac = np.zeros((k, k), dtype=complex)
-    xp = np.eye(k, dtype=complex)
-    for m in range(1, k + 1):
-        for j in range(k):
-            jac[m - 1, j] = m * np.trace(xp @ fp[j])
-        xp = xp @ x
-    return np.linalg.solve(jac, dt)
-
-
-def slice_tangent_from_eigen_motion(
-    s: SlicePoint, roots: np.ndarray, mults: np.ndarray, dz: np.ndarray
-) -> np.ndarray:
-    """dc for eigenvalue motion: root_i moves at speed dz_i with fixed
-    multiplicity.  Power-sum velocities are sum_i mult_i * m * z_i^(m-1) * dz_i."""
-    k = s.k
-    roots = np.asarray(roots, dtype=complex)
-    mults = np.asarray(mults)
-    dz = np.asarray(dz, dtype=complex)
-    dt = np.array(
-        [np.sum(mults * m * roots ** (m - 1) * dz) for m in range(1, k + 1)]
-    )
-    return slice_tangent_from_power_traces(s, dt)

@@ -382,6 +382,8 @@ def u11_from_tstar(g: Matrix, y: Matrix) -> UClass:
     """Explicit inverse of `u11_to_tstar` on (g, regular Y); of stacks of g and
     Y, one stacked class."""
     y = as_matrix(y, stacked=1)
+    g = as_matrix(g, stacked=1)
+    check_same_size(g, y)
     x = slice_representative(y)
     # both frames satisfy  M b = b K  with the same companion K, so
     # g1 = b_y b_x^{-1} conjugates slice_embed(x) to y
@@ -402,12 +404,6 @@ def sl_membership(m: UClass) -> bool:
         d = np.linalg.det(m.gs[i])
         prod *= d if m.orientation(i) == INCOMING else 1.0 / d
     return abs(prod - 1.0) <= 1e-9
-
-
-def fibration_data(m: UClass) -> tuple[SlicePoint, list[Matrix]]:
-    """(X, [moment values per factor]): the projection whose fibre is the
-    centralizer of X."""
-    return m.X, [u_moment(m, i) for i in range(m.n_factors)]
 
 
 def phi_e_class(m: UClass) -> UClass:

@@ -158,10 +158,6 @@ def _slice_coefficients(k: int, rng: np.random.Generator) -> np.ndarray:
     return sample_disc(rng, k) * _slice_scales(k)
 
 
-def sample_slice_point(k: int, rng: np.random.Generator) -> SlicePoint:
-    return SlicePoint(k=k, coeffs=_slice_coefficients(k, rng))
-
-
 def sample_group(k: int, rng: np.random.Generator) -> Matrix:
     """exp of a matrix with entries in the unit disc (scaled by 0.5 / sqrt(k)
     for conditioning); always invertible."""

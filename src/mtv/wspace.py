@@ -18,6 +18,7 @@ variants are exposed so the discrepancy can be pinned down in tests.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -83,6 +84,10 @@ class _Signature:
         return self.b + self.bprime
 
     def orientation(self, i: int) -> str:
+        try:
+            i = operator.index(i)  # an integer: np.int64 passes, a float or array does not
+        except TypeError:
+            raise ValidationError(f"factor index must be an integer, got {i!r}") from None
         if not 0 <= i < self.n_factors:
             raise ValidationError(f"factor index {i} out of range")
         return INCOMING if i < self.b else OUTGOING

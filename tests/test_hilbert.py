@@ -11,14 +11,13 @@ from mtv.hilbert import (
     FTangent,
     JetScheme,
     LocalPiece,
+    _block_parts,
     act_on_scheme,
     adjoint_orbits_match,
-    block_reversal,
     f_gram_matrix,
     f_kernel_dimension,
     f_moment,
     f_presymplectic,
-    f_presymplectic_moment_wedge,
     g_matrix,
     hilb_to_u,
     jet_normalize,
@@ -33,12 +32,10 @@ from mtv.hilbert import (
     orbit_invariant_equal,
     u_to_hilb,
 )
-from mtv.lie import pairing
 from mtv.slodowy import (
     slice_coefficients_from_roots,
     slice_embed,
     slice_point,
-    slice_tangent_from_eigen_motion,
 )
 from mtv.uspace import UClass, u_equivalent, u_moment
 from mtv.verify import sample_group, sample_jetscheme
@@ -517,19 +514,6 @@ class TestFPresymplectic:
         with pytest.raises(SignatureError):
             f_presymplectic(d, u, u)
 
-    def test_moment_wedge_discrepancy_identity(self, rng):
-        d = sample_jetscheme(3, 1, 0, rng)
-        s = len(d.pieces)
-        mu = f_moment(d)
-        for _ in range(5):
-            u = FTangent(rho=rand_complex(rng, 3, 3), dz=rand_complex(rng, s))
-            v = FTangent(rho=rand_complex(rng, 3, 3), dz=rand_complex(rng, s))
-            lhs = f_presymplectic_moment_wedge(d, u, v)
-            rhs = f_presymplectic(d, u, v) + pairing(
-                mu, u.rho @ v.rho - v.rho @ u.rho
-            )
-            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
     def test_agrees_with_w_form_on_group_directions(self, rng):
         # transport tangents through the correspondence; the comparison is
         # run with one purely group-directed argument, where the Jordan-to-
@@ -538,7 +522,6 @@ class TestFPresymplectic:
         m = hilb_to_u(d)
         g0, x0 = m.gs[0], m.X
         roots = np.array([p.z for p in d.pieces])
-        mults = np.array([p.length for p in d.pieces])
         wp = WPoint(g=g0, X=x0, orientation=INCOMING)
         h = 1e-4
 
@@ -551,20 +534,22 @@ class TestFPresymplectic:
                 JetScheme(k=3, b=1, bprime=0, pieces=pieces)
             )
 
+        def coeffs_at(dzs):
+            return slice_coefficients_from_roots(roots + dzs, 3).coeffs
+
         c0 = conj_at(np.zeros(3))
 
-        def conj_derivative(dz):
-            # Richardson-extrapolated central difference: O(h^4)
-            d1 = (conj_at(h * dz) - conj_at(-h * dz)) / (2 * h)
-            d2 = (conj_at(h / 2 * dz) - conj_at(-h / 2 * dz)) / h
+        def derivative(f, dz):
+            # Richardson-extrapolated central difference of f(t dz) at t = 0: O(h^4)
+            d1 = (f(h * dz) - f(-h * dz)) / (2 * h)
+            d2 = (f(h / 2 * dz) - f(-h / 2 * dz)) / h
             return (4 * d2 - d1) / 3
 
         def to_w(tan):
-            dc_dt = conj_derivative(tan.dz)
+            dc_dt = derivative(conj_at, tan.dz)
             delta_g = tan.rho @ g0 - g0 @ (dc_dt @ np.linalg.inv(c0))
             a = np.linalg.inv(g0) @ delta_g
-            dcoef = slice_tangent_from_eigen_motion(x0, roots, mults, tan.dz)
-            return WTangent(a=a, dc=dcoef)
+            return WTangent(a=a, dc=derivative(coeffs_at, tan.dz))
 
         worst = 0.0
         for _ in range(5):
@@ -594,18 +579,14 @@ class TestFPresymplectic:
         d = sample_jetscheme(3, 1, 0, rng, lengths=[3])
         assert f_kernel_dimension(d) == 2
 
-    @pytest.mark.parametrize(
-        "form", [f_presymplectic, f_presymplectic_moment_wedge],
-        ids=["closed", "moment_wedge"],
-    )
+    @pytest.mark.parametrize("form", [f_presymplectic], ids=["closed"])
     @pytest.mark.parametrize(
         "case, error",
         [("signature", SignatureError), ("singular", DegenerateSchemeError),
          ("long_dz", ValidationError)],
     )
     def test_both_forms_refuse_alike(self, rng, form, case, error):
-        # the literal wedge shares the closed form's refusals: a (1,1) scheme,
-        # a singular factor matrix and one dz too many
+        # the form refuses a (1,1) scheme, a singular factor matrix and one dz too many
         if case == "signature":
             d = sample_jetscheme(3, 1, 1, rng)
         elif case == "singular":
@@ -669,6 +650,6 @@ class TestJetHelpers:
 
     def test_block_reversal_transposes_jordan(self, rng):
         d = sample_jetscheme(4, 1, 0, rng, lengths=[2, 2])
-        q = block_reversal(d)
+        q = _block_parts(tuple(p.length for p in d.pieces))[2]
         j = jordan_of(d)
         np.testing.assert_allclose(q @ j @ q, j.T, atol=1e-14)

@@ -5,7 +5,6 @@ from mtv.errors import DimensionMismatchError, ValidationError
 from mtv.lie import (
     AElement,
     InvariantPolynomial,
-    centralizer_basis,
     centralizer_dimension,
     commutator,
     gradient_of_combination,
@@ -135,21 +134,17 @@ class TestPolarizedGradient:
 
 class TestCentralizer:
     def test_distinct_eigenvalues(self):
-        basis = centralizer_basis(np.diag([1.0, 2.0]))
-        assert len(basis) == 2
-        span = np.stack([b.ravel() for b in basis])
-        for target in (unit(0, 0, 2), unit(1, 1, 2)):
-            coeffs, res, *_ = np.linalg.lstsq(span.T, target.ravel(), rcond=None)
-            recon = span.T @ coeffs
-            assert np.max(np.abs(recon - target.ravel())) < 1e-10
+        x = np.diag([1.0, 2.0])
+        assert centralizer_dimension(x) == 2
+        for unit_ii in (unit(0, 0, 2), unit(1, 1, 2)):
+            assert not commutator(unit_ii, x).any()
 
     def test_jordan_block(self):
         n = np.array([[0, 1], [0, 0]], dtype=complex)
-        basis = centralizer_basis(n)
-        assert len(basis) == 2
+        assert centralizer_dimension(n) == 2
 
     def test_zero_matrix(self):
-        assert len(centralizer_basis(np.zeros((2, 2)))) == 4
+        assert centralizer_dimension(np.zeros((2, 2))) == 4
 
     def test_gradients_span_centralizer_for_regular(self, rng):
         from mtv.slodowy import slice_embed, slice_point
@@ -157,14 +152,11 @@ class TestCentralizer:
         x = slice_embed(slice_point(rand_complex(rng, 3, scale=0.5)))
         grads = [polarized_gradient(InvariantPolynomial(m), x) for m in (1, 2, 3)]
         stacked = np.stack([g.ravel() for g in grads])
+        # k independent gradients inside Z(X), which has dimension k, span it
         assert np.linalg.matrix_rank(stacked, tol=1e-8) == 3
-        basis = centralizer_basis(x)
-        assert len(basis) == 3
-        # every gradient lies in the centralizer span
-        span = np.stack([b.ravel() for b in basis]).T
+        assert centralizer_dimension(x) == 3
         for g in grads:
-            coeffs, *_ = np.linalg.lstsq(span, g.ravel(), rcond=None)
-            assert np.max(np.abs(span @ coeffs - g.ravel())) < 1e-8
+            assert np.max(np.abs(commutator(g, x))) < 1e-10 * max(1.0, float(np.max(np.abs(g))))
 
 
 class TestRegularity:

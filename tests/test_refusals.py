@@ -27,14 +27,14 @@ from mtv.hilbert import (
     u_to_hilb,
 )
 from mtv.lie import AElement, InvariantPolynomial, as_matrix
-from mtv.serialize import uclass_from_json, uclass_to_json, wpoint_from_json, wpoint_to_json
+from mtv.serialize import uclass_from_json, uclass_to_json
 from mtv.slodowy import (
     SlicePoint,
     principal_triple,
     slice_coefficients_from_roots,
     slice_point,
 )
-from mtv.uspace import (UClass, UTangent, a0_action, g_action, glue, u_build,
+from mtv.uspace import (UClass, UTangent, a0_action, g_action, glue, u11_from_tstar, u_build,
                         u_equivalence_residual, u_moment, u_symplectic, w00_from_glue)
 from mtv.verify import fd_moment_conditions, sample_jetscheme
 from mtv.wspace import INCOMING, WPoint, WTangent, phi_E_inverse, theta
@@ -113,6 +113,12 @@ REFUSALS = [
      ValidationError, "disagree"),
     ("z_not_finite", lambda: LocalPiece(z=complex("nan"), length=1, jets=(JET,)),
      ValidationError, "base point"),
+    ("z_list", lambda: LocalPiece(z=[0.5, 0.6], length=1, jets=(JET,)),
+     ValidationError, "one finite number"),
+    ("z_none", lambda: LocalPiece(z=None, length=1, jets=(JET,)),
+     ValidationError, "one finite number"),
+    ("z_string", lambda: LocalPiece(z="abc", length=1, jets=(JET,)),
+     ValidationError, "one finite number"),
     ("jets_not_in_C^k",
      lambda: JetScheme(k=2, b=1, bprime=0, pieces=(LocalPiece(0.0, 2, (np.ones((2, 3)),)),)),
      ValidationError, "C^k"),
@@ -151,10 +157,6 @@ REFUSALS = [
      ValidationError, "not a stack"),
     ("u_to_hilb_stacked_factors", lambda: u_to_hilb(_stacked_class(stacked_x=False)),
      ValidationError, "not a stack"),
-    ("wpoint_json_orientation",
-     lambda: wpoint_from_json({**wpoint_to_json(WPoint(I2, X2, INCOMING)),
-                               "orientation": "x"}),
-     ValidationError, "orientation"),
     ("principal_triple_k0", lambda: principal_triple(0), ValidationError, "k must be"),
     ("slice_coefficient_count", lambda: SlicePoint(k=2, coeffs=np.zeros(3)),
      ValidationError, "coefficients"),
@@ -197,6 +199,18 @@ REFUSALS = [
     ("u_moment_factor_index", lambda: u_moment(_class(1, 1), 7), ValidationError, "out of range"),
     ("g_action_factor_index", lambda: g_action(_class(1, 1), 2, I2),
      ValidationError, "out of range"),
+    ("u_moment_index_array", lambda: u_moment(_class(1, 1), np.array([0, 1])),
+     ValidationError, "must be an integer"),
+    ("u_moment_index_list", lambda: u_moment(_class(1, 1), [0]),
+     ValidationError, "must be an integer"),
+    ("u_moment_index_float", lambda: u_moment(_class(1, 1), 0.5),
+     ValidationError, "must be an integer"),
+    ("g_action_index_float", lambda: g_action(_class(1, 1), 0.5, I2),
+     ValidationError, "must be an integer"),
+    ("u11_from_tstar_g_size", lambda: u11_from_tstar(np.eye(4), np.diag([1.0, 2.0, 3.0])),
+     DimensionMismatchError, "size mismatch"),
+    ("u11_from_tstar_g_none", lambda: u11_from_tstar(None, np.diag([1.0, 2.0, 3.0])),
+     ValidationError, "square matrix"),
     ("fd_moment_conditions_factor_index",
      lambda: fd_moment_conditions(one(_class(1, 1)), 2, one(_tangent(2)), xi=one(I2)),
      ValidationError, "out of range"),

@@ -13,8 +13,6 @@ from mtv.serialize import (
     slice_point_to_json,
     uclass_from_json,
     uclass_to_json,
-    wpoint_from_json,
-    wpoint_to_json,
 )
 from mtv.verify import sample_jetscheme, sample_uclass, sample_wpoint, trial_rng
 from mtv.wspace import INCOMING
@@ -45,14 +43,6 @@ def test_slice_point_round_trip():
     back = slice_point_from_json(json.loads(json.dumps(data)))
     assert back.k == p.X.k
     np.testing.assert_array_equal(back.coeffs, p.X.coeffs)
-
-
-def test_wpoint_round_trip():
-    rng = trial_rng(2, "ser", 0)
-    p = sample_wpoint(3, INCOMING, rng)
-    back = wpoint_from_json(json.loads(json.dumps(wpoint_to_json(p))))
-    assert back.orientation == p.orientation
-    np.testing.assert_array_equal(back.g, p.g)
 
 
 def test_uclass_round_trip():

@@ -11,7 +11,6 @@ from mtv.slodowy import (
     slice_embed,
     slice_point,
     slice_representative,
-    slice_tangent_from_eigen_motion,
 )
 
 from conftest import rand_complex
@@ -129,17 +128,3 @@ def test_slice_coefficients_from_roots(rng):
     t = power_traces(slice_embed(s))
     expect = [np.sum(roots**m) for m in (1, 2, 3)]
     np.testing.assert_allclose(t, expect, atol=1e-10)
-
-
-def test_slice_tangent_from_eigen_motion(rng):
-    # finite difference of the root -> coefficient map matches the solve
-    roots = np.array([0.3 + 0.1j, -0.9, 1.4 - 0.5j])
-    mults = np.array([1, 1, 1])
-    s = slice_coefficients_from_roots(roots, 3)
-    dz = rand_complex(rng, 3, scale=1.0)
-    dc = slice_tangent_from_eigen_motion(s, roots, mults, dz)
-    h = 1e-6
-    plus = slice_coefficients_from_roots(roots + h * dz, 3).coeffs
-    minus = slice_coefficients_from_roots(roots - h * dz, 3).coeffs
-    fd = (plus - minus) / (2 * h)
-    np.testing.assert_allclose(dc, fd, atol=1e-7)

@@ -35,12 +35,12 @@ from mtv.verify import (
     _centralizer_coefficients,
     _centralizer_element,
     _matched_glue_pairs,
+    _slice_coefficients,
     _stack,
     _uclass_draws,
     sample_disc,
     sample_group,
     sample_jetscheme,
-    sample_slice_point,
     sample_uclass,
     sample_utangent,
     sample_wpoint,
@@ -100,7 +100,7 @@ SAMPLERS = {
     "disc": lambda rng, k: sample_disc(rng, k, k),
     "disc_scalar": lambda rng, k: sample_disc(rng),
     "disc_radius": lambda rng, k: sample_disc(rng, k, radius=0.4),
-    "slice_point": lambda rng, k: sample_slice_point(k, rng),
+    "slice_point": lambda rng, k: SlicePoint(k, _slice_coefficients(k, rng)),
     "group": lambda rng, k: sample_group(k, rng),
     "utangent": lambda rng, k: sample_utangent(k, 3, rng),
     "wtangent": lambda rng, k: sample_wtangent(k, rng),
